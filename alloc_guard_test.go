@@ -10,6 +10,7 @@ package repro_test
 import (
 	"testing"
 
+	"repro/glt"
 	"repro/glt/trace"
 	"repro/internal/harness"
 	"repro/omp"
@@ -43,6 +44,35 @@ func TestRegionRespawnAllocCeiling(t *testing.T) {
 			t.Logf("%s: %.2f allocs/region", v.Label, got)
 			if got > regionAllocCeiling {
 				t.Errorf("%s respawn allocates %.2f/region, ceiling %.1f", v.Label, got, regionAllocCeiling)
+			}
+		})
+	}
+}
+
+// TestPromotionAllocFree pins the cost of a ULT leaving the inline path: a
+// promotion takes the stream's next driver from the shell pool and parks on
+// gates embedded in the descriptor, so in steady state a whole
+// spawn→yield→join→release cycle allocates nothing — no goroutine, no
+// per-promotion channel.
+func TestPromotionAllocFree(t *testing.T) {
+	for _, backend := range []string{"abt", "ws"} {
+		t.Run(backend, func(t *testing.T) {
+			g := glt.MustNew(glt.Config{Backend: backend, NumThreads: 1})
+			defer g.Shutdown()
+			body := func(c *glt.Ctx) { c.Yield() }
+			cycle := func() {
+				u := g.Spawn(0, body)
+				u.Join()
+				u.Release()
+			}
+			for i := 0; i < 100; i++ {
+				cycle() // warm the descriptor and shell pools and the gates' park channels
+			}
+			if got := testing.AllocsPerRun(200, cycle); got > 0 {
+				t.Errorf("promotion cycle allocates %.2f/op, want 0", got)
+			}
+			if s := g.Stats(); s.Promotions != 301 {
+				t.Errorf("Promotions = %d, want one per cycle (301)", s.Promotions)
 			}
 		})
 	}

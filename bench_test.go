@@ -278,9 +278,9 @@ func BenchmarkTable3QueuedTasks(b *testing.B) {
 
 // --- Ablation benches (DESIGN.md §5) ---
 
-// BenchmarkAblationULTvsGoroutine: the token-gated ULT against a bare
-// goroutine-per-work-unit, isolating the cost of execution-stream
-// discipline.
+// BenchmarkAblationULTvsGoroutine: a ULT (spawned onto a stream, run inline
+// there, joined) against a bare goroutine-per-work-unit, isolating the cost
+// of execution-stream discipline.
 func BenchmarkAblationULTvsGoroutine(b *testing.B) {
 	b.Run("ULT", func(b *testing.B) {
 		g := glt.MustNew(glt.Config{Backend: "abt", NumThreads: benchThreads})
@@ -306,7 +306,12 @@ func BenchmarkAblationULTvsGoroutine(b *testing.B) {
 }
 
 // BenchmarkAblationTaskletVsULT: Argobots' stackless work units against
-// full ULTs, per spawn+join.
+// full ULTs, per spawn+join. Every unit starts inline on its stream, so for
+// a body that never yields the two are the same path and the gap between
+// "tasklet" and "ult" is noise; what a ULT's stack costs shows in
+// "ult_yield_once", whose single yield buys one promotion (stream handoff to
+// a pooled goroutine), one resume through the token gates and the
+// goroutine's return to the pool.
 func BenchmarkAblationTaskletVsULT(b *testing.B) {
 	g := glt.MustNew(glt.Config{Backend: "abt", NumThreads: benchThreads})
 	defer g.Shutdown()
@@ -318,6 +323,12 @@ func BenchmarkAblationTaskletVsULT(b *testing.B) {
 	b.Run("ult", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			g.Spawn(i%benchThreads, func(*glt.Ctx) {}).Join()
+		}
+	})
+	b.Run("ult_yield_once", func(b *testing.B) {
+		body := func(c *glt.Ctx) { c.Yield() }
+		for i := 0; i < b.N; i++ {
+			g.Spawn(i%benchThreads, body).Join()
 		}
 	})
 }
@@ -415,7 +426,9 @@ func BenchmarkAblationFEBStripes(b *testing.B) {
 
 // BenchmarkAblationGLTOTaskletTasks: GLTO's per-task work unit — ULT
 // (paper's design) versus GLT tasklet (the lighter unit the paper notes
-// Argobots offers natively) — on the CG leaf-task workload.
+// Argobots offers natively) — on the CG leaf-task workload. Leaf tasks never
+// yield, so as ULTs they run to completion inline and are never promoted:
+// the two rows measure the same path, and the ablation guards that equality.
 func BenchmarkAblationGLTOTaskletTasks(b *testing.B) {
 	for _, tasklets := range []bool{false, true} {
 		tasklets := tasklets

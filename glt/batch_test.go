@@ -92,12 +92,17 @@ func TestSpawnBatchOrdering(t *testing.T) {
 				defer rt.Shutdown()
 				var mu sync.Mutex
 				var order []int
+				// Occupy the stream until the whole batch is queued: per-unit
+				// dispatch pushes one unit at a time, and an idle stream would
+				// run the first before the second exists.
+				release := holdStream(rt, 0)
 				targets := make([]int, n)
 				units := rt.SpawnBatch(func(c *glt.Ctx) {
 					mu.Lock()
 					order = append(order, c.Tag())
 					mu.Unlock()
 				}, targets, nil)
+				release()
 				for _, u := range units {
 					u.Join()
 				}

@@ -13,7 +13,7 @@ import "runtime"
 type Ctx struct {
 	u  *Unit
 	rt *Runtime
-	w  *Thread // set by the worker before each handoff
+	w  *Thread // set by the stream before each dispatch of the unit
 }
 
 // Rank reports the rank of the execution stream currently running the unit.
@@ -35,9 +35,15 @@ func (c *Ctx) IsMain() bool { return c.u.main }
 // fixed for the unit's lifetime.
 func (c *Ctx) Tag() int { return c.u.tag }
 
-// Yield gives the execution token back to the worker, making the unit
+// Yield gives the execution token back to the stream, making the unit
 // runnable again at the tail of its current stream's pool (or wherever
-// MigrateTo directed it). Control returns when a worker reschedules the unit.
+// MigrateTo directed it). Control returns when a stream reschedules the unit.
+//
+// The first yield of a ULT still running inline promotes it: the unit is
+// requeued and the stream handed to a pooled goroutine that keeps scheduling,
+// while the goroutine that drove the stream so far stays behind, parked here,
+// as the ULT's private stack — the stream moves, the ULT stays. Later yields
+// are token handoffs through the unit's gates.
 //
 // Two special cases mirror the native libraries:
 //   - Tasklets cannot yield; Yield panics if the unit is a tasklet.
@@ -46,21 +52,31 @@ func (c *Ctx) Tag() int { return c.u.tag }
 //     scheduling hint: the main ULT occupies its stream until it finishes,
 //     and other streams must steal its children.
 func (c *Ctx) Yield() {
-	if c.u.tasklet {
+	u, t := c.u, c.w
+	if u.tasklet {
 		panic("glt: tasklet attempted to yield")
 	}
 	// The pinned-main rule needs a second stream to make sense: suppressing
 	// the only stream's yields would strand every unit behind the main with
 	// no thief to rescue them, a configuration the native library resolves
 	// with blocking synchronization instead.
-	if c.u.main && c.rt.policy.PinMain() && len(c.rt.threads) > 1 {
-		c.w.stats.pinnedYields.Add(1)
+	if u.main && c.rt.policy.PinMain() && len(c.rt.threads) > 1 {
+		t.stats.pinnedYields.Add(1)
 		runtime.Gosched()
 		return
 	}
-	c.w.stats.yields.Add(1)
-	c.u.yield.signal()
-	c.u.sched.wait()
+	t.stats.yields.Add(1)
+	if u.promoted {
+		u.yield.signal()
+	} else {
+		// u cannot run on until this goroutine reaches sched.wait, so it
+		// is safe to requeue it first; c.w is stale from here on.
+		u.promoted = true
+		t.stats.promotions.Add(1)
+		t.requeue(u)
+		c.rt.handoff(t)
+	}
+	u.sched.wait()
 }
 
 // MigrateTo requests that, at the next Yield, the unit be pushed to the pool

@@ -1,7 +1,7 @@
 package glt
 
 // White-box tests for the engine internals: the spin-then-park token gate
-// and the shell goroutine pool.
+// and the pool of stream-driving shell goroutines.
 
 import (
 	"sync"
@@ -79,56 +79,66 @@ func TestGateDoubleSignalTolerated(t *testing.T) {
 	}
 }
 
+// idleShells reports the number of parked shells, waiting (up to a second)
+// for at least min: a promoted goroutine returns to the pool just after
+// handing its finished unit's token back, so a joiner can get there first.
+func idleShells(rt *Runtime, min int) int {
+	for deadline := time.Now().Add(time.Second); ; time.Sleep(100 * time.Microsecond) {
+		idle := int(rt.shells.n.Load())
+		if idle >= min || time.Now().After(deadline) {
+			return idle
+		}
+	}
+}
+
 func TestShellsAreReused(t *testing.T) {
 	rt := MustNew(Config{Backend: "abt", NumThreads: 1})
 	defer rt.Shutdown()
-	// Sequential ULTs on one stream must reuse a small set of shells rather
-	// than spawn a goroutine per unit.
+	// Sequential promotions on one stream must reuse a small set of shells
+	// rather than start a goroutine per yielding unit.
 	for i := 0; i < 100; i++ {
-		rt.Spawn(0, func(*Ctx) {}).Join()
+		rt.Spawn(0, func(c *Ctx) { c.Yield() }).Join()
 	}
-	rt.shells.mu.Lock()
-	idle := len(rt.shells.idle)
-	rt.shells.mu.Unlock()
+	idle := idleShells(rt, 1)
 	if idle == 0 {
-		t.Error("no shells parked for reuse after sequential ULTs")
+		t.Error("no shells parked for reuse after sequential promotions")
 	}
-	if idle > rt.shells.cap {
+	if idle > int(rt.shells.cap) {
 		t.Errorf("idle shells %d exceed cap %d", idle, rt.shells.cap)
+	}
+	if s := rt.Stats(); s.Promotions != 100 {
+		t.Errorf("Promotions = %d, want 100", s.Promotions)
 	}
 }
 
 func TestShellPoolBounded(t *testing.T) {
 	rt := MustNew(Config{Backend: "abt", NumThreads: 2})
 	defer rt.Shutdown()
-	// Burst of concurrent ULTs, then settle: parked shells must respect cap.
+	// Burst of concurrently suspended ULTs, then settle: parked shells must
+	// respect cap.
 	var wg sync.WaitGroup
 	for i := 0; i < 200; i++ {
-		u := rt.Spawn(i%2, func(*Ctx) {})
+		u := rt.Spawn(i%2, func(c *Ctx) { c.Yield() })
 		wg.Add(1)
 		go func() { defer wg.Done(); u.Join() }()
 	}
 	wg.Wait()
-	rt.shells.mu.Lock()
-	idle := len(rt.shells.idle)
-	capacity := rt.shells.cap
-	rt.shells.mu.Unlock()
-	if idle > capacity {
-		t.Errorf("idle shells %d exceed cap %d", idle, capacity)
+	if idle := idleShells(rt, 1); idle > int(rt.shells.cap) {
+		t.Errorf("idle shells %d exceed cap %d", idle, rt.shells.cap)
 	}
 }
 
 func TestShutdownReleasesIdleShells(t *testing.T) {
 	rt := MustNew(Config{Backend: "abt", NumThreads: 1})
-	rt.Spawn(0, func(*Ctx) {}).Join()
-	rt.Shutdown()
-	rt.shells.mu.Lock()
-	defer rt.shells.mu.Unlock()
-	if len(rt.shells.idle) != 0 {
-		t.Errorf("%d shells still parked after Shutdown", len(rt.shells.idle))
+	rt.Spawn(0, func(c *Ctx) { c.Yield() }).Join()
+	if idleShells(rt, 1) == 0 {
+		t.Fatal("no shell parked after a promotion")
 	}
-	if !rt.shells.stop {
-		t.Error("shell pool not marked stopped")
+	rt.Shutdown()
+	for deadline := time.Now().Add(time.Second); rt.shells.n.Load() != 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d shells still parked after Shutdown", rt.shells.n.Load())
+		}
 	}
 }
 

@@ -13,11 +13,10 @@
 //
 // The GLT model has two threading levels:
 //
-//   - A GLT_thread (here: Thread) is an execution stream: a dedicated,
-//     long-running scheduler worker. Threads are created once, when the
-//     runtime is initialized, and are the only entities that consume CPUs.
-//     (See Thread.loop for why streams are dedicated goroutines rather than
-//     LockOSThread-pinned kernel threads in this environment.)
+//   - A GLT_thread (here: Thread) is an execution stream: one scheduler
+//     loop. Threads are created once, when the runtime is initialized, and
+//     are the only entities that consume CPUs. (See Thread.loop for why they
+//     are not LockOSThread-pinned kernel threads in this environment.)
 //   - A GLT_ult (here: a ULT Unit) is a user-level thread: a schedulable work
 //     unit with a private stack that can yield, block, migrate between
 //     Threads, and be joined. ULTs are created, scheduled and destroyed
@@ -26,14 +25,18 @@
 //     no private stack: it runs to completion on the Thread that picks it up
 //     and can never yield or migrate once started.
 //
-// In this Go implementation a ULT is backed by a goroutine that is *gated* by
-// a token handoff: the owning Thread hands the execution token to exactly one
-// ULT at a time and blocks until the ULT yields or finishes. This preserves
-// the essential execution-stream invariant of Argobots, Qthreads and
-// MassiveThreads — one runnable ULT per stream — while reusing goroutine
-// stacks as ULT stacks. A tasklet is a plain closure invoked inline by the
-// worker, with no goroutine and no channels, mirroring the stackless work
-// units of Argobots.
+// In this Go implementation every unit starts run-to-completion: the
+// goroutine driving a stream calls the body inline, so a unit that never
+// yields costs no goroutine and no switch. A ULT acquires its private stack
+// lazily, at its first yield: the unit is requeued, the driving goroutine's
+// stack *becomes* the ULT's stack and parks, and the stream is handed to a
+// pooled goroutine that keeps scheduling. From then on the ULT is *gated* by
+// a token handoff: the stream that pops it hands it the execution token and
+// blocks until it yields or finishes. Both halves preserve the essential
+// execution-stream invariant of Argobots, Qthreads and MassiveThreads — one
+// running unit per stream — while reusing goroutine stacks as ULT stacks. A
+// tasklet is the same inline unit with yielding forbidden, mirroring the
+// stackless work units of Argobots.
 //
 // # Backends
 //
@@ -186,7 +189,7 @@ type Runtime struct {
 	batchPushes counter
 	// panicsRecovered counts unit bodies (ULT or tasklet) that panicked and
 	// were contained by the worker's recover boundary instead of killing the
-	// execution stream (see Unit.body and Thread.exec).
+	// execution stream (see Thread.runInline).
 	panicsRecovered counter
 	// refUnderflows counts unit reference counts observed below zero — an
 	// accounting bug (double Release, use after recycle). Under the gltdebug
@@ -204,9 +207,8 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg, policy: mk()}
 	rt.stealer, _ = rt.policy.(Stealer)
-	// Keep a few idle ULT-hosting goroutines per stream; beyond that,
-	// shells exit instead of accumulating.
-	rt.shells.cap = 8 * cfg.NumThreads
+	// Idle stream-driving goroutines kept for reuse; the rest exit.
+	rt.shells.idle, rt.shells.cap = make(chan *Thread), int32(8*cfg.NumThreads)
 	// Descriptor free list: per-stream caches over a global pool sized for a
 	// healthy task backlog per stream.
 	rt.units.init(cfg.NumThreads, 64*cfg.NumThreads, cfg.PerUnitDispatch)
@@ -217,7 +219,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.wg.Add(len(rt.threads))
 	for _, t := range rt.threads {
-		go t.loop()
+		rt.handoff(t)
 	}
 	return rt, nil
 }
@@ -568,7 +570,10 @@ func (rt *Runtime) Shutdown() {
 		t.park.wake()
 	}
 	rt.wg.Wait()
-	rt.drainShells()
+	// Every stream's last driver is gone, so nothing hands off any more:
+	// release the parked shells. Goroutines hosting still-suspended units
+	// are not waited for; units must be joined before Shutdown.
+	close(rt.shells.idle)
 }
 
 // Stats returns an aggregate snapshot of scheduling counters across all

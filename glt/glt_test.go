@@ -1,12 +1,14 @@
 package glt_test
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 
 	"repro/glt"
 	_ "repro/glt/backends"
+	"repro/internal/glttest"
 )
 
 var allBackends = []string{"abt", "qth", "mth", "ws"}
@@ -19,6 +21,17 @@ func newRT(t testing.TB, backend string, n int, shared bool) *glt.Runtime {
 	}
 	t.Cleanup(rt.Shutdown)
 	return rt
+}
+
+// holdStream occupies the stream with the given rank until the returned
+// function is called, so a test can queue several units behind it before any
+// of them runs: an idle stream starts a unit the moment it is pushed, long
+// before the test goroutine has spawned the next one.
+func holdStream(rt *glt.Runtime, rank int) (release func()) {
+	started, gate := make(chan struct{}), make(chan struct{})
+	hold := rt.Spawn(rank, func(*glt.Ctx) { close(started); <-gate })
+	<-started
+	return func() { close(gate); hold.Join() }
 }
 
 func TestRegisteredBackends(t *testing.T) {
@@ -121,8 +134,10 @@ func TestYieldInterleavesUnitsOnOneStream(t *testing.T) {
 					}
 				}
 			}
+			release := holdStream(rt, 0)
 			ua := rt.Spawn(0, body(1))
 			ub := rt.Spawn(0, body(2))
+			release()
 			ua.Join()
 			ub.Join()
 			// With a single stream and FIFO pools the trace must alternate.
@@ -229,29 +244,20 @@ func TestLocalSpawnStaysOnStreamABT(t *testing.T) {
 }
 
 func TestStealingMovesWorkMTH(t *testing.T) {
-	// MassiveThreads steals: children spawned on stream 0 while it is busy
+	// MassiveThreads steals: children spawned on a stream while it is busy
 	// must end up executed by other streams.
 	rt := newRT(t, "mth", 4, false)
-	var ranks [4]atomic.Int64
-	var spin atomic.Bool
-	spin.Store(true)
+	w := glttest.NewSpread()
 	busy := rt.Spawn(0, func(c *glt.Ctx) {
+		w.Mark(c.Rank())
 		kids := make([]*glt.Unit, 64)
 		for i := range kids {
-			kids[i] = c.Spawn(func(c2 *glt.Ctx) {
-				ranks[c2.Rank()].Add(1)
-				for k := 0; k < 1000; k++ {
-					// small spin so thieves get a chance to grab siblings
-					_ = k
-				}
-			})
+			kids[i] = c.Spawn(func(c2 *glt.Ctx) { w.Ran(c2.Rank()) })
 		}
 		c.JoinAll(kids)
-		spin.Store(false)
 	})
 	busy.Join()
-	others := ranks[1].Load() + ranks[2].Load() + ranks[3].Load()
-	if others == 0 {
+	if w.Streams() < 2 {
 		t.Error("no work was stolen by other streams under mth")
 	}
 }
@@ -268,7 +274,14 @@ func TestMainPinnedUnderMTH(t *testing.T) {
 		mainRank.Store(int64(c.Rank()))
 		kids := make([]*glt.Unit, 32)
 		for i := range kids {
-			kids[i] = c.Spawn(func(c2 *glt.Ctx) { childRanks[c2.Rank()].Add(1) })
+			kids[i] = c.Spawn(func(c2 *glt.Ctx) {
+				childRanks[c2.Rank()].Add(1)
+				// Hold the join open until the main has had to wait: trivial
+				// children can all be stolen and done before it looks.
+				for rt.Stats().PinnedYields == 0 {
+					runtime.Gosched()
+				}
+			})
 		}
 		c.JoinAll(kids)
 	})
@@ -288,29 +301,18 @@ func TestSharedQueues(t *testing.T) {
 			if !rt.SharedQueues() {
 				t.Fatal("SharedQueues() false")
 			}
-			var ranks [4]atomic.Int64
+			// With one shared pool, pushing everything "to rank 0" must still
+			// let other streams serve the burst.
+			w := glttest.NewSpread()
 			us := make([]*glt.Unit, 200)
 			for i := range us {
-				us[i] = rt.Spawn(0, func(c *glt.Ctx) {
-					ranks[c.Rank()].Add(1)
-					for k := 0; k < 200; k++ {
-						_ = k
-					}
-				})
+				us[i] = rt.Spawn(0, func(c *glt.Ctx) { w.Ran(c.Rank()) })
 			}
 			for _, u := range us {
 				u.Join()
 			}
-			// With one shared pool, pushing everything "to rank 0" must
-			// still spread execution over multiple streams.
-			streams := 0
-			for i := range ranks {
-				if ranks[i].Load() > 0 {
-					streams++
-				}
-			}
-			if streams < 2 {
-				t.Errorf("shared queue used %d streams, want >= 2", streams)
+			if n := w.Streams(); n < 2 {
+				t.Errorf("shared queue used %d streams, want >= 2", n)
 			}
 		})
 	}
@@ -368,22 +370,17 @@ func TestConfigFromEnv(t *testing.T) {
 // backend: children spawned on a busy stream must be executed elsewhere.
 func TestStealingMovesWorkWS(t *testing.T) {
 	rt := newRT(t, "ws", 4, false)
-	var ranks [4]atomic.Int64
+	w := glttest.NewSpread()
 	busy := rt.Spawn(0, func(c *glt.Ctx) {
+		w.Mark(c.Rank())
 		kids := make([]*glt.Unit, 64)
 		for i := range kids {
-			kids[i] = c.Spawn(func(c2 *glt.Ctx) {
-				ranks[c2.Rank()].Add(1)
-				for k := 0; k < 1000; k++ {
-					_ = k
-				}
-			})
+			kids[i] = c.Spawn(func(c2 *glt.Ctx) { w.Ran(c2.Rank()) })
 		}
 		c.JoinAll(kids)
 	})
 	busy.Join()
-	others := ranks[1].Load() + ranks[2].Load() + ranks[3].Load()
-	if others == 0 {
+	if w.Streams() < 2 {
 		t.Error("no work was stolen by other streams under ws")
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// TestULTPanicContained pins the shell-goroutine recover boundary: a
-// panicking ULT must still hand the token back as done — the worker
-// completes it, joiners release, and the stream keeps scheduling.
+// TestULTPanicContained pins the inline recover boundary for ULTs: a body
+// that panics on its stream's driving goroutine still completes — joiners
+// release — and the stream keeps scheduling. (TestPromotedPanicContained
+// covers a panic after the ULT got its own goroutine.)
 func TestULTPanicContained(t *testing.T) {
 	rt := MustNew(Config{NumThreads: 2, Backend: "abt"})
 	defer rt.Shutdown()
@@ -23,9 +24,8 @@ func TestULTPanicContained(t *testing.T) {
 	}
 }
 
-// TestTaskletPanicContained pins the worker-loop recover boundary: tasklets
-// run directly on the scheduler goroutine, so an uncontained panic would
-// kill the stream and wedge Shutdown.
+// TestTaskletPanicContained pins the same boundary for tasklets: an
+// uncontained panic would kill the stream and wedge Shutdown.
 func TestTaskletPanicContained(t *testing.T) {
 	rt := MustNew(Config{NumThreads: 2, Backend: "abt"})
 	defer rt.Shutdown()

@@ -105,7 +105,7 @@ func ForEachHomeRun(units []*Unit, fn func(to int, run []*Unit)) {
 
 // NewPolicyUnit returns a bare unit descriptor for driving a Policy directly
 // (NewPolicy), outside any running engine: it has a tag and a Home but no
-// runtime, body or backing shell, and must never be executed by a real
+// runtime or body, and must never be executed by a real
 // stream. The conformance suite in glt/policytest pushes and pops these
 // through a policy to certify its batch contract; anything that would run
 // the unit (a Runtime's Thread) will not accept it.

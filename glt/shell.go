@@ -1,85 +1,41 @@
 package glt
 
-import "sync"
+import "sync/atomic"
 
-// shell is a reusable goroutine that hosts ULT bodies. Starting a goroutine
-// costs a couple of microseconds plus a stack; at one ULT per OpenMP task
-// (GLTO's design) that cost lands on every task spawn. A shell parks between
-// units on its start gate, so attaching the next ULT is two atomic
-// operations in the common case.
-//
-// A shell hosts a unit from its first token to the return of its function;
-// yields in between do not release the shell (the ULT's stack lives on it).
-type shell struct {
-	rt    *Runtime
-	slot  *Unit
-	start gate
+// shellPool parks the goroutines that can drive an execution stream. A
+// stream has exactly one driver at a time: the goroutine running its
+// Thread.loop, which calls unit bodies inline. When a promotion turns the
+// driver's stack into a ULT's private stack (Ctx.Yield), a parked shell takes
+// over the loop, and the old driver parks here once its ULT has finished.
+// Starting a goroutine costs a couple of microseconds plus a stack; waking a
+// parked one is a channel handoff and allocates nothing.
+type shellPool struct {
+	idle chan *Thread // unbuffered: a send only succeeds into a parked shell
+	n    atomic.Int32 // shells parked, or about to park, on idle
+	cap  int32
 }
 
-func (s *shell) loop() {
-	for {
-		s.start.wait()
-		u := s.slot
-		if u == nil {
-			return // shutdown
-		}
-		s.slot = nil
-		u.body()
-		if !s.rt.putShell(s) {
+// handoff makes a parked shell — or a new goroutine if none is parked — the
+// driver of stream t. The caller must be t's current driver (or New) and must
+// not touch t's owner-side state afterwards.
+func (rt *Runtime) handoff(t *Thread) {
+	select {
+	case rt.shells.idle <- t:
+	default:
+		go rt.drive(t)
+	}
+}
+
+// drive is a shell's body: it drives one stream after another, parking in
+// the pool in between for as long as the pool has room.
+func (rt *Runtime) drive(t *Thread) {
+	for t != nil {
+		t.loop()
+		if rt.shells.n.Add(1) > rt.shells.cap {
+			rt.shells.n.Add(-1)
 			return
 		}
-	}
-}
-
-// shellPool is a bounded stack of idle shells.
-type shellPool struct {
-	mu   sync.Mutex
-	idle []*shell
-	cap  int
-	stop bool
-}
-
-// runBody hands u to an idle shell, or starts a new one if none is parked.
-func (rt *Runtime) runBody(u *Unit) {
-	rt.shells.mu.Lock()
-	var s *shell
-	if n := len(rt.shells.idle); n > 0 {
-		s = rt.shells.idle[n-1]
-		rt.shells.idle[n-1] = nil
-		rt.shells.idle = rt.shells.idle[:n-1]
-	}
-	rt.shells.mu.Unlock()
-	if s == nil {
-		s = &shell{rt: rt}
-		go s.loop()
-	}
-	s.slot = u
-	s.start.signal()
-}
-
-// putShell parks s for reuse; it reports false when the pool is full or the
-// runtime is shutting down, in which case the shell's goroutine exits.
-func (rt *Runtime) putShell(s *shell) bool {
-	rt.shells.mu.Lock()
-	defer rt.shells.mu.Unlock()
-	if rt.shells.stop || len(rt.shells.idle) >= rt.shells.cap {
-		return false
-	}
-	rt.shells.idle = append(rt.shells.idle, s)
-	return true
-}
-
-// drainShells releases every parked shell at shutdown. Shells hosting
-// still-suspended units are not waited for: units must be joined before
-// Shutdown, as documented.
-func (rt *Runtime) drainShells() {
-	rt.shells.mu.Lock()
-	idle := rt.shells.idle
-	rt.shells.idle = nil
-	rt.shells.stop = true
-	rt.shells.mu.Unlock()
-	for _, s := range idle {
-		s.slot = nil
-		s.start.signal()
+		t = <-rt.shells.idle // nil once Shutdown has closed the pool
+		rt.shells.n.Add(-1)
 	}
 }

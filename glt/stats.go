@@ -12,6 +12,9 @@ type Stats struct {
 	ULTsStarted int64
 	// ULTsCompleted counts ULTs that ran to completion.
 	ULTsCompleted int64
+	// Promotions counts ULTs that left the inline path at their first yield
+	// (see Ctx.Yield); ULTsStarted − Promotions ran to completion inline.
+	Promotions int64
 	// TaskletsRun counts tasklets executed.
 	TaskletsRun int64
 	// Yields counts successful cooperative yields (token handoffs back to a
@@ -61,6 +64,7 @@ type Stats struct {
 func (s *Stats) add(o Stats) {
 	s.ULTsStarted += o.ULTsStarted
 	s.ULTsCompleted += o.ULTsCompleted
+	s.Promotions += o.Promotions
 	s.TaskletsRun += o.TaskletsRun
 	s.Yields += o.Yields
 	s.PinnedYields += o.PinnedYields
@@ -78,6 +82,7 @@ func (s *Stats) add(o Stats) {
 type threadStats struct {
 	ultsStarted   atomic.Int64
 	ultsCompleted atomic.Int64
+	promotions    atomic.Int64
 	taskletsRun   atomic.Int64
 	yields        atomic.Int64
 	pinnedYields  atomic.Int64
@@ -93,6 +98,7 @@ func (t *threadStats) snapshot() Stats {
 	return Stats{
 		ULTsStarted:   t.ultsStarted.Load(),
 		ULTsCompleted: t.ultsCompleted.Load(),
+		Promotions:    t.promotions.Load(),
 		TaskletsRun:   t.taskletsRun.Load(),
 		Yields:        t.yields.Load(),
 		PinnedYields:  t.pinnedYields.Load(),
@@ -107,6 +113,7 @@ func (t *threadStats) snapshot() Stats {
 func (t *threadStats) reset() {
 	t.ultsStarted.Store(0)
 	t.ultsCompleted.Store(0)
+	t.promotions.Store(0)
 	t.taskletsRun.Store(0)
 	t.yields.Store(0)
 	t.pinnedYields.Store(0)

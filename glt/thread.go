@@ -8,9 +8,10 @@ import (
 	"repro/internal/chaos"
 )
 
-// Thread is an execution stream: a worker goroutine pinned to an OS thread
-// for its lifetime (the GLT_thread of the GLT API). Threads are created by
-// New and run until Shutdown.
+// Thread is an execution stream (the GLT_thread of the GLT API): one
+// scheduler loop driven by one goroutine at a time — which one changes at
+// every promotion (see Ctx.Yield), and none is bound to an OS thread (see
+// loop). Threads are created by New and run until Shutdown.
 type Thread struct {
 	rt    *Runtime
 	rank  int
@@ -27,7 +28,7 @@ func newThread(rt *Runtime, rank int) *Thread {
 // available it spins briefly and then parks.
 //
 // GLT_threads are bound to CPU cores in the native libraries (paper Fig. 3).
-// Here each stream is a dedicated long-running goroutine that the Go
+// Here each stream is driven by an ordinary goroutine that the Go
 // scheduler maps onto the OS threads of its GOMAXPROCS pool. It is
 // deliberately NOT runtime.LockOSThread-pinned: on virtualized hosts waking
 // a locked thread costs tens of microseconds (a real futex round trip),
@@ -37,13 +38,15 @@ func newThread(rt *Runtime, rank int) *Thread {
 // ULT running per stream, and no oversubscription from ULT creation — while
 // the pthread substrate (internal/pthread) keeps hard OS-thread binding and
 // genuinely pays kernel-thread costs, as the paper's comparison requires.
+//
+// loop returns at Shutdown, or once exec reports that the calling goroutine
+// no longer drives the stream (a successor runs the loop by then).
 func (t *Thread) loop() {
-	defer t.rt.wg.Done()
-
 	const spinBeforePark = 64
 	idleSpins := 0
 	for {
 		if t.rt.shutdown.isSet() {
+			t.rt.wg.Done() // not deferred: a Goexit must not release it
 			return
 		}
 		u := t.rt.policy.Pop(t.rank)
@@ -59,89 +62,110 @@ func (t *Thread) loop() {
 			if st := t.rt.stealer; st != nil {
 				trace.Emit(t.rank, trace.KindStealAttempt, 0)
 				chaos.MaybeDelay(chaos.SiteSteal)
-				if u := st.StealHalf(t.rank); u != nil {
+				if u = st.StealHalf(t.rank); u != nil {
 					trace.Emit(t.rank, trace.KindStealHit, 0)
 					t.stats.idleSteals.Add(1)
-					idleSpins = 0
-					t.exec(u)
-					continue
 				}
 			}
-			// Still nothing anywhere in the policy's pools: give the
-			// engine's drain hook a chance to surface work that is not a
-			// unit yet — GLTO raids producer-side overflow rings of
-			// buffered OpenMP tasks here — before committing to a park.
-			if dp := t.rt.drain.Load(); dp != nil && (*dp)(t.rank) {
-				t.stats.bufferSteals.Add(1)
-				idleSpins = 0
-				continue
-			}
-			t.stats.parks.Add(1)
-			trace.Emit(t.rank, trace.KindPark, 0)
-			t.park.parkTimeout(200 * time.Microsecond)
-			trace.Emit(t.rank, trace.KindUnpark, 0)
-			idleSpins = 0
-			continue
 		}
 		idleSpins = 0
-		t.exec(u)
+		if u != nil {
+			if !t.exec(u) {
+				return
+			}
+			continue
+		}
+		// Still nothing anywhere in the policy's pools: give the engine's
+		// drain hook a chance to surface work that is not a unit yet — GLTO
+		// raids producer-side overflow rings of buffered OpenMP tasks here —
+		// before committing to a park.
+		if dp := t.rt.drain.Load(); dp != nil && (*dp)(t.rank) {
+			t.stats.bufferSteals.Add(1)
+			continue
+		}
+		t.stats.parks.Add(1)
+		trace.Emit(t.rank, trace.KindPark, 0)
+		t.park.parkTimeout(200 * time.Microsecond)
+		trace.Emit(t.rank, trace.KindUnpark, 0)
 	}
 }
 
-// exec runs one unit until it yields or completes. On completion the worker
-// drops its lifetime reference; for detached units that is the last one, so
-// the descriptor recycles right here, on the stream that ran it.
-func (t *Thread) exec(u *Unit) {
-	// Unit start/end bracket one execution slice on this stream: a whole
-	// tasklet run, or a ULT dispatch up to its next yield. Disabled cost is
-	// one atomic load per emit.
+// exec runs one unit until it yields or completes and reports whether the
+// calling goroutine still drives the stream afterwards. A fresh unit — ULT or
+// tasklet — starts inline, costing no goroutine switch if it never yields; a
+// promoted ULT (see Ctx.Yield) is resumed through its sched/yield gates.
+func (t *Thread) exec(u *Unit) bool {
+	// Unit start/end bracket one execution slice on this stream, up to the
+	// next yield. Disabled cost is one atomic load per emit.
 	trace.Emit(t.rank, trace.KindUnitStart, uint64(u.tag))
-	if u.tasklet {
-		u.ctx.w = t
-		t.runTasklet(u)
-		t.stats.taskletsRun.Add(1)
-		trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
-		u.complete()
-		u.unrefOn(t.rank)
-		return
+	u.ctx.w = t // happens-before a resumed ULT observes it via the sched gate
+	if !u.promoted {
+		if !u.tasklet {
+			t.stats.ultsStarted.Add(1)
+		}
+		return t.runInline(u)
 	}
-	if !u.started {
-		u.started = true
-		t.stats.ultsStarted.Add(1)
-		t.rt.runBody(u)
-	}
-	u.ctx.w = t // happens-before the ULT observes it via the sched gate
 	u.sched.signal()
 	u.yield.wait()
-	trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
-	if u.fnDone.Load() {
-		t.stats.ultsCompleted.Add(1)
-		u.complete()
-		u.unrefOn(t.rank)
-		return
+	if u.promoted {
+		t.requeue(u)
+	} else {
+		t.finish(u)
 	}
-	// The unit yielded: requeue it, honouring a migration request if any.
+	return true
+}
+
+// runInline calls a fresh unit's body on the goroutine driving the stream and
+// reports whether that goroutine still drives it afterwards. The deferred
+// function is the containment boundary: a panic is recovered and counted; a
+// runtime.Goexit (a t.FailNow in a body) cannot be, so the dying driver
+// appoints a successor. Either way the unit completes. A body promoted on the
+// way ends on its own goroutine instead: however it ended, it hands the token
+// back with promoted cleared and leaves completion to the waiting stream.
+func (t *Thread) runInline(u *Unit) (driving bool) {
+	returned := false // still false in the deferred call: panic or Goexit
+	defer func() {
+		if !returned && recover() != nil {
+			t.rt.panicsRecovered.inc()
+			returned = true // contained: the stream carries on as after a return
+		}
+		if u.promoted {
+			u.promoted = false
+			u.yield.signal()
+			return
+		}
+		t.finish(u)
+		if driving = returned; !driving {
+			t.rt.handoff(t)
+		}
+	}()
+	u.fn(&u.ctx)
+	returned = true
+	return
+}
+
+// finish completes a unit and drops the worker's lifetime reference; for
+// detached units that is the last one, so the descriptor recycles right here.
+func (t *Thread) finish(u *Unit) {
+	trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
+	if u.tasklet {
+		t.stats.taskletsRun.Add(1)
+	} else {
+		t.stats.ultsCompleted.Add(1)
+	}
+	u.complete()
+	u.unrefOn(t.rank)
+}
+
+// requeue ends a yielding ULT's slice and makes it runnable again.
+func (t *Thread) requeue(u *Unit) {
+	trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
 	target := t.rank
 	if m := u.migrate.Swap(-1); m >= 0 {
 		target = int(m)
 		t.stats.migrations.Add(1)
 	}
 	t.rt.dispatchFrom(t.rank, target, u)
-}
-
-// runTasklet executes a tasklet body inside the stream's panic containment
-// boundary: tasklets run directly on the worker goroutine, so an uncontained
-// panic would unwind the scheduler loop and kill the execution stream (and,
-// since the runtime's WaitGroup would never be released, wedge Shutdown).
-// The tasklet still completes, so joiners release and the descriptor
-// recycles.
-func (t *Thread) runTasklet(u *Unit) {
-	defer func() {
-		if r := recover(); r != nil {
-			t.rt.panicsRecovered.inc()
-		}
-	}()
-	u.fn(&u.ctx)
 }
 
 // parker lets an idle execution stream sleep until work might be available.

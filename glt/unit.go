@@ -13,10 +13,10 @@ type Func func(*Ctx)
 // are executed by exactly one execution stream at a time.
 //
 // Unit is built for cheap mass creation — the GLTO runtime makes one per
-// OpenMP task: the token gates are embedded by value with lazily allocated
-// park channels, the completion channel exists only if someone calls Join,
-// and the backing goroutine comes from a shell pool rather than a fresh
-// spawn. Descriptors themselves are recycled through the runtime's free list
+// OpenMP task: a body that never yields runs inline on its stream and costs
+// no goroutine at all, the token gates a yielding ULT needs are embedded by
+// value with lazily allocated park channels, and the Join rendezvous is
+// embedded too. Descriptors themselves are recycled through the runtime's free list
 // (see Release and the Spawn*Detached variants), so the steady-state spawn
 // path allocates nothing.
 type Unit struct {
@@ -36,16 +36,13 @@ type Unit struct {
 	// here, so a batch of tasks needs no per-task closure.
 	arg any
 
-	// sched carries the execution token from a worker to the ULT; yield
-	// carries it back when the ULT yields or finishes.
+	// sched carries the execution token from a stream to a promoted ULT;
+	// yield carries it back when the ULT yields or finishes. Unused while the
+	// unit runs inline.
 	sched gate
 	yield gate
 
 	finished atomic.Bool
-	// fnDone is set by the ULT goroutine when the body returns; the worker
-	// translates it into finished (after statistics) so Join observers see
-	// counters and completion in a consistent order.
-	fnDone atomic.Bool
 	// join is the Join rendezvous: a generation-counted broadcast gate that
 	// is rearmed, not reallocated, across descriptor recycles.
 	join joinGate
@@ -54,9 +51,10 @@ type Unit struct {
 	// Whoever drops the last reference returns the descriptor to the free
 	// list, so a recycle can never race with the worker's completion path.
 	refs atomic.Int32
-	// started is only accessed by the worker currently holding the unit;
-	// pool push/pop ordering provides the necessary happens-before edges.
-	started bool
+	// promoted is set while the ULT owns a private goroutine: from its first
+	// yield (Ctx.Yield) until its body returns. Written by that goroutine
+	// while it holds the execution token, read by whoever holds it next.
+	promoted bool
 	// migrate holds a requested destination rank (set by Ctx.MigrateTo),
 	// or -1. The worker consumes it when the unit yields.
 	migrate atomic.Int32
@@ -112,11 +110,10 @@ func (u *Unit) Arg() any { return u.arg }
 // Policies use it to route the members of a batch.
 func (u *Unit) Home() int { return u.home }
 
-// Started reports whether the unit's body has begun executing at least once.
-// Policies use it to distinguish fresh spawns from suspended continuations
-// being requeued after a yield; it is only meaningful inside Policy.Push,
-// where the pool lock orders it against the worker that set it.
-func (u *Unit) Started() bool { return u.started }
+// Started reports whether the unit is a suspended continuation — a ULT being
+// requeued after a yield — rather than a fresh spawn. Only meaningful inside
+// a Policy, where pool synchronization orders it against the writer.
+func (u *Unit) Started() bool { return u.promoted }
 
 // Release returns a finished unit's descriptor to the runtime's free list
 // for reuse by later spawns. The caller asserts that every Join has returned
@@ -193,30 +190,9 @@ func (u *Unit) recycle() {
 	u.sched.reset()
 	u.yield.reset()
 	u.finished.Store(false)
-	u.fnDone.Store(false)
 	u.join.rearm()
-	u.started = false
+	u.promoted = false
 	u.migrate.Store(-1)
 	u.home = 0
 	u.ctx.w = nil
-}
-
-// body executes the user function and returns the token; it runs on a shell
-// goroutine (see shell.go). The final yield is tagged through fnDone; the
-// worker turns it into finished + Join wake-ups after updating statistics.
-//
-// The body is a panic containment boundary: a panicking ULT must still hand
-// the token back tagged as done, or the worker blocked in yield.wait would
-// wedge its execution stream forever and every joiner with it. The recover
-// also keeps the shell goroutine alive for reuse.
-func (u *Unit) body() {
-	defer func() {
-		if r := recover(); r != nil {
-			u.rt.panicsRecovered.inc()
-		}
-		u.fnDone.Store(true)
-		u.yield.signal()
-	}()
-	u.sched.wait()
-	u.fn(&u.ctx)
 }

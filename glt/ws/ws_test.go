@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/glt"
+	"repro/internal/glttest"
 )
 
 func TestDequeLIFOFIFO(t *testing.T) {
@@ -232,22 +233,17 @@ func TestEngineIdleStealRescuesBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown()
-	var ranks [4]atomic.Int64
+	w := glttest.NewSpread()
 	busy := rt.Spawn(0, func(c *glt.Ctx) {
+		w.Mark(c.Rank())
 		kids := make([]*glt.Unit, 256)
 		for i := range kids {
-			kids[i] = c.Spawn(func(c2 *glt.Ctx) {
-				ranks[c2.Rank()].Add(1)
-				for k := 0; k < 5000; k++ {
-					_ = k
-				}
-			})
+			kids[i] = c.Spawn(func(c2 *glt.Ctx) { w.Ran(c2.Rank()) })
 		}
 		c.JoinAll(kids)
 	})
 	busy.Join()
-	others := ranks[1].Load() + ranks[2].Load() + ranks[3].Load()
-	if others == 0 {
+	if w.Streams() < 2 {
 		t.Error("no work was stolen from the loaded stream under ws")
 	}
 	if s := rt.Stats(); s.IdleSteals == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -15,6 +16,35 @@ func newGLTO(t testing.TB, backend string, n int) *Runtime {
 	}
 	t.Cleanup(rt.Shutdown)
 	return rt
+}
+
+// The dispatch tests below pin where §IV-D sends a task, so no consumer may
+// claim it from its producer's overflow ring first. Ring raids start in two
+// places only — a member waiting at a barrier (TryRunTask) and a stream gone
+// idle (the drain hook) — and a member spinning in one of the helpers below
+// is not at a barrier and keeps its stream busy. It spins at the Go level: a
+// GLT yield would let the stream go idle.
+
+// rendezvous holds the calling member until n members have arrived at c.
+func rendezvous(c *atomic.Int64, n int64) {
+	c.Add(1)
+	for c.Load() < n {
+		runtime.Gosched()
+	}
+}
+
+// singleOnRank0 runs produce inside a single construct on rank 0, flushes its
+// ring (taskyield is a scheduling point) and only then lets the other members
+// through to the single's barrier.
+func singleOnRank0(tc *omp.TC, flushed *atomic.Bool, produce func()) {
+	for tc.ThreadNum() != 0 && !flushed.Load() {
+		runtime.Gosched()
+	}
+	tc.Single(func() {
+		produce()
+		tc.Taskyield()
+		flushed.Store(true)
+	})
 }
 
 func TestULTPerThreadWorkSharing(t *testing.T) {
@@ -62,8 +92,9 @@ func TestTaskBecomesULT(t *testing.T) {
 	rt := newGLTO(t, "abt", 2)
 	rt.ResetStats()
 	var ran atomic.Int64
+	var flushed atomic.Bool
 	rt.ParallelN(2, func(tc *omp.TC) {
-		tc.Single(func() {
+		singleOnRank0(tc, &flushed, func() {
 			for i := 0; i < 10; i++ {
 				tc.Task(func(*omp.TC) { ran.Add(1) })
 			}
@@ -115,9 +146,10 @@ func TestThreadLocalDispatchOutsideSingle(t *testing.T) {
 	// Outside single/master each stream keeps its own tasks under abt:
 	// every task must execute on its creator.
 	rt := newGLTO(t, "abt", 4)
-	var crossed atomic.Int64
+	var crossed, started, flushed atomic.Int64
 	rt.Parallel(func(tc *omp.TC) {
 		me := tc.ThreadNum()
+		rendezvous(&started, 4) // no stream is idle while rings fill
 		for i := 0; i < 16; i++ {
 			tc.Task(func(ttc *omp.TC) {
 				if ttc.ThreadNum() != me {
@@ -126,6 +158,7 @@ func TestThreadLocalDispatchOutsideSingle(t *testing.T) {
 			})
 		}
 		tc.Taskwait()
+		rendezvous(&flushed, 4) // no member waits at the barrier before then
 	})
 	if crossed.Load() != 0 {
 		t.Errorf("%d thread-local tasks executed on a different stream", crossed.Load())
@@ -206,8 +239,9 @@ func TestTaskletModeRunsTasks(t *testing.T) {
 	}
 	defer rt.Shutdown()
 	var ran atomic.Int64
+	var flushed atomic.Bool
 	rt.Parallel(func(tc *omp.TC) {
-		tc.Single(func() {
+		singleOnRank0(tc, &flushed, func() {
 			for i := 0; i < 100; i++ {
 				tc.Task(func(*omp.TC) { ran.Add(1) })
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/glt"
 	"repro/glt/trace"
 	"repro/internal/dataflow"
 	"repro/omp"
@@ -46,6 +47,8 @@ func runAssign(cfg Config) error {
 	frac := NewTable(fmt.Sprintf("Assignment fraction %% of (assign+exec), %d regions, busy-work body", regions),
 		"threads", labels)
 	p99 := NewTable("Assignment latency p99 (dispatch→member start)", "threads", labels)
+	prom := NewTable("GLT promotions / ULTs started (members that yielded and got a private goroutine; the rest ran inline)",
+		"threads", labels)
 
 	met := &trace.Metrics{}
 	prev := omp.SetTracer(omp.NewFlightTracer(nil, met))
@@ -62,8 +65,14 @@ func runAssign(cfg Config) error {
 				rt.ParallelN(n, body) // warm pools before measuring dispatch
 			}
 			met.Reset()
+			rt.ResetStats()
 			for i := 0; i < regions; i++ {
 				rt.ParallelN(n, body)
+			}
+			prom.Set(fmt.Sprint(n), v.Label, "—")
+			if g, ok := rt.(interface{ GLT() *glt.Runtime }); ok {
+				gs := g.GLT().Stats()
+				prom.Set(fmt.Sprint(n), v.Label, fmt.Sprintf("%d/%d", gs.Promotions, gs.ULTsStarted))
 			}
 			rt.Shutdown()
 			a, e := met.Assign.Mean(), met.Exec.Mean()
@@ -76,6 +85,7 @@ func runAssign(cfg Config) error {
 	}
 	frac.Render(cfg.Out)
 	p99.Render(cfg.Out)
+	prom.Render(cfg.Out)
 	if err := runAssignDataflow(cfg, met); err != nil {
 		return err
 	}

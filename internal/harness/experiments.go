@@ -198,7 +198,7 @@ func init() {
 			}
 			const outer = 100
 			tbl := NewTable(fmt.Sprintf("Nested thread accounting, OMP_NUM_THREADS=%d, outer=%d", n, outer),
-				"implementation", []string{"CreatedThreads", "ReusedThreads", "CreatedULTs", "BatchPushes", "UnitsReused", "StolenUnits", "Allocs/Region", "Allocs/Task", "BufferSteals", "TasksWithDeps", "DepReleases", "TasksChained", "LocalReleases", "TasksCancelled", "PanicsRecovered", "GroupsCancelled", "InlineFallbacks"})
+				"implementation", []string{"CreatedThreads", "ReusedThreads", "CreatedULTs", "Promotions", "BatchPushes", "UnitsReused", "StolenUnits", "Allocs/Region", "Allocs/Task", "BufferSteals", "TasksWithDeps", "DepReleases", "TasksChained", "LocalReleases", "TasksCancelled", "PanicsRecovered", "GroupsCancelled", "InlineFallbacks"})
 			// The paper's Table II lists GCC, Intel and GLTO once (the GLT
 			// backend does not change the thread/ULT accounting); this report
 			// keeps one GLTO row per backend so the scheduling-engine
@@ -252,13 +252,16 @@ func init() {
 					// The paper's 3,500 counts the nested-region ULTs; the
 					// runtime's counter also includes the n top-level ones.
 					tbl.Set(label, "CreatedULTs", fmt.Sprint(s.ULTsCreated-int64(n)))
-					// Scheduling-engine counters: how many of those ULTs were
+					// Scheduling-engine counters: how many ULTs left the
+					// inline path (promoted at their first yield, out of those
+					// started since the last reset), how many were
 					// dispatched in batches, served by recycled descriptors
 					// (zero under GLTO_PER_UNIT_DISPATCH), and moved between
 					// streams by the backend's own stealing (policies that
 					// account it, currently ws).
 					if g, ok := rt.(interface{ GLT() *glt.Runtime }); ok {
 						gs := g.GLT().Stats()
+						tbl.Set(label, "Promotions", fmt.Sprintf("%d/%d", gs.Promotions, gs.ULTsStarted))
 						tbl.Set(label, "BatchPushes", fmt.Sprint(gs.BatchPushes))
 						tbl.Set(label, "UnitsReused", fmt.Sprint(gs.UnitsReused))
 						if sp, ok := g.GLT().Policy().(interface{ StealsObserved() uint64 }); ok {
@@ -275,6 +278,7 @@ func init() {
 				tbl.Set(label, "CreatedThreads", fmt.Sprint(s.ThreadsCreated+1))
 				tbl.Set(label, "ReusedThreads", fmt.Sprint(s.ThreadsReused))
 				tbl.Set(label, "CreatedULTs", "—")
+				tbl.Set(label, "Promotions", "—")
 				tbl.Set(label, "BatchPushes", "—")
 				tbl.Set(label, "UnitsReused", "—")
 				tbl.Set(label, "StolenUnits", "—")
