@@ -86,17 +86,10 @@ func New(cfg omp.Config) (*Runtime, error) {
 	cfg = cfg.WithDefaults()
 	rt := &Runtime{cfg: cfg, taskBuf: cfg.EffectiveTaskBuffer()}
 	rt.eng.rt = rt
-	rt.pool = ptpool.New(cfg.NumThreads, waitMode(cfg))
+	rt.pool = ptpool.New(cfg.NumThreads, ptpool.WaitMode(cfg))
 	rt.region.Run = func(rank int) { rt.cur.Load().Run(rank, &rt.eng, nil) }
 	rt.Frontend = omp.NewFrontend(rt, cfg)
 	return rt, nil
-}
-
-func waitMode(cfg omp.Config) pthread.WaitMode {
-	if cfg.WaitPolicy == omp.ActiveWait {
-		return pthread.ActiveWait
-	}
-	return pthread.PassiveWait
 }
 
 // Name reports "iomp".

@@ -19,6 +19,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pthread"
+	"repro/omp"
 )
 
 // Region is the work one pool worker performs for one parallel region.
@@ -60,6 +61,14 @@ func New(n int, mode pthread.WaitMode) *Pool {
 	p := &Pool{mode: mode}
 	p.Grow(n)
 	return p
+}
+
+// WaitMode maps the OMP_WAIT_POLICY ICV onto the pool's wait mode.
+func WaitMode(cfg omp.Config) pthread.WaitMode {
+	if cfg.WaitPolicy == omp.ActiveWait {
+		return pthread.ActiveWait
+	}
+	return pthread.PassiveWait
 }
 
 // Grow ensures the pool can serve teams of size n, starting additional

@@ -249,15 +249,18 @@ func init() {
 			tc.Single(func() {
 				tc.Task(func(ttc *omp.TC) {
 					me := ttc.ThreadNum()
-					childDone := false
-					childThread := -1
+					// Atomics: where finality is not inherited, the child is
+					// deferred and may run on another thread while we check.
+					var childDone atomic.Bool
+					var childThread atomic.Int64
+					childThread.Store(-1)
 					ttc.Task(func(ittc *omp.TC) {
-						childDone = true
-						childThread = ittc.ThreadNum()
+						childThread.Store(int64(ittc.ThreadNum()))
+						childDone.Store(true)
 					})
 					// Inherited finality means the child already ran, here,
 					// on this thread.
-					if !childDone || childThread != me {
+					if !childDone.Load() || childThread.Load() != int64(me) {
 						bad.Add(1)
 					}
 				}, omp.Final())

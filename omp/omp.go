@@ -53,12 +53,10 @@
 //
 // # Runtimes
 //
-// Runtime implementations register themselves with RegisterRuntime (full
-// user-facing implementations, typically a Frontend embedded next to the
-// engine) or RegisterEngine (bare SPI engines, wrapped in a Frontend
-// automatically); the repro/openmp package imports the three of this
-// repository (GNU-like "gomp", Intel-like "iomp", and the paper's
-// contribution "glto") and provides convenience constructors.
+// Runtime implementations register themselves with RegisterRuntime, each
+// embedding a Frontend next to its engine; the repro/openmp package imports
+// the three of this repository (GNU-like "gomp", Intel-like "iomp", and the
+// paper's contribution "glto") and provides convenience constructors.
 package omp
 
 import (
@@ -418,21 +416,6 @@ func RegisterRuntime(name string, mk func(Config) (Runtime, error)) {
 		panic("omp: duplicate runtime registration: " + name)
 	}
 	runtimes[name] = mk
-}
-
-// RegisterEngine makes a bare RegionEngine constructor available to
-// NewRuntime under the given name, wrapped in a Frontend. Engines registered
-// this way get the pooled region path for free; runtime packages that expose
-// engine-specific accessors (GLT backends, …) instead embed a Frontend in
-// their own type and use RegisterRuntime.
-func RegisterEngine(name string, mk func(Config) (RegionEngine, error)) {
-	RegisterRuntime(name, func(cfg Config) (Runtime, error) {
-		eng, err := mk(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return NewFrontend(eng, cfg), nil
-	})
 }
 
 // NewRuntime instantiates a registered runtime by name.
