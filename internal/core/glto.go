@@ -97,14 +97,6 @@ type Runtime struct {
 	spillMu  sync.Mutex
 	spill    []*omp.Team
 	spillN   atomic.Int32
-
-	regions   atomic.Int64
-	nested    atomic.Int64
-	ults      atomic.Int64
-	tasks     atomic.Int64
-	flushes   atomic.Int64
-	stolen    atomic.Int64
-	bufStolen atomic.Int64
 }
 
 // drainSlots is the per-stream capacity of the idle-drain registry: how many
@@ -159,6 +151,7 @@ func New(cfg omp.Config) (*Runtime, error) {
 		return nil, err
 	}
 	rt := &Runtime{cfg: cfg, g: g, taskBuf: cfg.EffectiveTaskBuffer()}
+	rt.Frontend = omp.NewFrontend(rt, cfg)
 	rt.drainTab = make([]drainDir, g.NumThreads())
 	rt.eng.rt = rt
 	rt.taskBody = func(tcx *glt.Ctx) {
@@ -166,7 +159,7 @@ func New(cfg omp.Config) (*Runtime, error) {
 		team := node.Team()
 		num := tcx.Rank() % team.Size
 		if node.CreatedBy != num {
-			rt.stolen.Add(1)
+			rt.Counters.TasksStolen.Add(1)
 		}
 		omp.ExecTaskOn(team, num, &rt.eng, tcx, node)
 	}
@@ -186,7 +179,6 @@ func New(cfg omp.Config) (*Runtime, error) {
 	// the active teams' producer-side rings and respawns the claimed task as
 	// a detached unit on itself, instead of parking.
 	g.SetIdleDrain(rt.drainBufferedTask)
-	rt.Frontend = omp.NewFrontend(rt, cfg)
 	return rt, nil
 }
 
@@ -301,8 +293,8 @@ func (rt *Runtime) drainBufferedTask(rank int) bool {
 	// omp-level steal-tour hook already fired inside the team's directory
 	// tour; this is the glt-side view of the same event.)
 	trace.Emit(rank, trace.KindRaid, uint64(node.CreatedBy))
-	rt.bufStolen.Add(1)
-	rt.ults.Add(1)
+	rt.Counters.TasksStolenFromBuffer.Add(1)
+	rt.Counters.ULTsCreated.Add(1)
 	rt.g.SpawnDetachedFrom(rank, rank, rt.taskBody, node, rt.cfg.Tasklets)
 	return true
 }
@@ -339,8 +331,7 @@ func (rt *Runtime) GLT() *glt.Runtime { return rt.g }
 // so the steady-state region path allocates nothing at all.
 func (rt *Runtime) RunRegion(t *omp.Team) {
 	n := t.Size
-	rt.regions.Add(1)
-	rt.ults.Add(int64(n))
+	rt.Counters.ULTsCreated.Add(int64(n))
 	// Rank 0 lands on stream 0 (SpawnTeam places rank i on stream i mod
 	// streams), so the team is published under stream 0's directory.
 	h := rt.enlist(t, 0)
@@ -360,42 +351,16 @@ func (rt *Runtime) RunRegion(t *omp.Team) {
 // Shutdown stops the execution streams.
 func (rt *Runtime) Shutdown() { rt.g.Shutdown() }
 
-// Stats reports accounting counters.
-func (rt *Runtime) Stats() omp.Stats {
-	gs := rt.g.Stats()
-	return omp.Stats{
-		Regions:               rt.regions.Load(),
-		NestedRegions:         rt.nested.Load(),
-		SerializedRegions:     rt.SerializedRegions(),
-		ULTsCreated:           rt.ults.Load(),
-		TasksQueued:           rt.tasks.Load(),
-		TaskFlushes:           rt.flushes.Load(),
-		TasksStolen:           gs.Migrations + rt.stolen.Load(),
-		TasksStolenFromBuffer: rt.bufStolen.Load(),
-		TasksWithDeps:         rt.TasksWithDeps(),
-		DepReleases:           rt.DepReleases(),
-		TasksChained:          rt.TasksChained(),
-		LocalReleases:         rt.LocalReleases(),
-		TasksCancelled:        rt.TasksCancelled(),
-		PanicsRecovered:       rt.PanicsRecovered(),
-		GroupsCancelled:       rt.GroupsCancelled(),
-		InlineFallbacks:       rt.InlineFallbacks(),
+// EngineStats folds the GLT substrate's migrations (units requeued onto
+// another stream at a yield) into TasksStolen, and resets glt.Stats together
+// with the counter block, so per-layer readers can take glt deltas across the
+// same ResetStats.
+func (rt *Runtime) EngineStats(s *omp.Stats) {
+	if s == nil {
+		rt.g.ResetStats()
+		return
 	}
-}
-
-// ResetStats zeroes the counters.
-func (rt *Runtime) ResetStats() {
-	rt.regions.Store(0)
-	rt.nested.Store(0)
-	rt.ResetSerializedRegions()
-	rt.ults.Store(0)
-	rt.tasks.Store(0)
-	rt.flushes.Store(0)
-	rt.stolen.Store(0)
-	rt.bufStolen.Store(0)
-	rt.ResetDepStats()
-	rt.ResetCancelStats()
-	rt.g.ResetStats()
+	s.TasksStolen += rt.g.Stats().Migrations
 }
 
 // engine implements omp.EngineOps over GLT.
@@ -467,7 +432,7 @@ func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 		omp.ExecTask(tc, node)
 		return
 	}
-	e.rt.tasks.Add(1)
+	e.rt.Counters.TasksQueued.Add(1)
 	if e.rt.taskBuf > 0 {
 		if tc.BufferTask(node, e.rt.taskBuf) {
 			e.FlushTasks(tc)
@@ -481,11 +446,11 @@ func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 func (e *engine) dispatchTask(tc *omp.TC, node *omp.TaskNode) {
 	team := tc.Team()
 	c := ctxOf(tc)
-	e.rt.ults.Add(1)
+	e.rt.Counters.ULTsCreated.Add(1)
 	body := func(tcx *glt.Ctx) {
 		num := tcx.Rank() % team.Size
 		if node.CreatedBy != num {
-			e.rt.stolen.Add(1)
+			e.rt.Counters.TasksStolen.Add(1)
 		}
 		omp.ExecTaskOn(team, num, e, tcx, node)
 	}
@@ -521,8 +486,8 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 		return
 	}
 	c := ctxOf(tc)
-	e.rt.flushes.Add(1)
-	e.rt.ults.Add(int64(len(nodes)))
+	e.rt.Counters.TaskFlushes.Add(1)
+	e.rt.Counters.ULTsCreated.Add(int64(len(nodes)))
 	fb := e.rt.flushBufs.Get().(*flushBuf)
 	targets, args := fb.targets[:0], fb.args[:0]
 	for _, node := range nodes {
@@ -564,8 +529,8 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 // single/master spawners, mirroring taskTarget); either way it obeys the
 // policy's ordinary steal/migration rules from there.
 func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx any) {
-	e.rt.tasks.Add(1)
-	e.rt.ults.Add(1)
+	e.rt.Counters.TasksQueued.Add(1)
+	e.rt.Counters.ULTsCreated.Add(1)
 	streams := e.rt.g.NumThreads()
 	if hot >= 0 {
 		if c, ok := ectx.(*glt.Ctx); ok && c != nil {
@@ -598,9 +563,9 @@ func (e *engine) TryRunTask(tc *omp.TC) bool {
 	if node == nil {
 		return false
 	}
-	e.rt.bufStolen.Add(1)
+	e.rt.Counters.TasksStolenFromBuffer.Add(1)
 	if node.CreatedBy != tc.ThreadNum() {
-		e.rt.stolen.Add(1)
+		e.rt.Counters.TasksStolen.Add(1)
 	}
 	omp.ExecTask(tc, node)
 	return true
@@ -637,7 +602,6 @@ func (e *engine) Taskyield(tc *omp.TC) {
 // The inner team arrives pre-built from the front end's pool.
 func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	n := team.Size
-	e.rt.nested.Add(1)
 	c := ctxOf(tc)
 	// Nested teams enlist under their encountering stream: the inner ULTs
 	// spawn there (§IV-E), so that is where an idle tour should find them
@@ -648,7 +612,7 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	}
 	h := e.rt.enlist(team, stream)
 	defer e.rt.delist(team, stream, h)
-	e.rt.ults.Add(int64(n - 1))
+	e.rt.Counters.ULTsCreated.Add(int64(n - 1))
 	slot := e.rt.slots.Get().(*regionSlot)
 	slot.team = team
 	var units []*glt.Unit

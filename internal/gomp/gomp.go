@@ -60,14 +60,6 @@ type Runtime struct {
 	cur    atomic.Pointer[omp.Team]
 
 	taskBuf int
-
-	regions     atomic.Int64
-	nested      atomic.Int64
-	createdTop  atomic.Int64
-	tasksQueued atomic.Int64
-	flushes     atomic.Int64
-	stolen      atomic.Int64
-	bufStolen   atomic.Int64
 }
 
 // New builds a runtime with the given configuration. The top-level pool is
@@ -75,10 +67,10 @@ type Runtime struct {
 func New(cfg omp.Config) (*Runtime, error) {
 	cfg = cfg.WithDefaults()
 	rt := &Runtime{cfg: cfg, taskBuf: cfg.EffectiveTaskBuffer()}
-	rt.eng.rt = rt
-	rt.pool = ptpool.New(cfg.NumThreads, ptpool.WaitMode(cfg))
-	rt.region.Run = func(rank int) { rt.cur.Load().Run(rank, &rt.eng, nil) }
 	rt.Frontend = omp.NewFrontend(rt, cfg)
+	rt.eng.rt = rt
+	rt.pool = ptpool.New(cfg.NumThreads, ptpool.WaitMode(cfg), &rt.Counters.ThreadsCreated)
+	rt.region.Run = func(rank int) { rt.cur.Load().Run(rank, &rt.eng, nil) }
 	return rt, nil
 }
 
@@ -88,7 +80,6 @@ func (rt *Runtime) Name() string { return "gomp" }
 // RunRegion implements the runtime SPI: the persistent pool executes the
 // pre-built team, with the calling goroutine as thread 0.
 func (rt *Runtime) RunRegion(t *omp.Team) {
-	rt.regions.Add(1)
 	rt.cur.Store(t)
 	rt.region.Size = t.Size
 	rt.pool.Dispatch(&rt.region)
@@ -97,42 +88,12 @@ func (rt *Runtime) RunRegion(t *omp.Team) {
 // Shutdown stops the pool.
 func (rt *Runtime) Shutdown() { rt.pool.Shutdown() }
 
-// Stats reports accounting counters.
-func (rt *Runtime) Stats() omp.Stats {
-	return omp.Stats{
-		Regions:               rt.regions.Load(),
-		NestedRegions:         rt.nested.Load(),
-		SerializedRegions:     rt.SerializedRegions(),
-		ThreadsCreated:        rt.pool.Created.Load() + rt.createdTop.Load(),
-		PeakThreads:           pthread.Peak(),
-		TasksQueued:           rt.tasksQueued.Load(),
-		TaskFlushes:           rt.flushes.Load(),
-		TasksStolen:           rt.stolen.Load(),
-		TasksStolenFromBuffer: rt.bufStolen.Load(),
-		TasksWithDeps:         rt.TasksWithDeps(),
-		DepReleases:           rt.DepReleases(),
-		TasksChained:          rt.TasksChained(),
-		LocalReleases:         rt.LocalReleases(),
-		TasksCancelled:        rt.TasksCancelled(),
-		PanicsRecovered:       rt.PanicsRecovered(),
-		GroupsCancelled:       rt.GroupsCancelled(),
-		InlineFallbacks:       rt.InlineFallbacks(),
+// EngineStats reports the process-wide OS-thread high-water mark, which no
+// reset clears.
+func (rt *Runtime) EngineStats(s *omp.Stats) {
+	if s != nil {
+		s.PeakThreads = pthread.Peak()
 	}
-}
-
-// ResetStats zeroes the counters (the pool's created count is folded into
-// createdTop so history is preserved but resettable).
-func (rt *Runtime) ResetStats() {
-	rt.regions.Store(0)
-	rt.nested.Store(0)
-	rt.ResetSerializedRegions()
-	rt.createdTop.Store(-rt.pool.Created.Load())
-	rt.tasksQueued.Store(0)
-	rt.flushes.Store(0)
-	rt.stolen.Store(0)
-	rt.bufStolen.Store(0)
-	rt.ResetDepStats()
-	rt.ResetCancelStats()
 }
 
 // engine implements omp.EngineOps for the GNU-like runtime. One instance per
@@ -233,7 +194,7 @@ func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 		omp.ExecTask(tc, node)
 		return
 	}
-	e.rt.tasksQueued.Add(1)
+	e.rt.Counters.TasksQueued.Add(1)
 	if e.rt.taskBuf > 0 {
 		if tc.BufferTask(node, e.rt.taskBuf) {
 			e.FlushTasks(tc)
@@ -254,7 +215,7 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 	if len(nodes) == 0 {
 		return
 	}
-	e.rt.flushes.Add(1)
+	e.rt.Counters.TaskFlushes.Add(1)
 	ts := e.tasksOf(tc.Team())
 	ts.mu.Lock()
 	ts.q = append(ts.q, nodes...)
@@ -273,7 +234,7 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 // TryRunTask sweeps the slots once the queue runs dry, so a slotted task is
 // no less visible than a queued one.
 func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any) {
-	e.rt.tasksQueued.Add(1)
+	e.rt.Counters.TasksQueued.Add(1)
 	ts := e.tasksOf(team)
 	if hot >= 0 {
 		slots := ts.slotsFor(team.Size)
@@ -318,7 +279,7 @@ func (e *engine) tryRunTask(tc *omp.TC) bool {
 		if node == nil {
 			return false
 		}
-		e.rt.bufStolen.Add(1)
+		e.rt.Counters.TasksStolenFromBuffer.Add(1)
 		e.execPopped(tc, node)
 		return true
 	}
@@ -338,7 +299,7 @@ func (e *engine) tryRunTask(tc *omp.TC) bool {
 // distribution.
 func (e *engine) execPopped(tc *omp.TC, node *omp.TaskNode) {
 	if node.CreatedBy != tc.ThreadNum() {
-		e.rt.stolen.Add(1)
+		e.rt.Counters.TasksStolen.Add(1)
 		omp.TraceStealTour(tc.Team(), 1, true)
 	}
 	omp.ExecTask(tc, node)
@@ -366,12 +327,11 @@ func (e *engine) Taskyield(tc *omp.TC) {}
 // deliberate Table II cost. The team descriptor itself arrives pooled from
 // the front end.
 func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
-	e.rt.nested.Add(1)
 	n := team.Size
 	threads := make([]*pthread.Thread, n-1)
 	for i := range threads {
 		rank := i + 1
-		e.rt.createdTop.Add(1)
+		e.rt.Counters.ThreadsCreated.Add(1)
 		threads[i] = pthread.Create(func() {
 			team.Run(rank, e, nil)
 		})

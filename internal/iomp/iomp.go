@@ -68,27 +68,17 @@ type Runtime struct {
 	freeMu sync.Mutex
 	free   []*nestedWorker
 
-	regions       atomic.Int64
-	nested        atomic.Int64
-	created       atomic.Int64
-	reused        atomic.Int64
-	tasksQueued   atomic.Int64
-	tasksDirect   atomic.Int64
-	flushes       atomic.Int64
-	stolen        atomic.Int64
-	bufStolen     atomic.Int64
-	stealAttempts atomic.Int64
-	shutdownFlag  atomic.Bool
+	shutdownFlag atomic.Bool
 }
 
 // New builds a runtime with the given configuration.
 func New(cfg omp.Config) (*Runtime, error) {
 	cfg = cfg.WithDefaults()
 	rt := &Runtime{cfg: cfg, taskBuf: cfg.EffectiveTaskBuffer()}
-	rt.eng.rt = rt
-	rt.pool = ptpool.New(cfg.NumThreads, ptpool.WaitMode(cfg))
-	rt.region.Run = func(rank int) { rt.cur.Load().Run(rank, &rt.eng, nil) }
 	rt.Frontend = omp.NewFrontend(rt, cfg)
+	rt.eng.rt = rt
+	rt.pool = ptpool.New(cfg.NumThreads, ptpool.WaitMode(cfg), &rt.Counters.ThreadsCreated)
+	rt.region.Run = func(rank int) { rt.cur.Load().Run(rank, &rt.eng, nil) }
 	return rt, nil
 }
 
@@ -98,7 +88,6 @@ func (rt *Runtime) Name() string { return "iomp" }
 // RunRegion implements the runtime SPI: the persistent pool executes the
 // pre-built team, with the calling goroutine as thread 0.
 func (rt *Runtime) RunRegion(t *omp.Team) {
-	rt.regions.Add(1)
 	rt.cur.Store(t)
 	rt.region.Size = t.Size
 	rt.pool.Dispatch(&rt.region)
@@ -118,47 +107,12 @@ func (rt *Runtime) Shutdown() {
 	}
 }
 
-// Stats reports accounting counters.
-func (rt *Runtime) Stats() omp.Stats {
-	return omp.Stats{
-		Regions:               rt.regions.Load(),
-		NestedRegions:         rt.nested.Load(),
-		SerializedRegions:     rt.SerializedRegions(),
-		ThreadsCreated:        rt.pool.Created.Load() + rt.created.Load(),
-		ThreadsReused:         rt.reused.Load(),
-		PeakThreads:           pthread.Peak(),
-		TasksQueued:           rt.tasksQueued.Load(),
-		TasksDirect:           rt.tasksDirect.Load(),
-		TaskFlushes:           rt.flushes.Load(),
-		TasksStolen:           rt.stolen.Load(),
-		TasksStolenFromBuffer: rt.bufStolen.Load(),
-		StealAttempts:         rt.stealAttempts.Load(),
-		TasksWithDeps:         rt.TasksWithDeps(),
-		DepReleases:           rt.DepReleases(),
-		TasksChained:          rt.TasksChained(),
-		LocalReleases:         rt.LocalReleases(),
-		TasksCancelled:        rt.TasksCancelled(),
-		PanicsRecovered:       rt.PanicsRecovered(),
-		GroupsCancelled:       rt.GroupsCancelled(),
-		InlineFallbacks:       rt.InlineFallbacks(),
+// EngineStats reports the process-wide OS-thread high-water mark, which no
+// reset clears.
+func (rt *Runtime) EngineStats(s *omp.Stats) {
+	if s != nil {
+		s.PeakThreads = pthread.Peak()
 	}
-}
-
-// ResetStats zeroes the counters.
-func (rt *Runtime) ResetStats() {
-	rt.regions.Store(0)
-	rt.nested.Store(0)
-	rt.ResetSerializedRegions()
-	rt.created.Store(-rt.pool.Created.Load())
-	rt.reused.Store(0)
-	rt.tasksQueued.Store(0)
-	rt.tasksDirect.Store(0)
-	rt.flushes.Store(0)
-	rt.stolen.Store(0)
-	rt.bufStolen.Store(0)
-	rt.stealAttempts.Store(0)
-	rt.ResetDepStats()
-	rt.ResetCancelStats()
 }
 
 // nestedWorker is a parked OS thread cached for nested-team reuse.
@@ -178,11 +132,11 @@ func (rt *Runtime) getWorker() *nestedWorker {
 		w := rt.free[n-1]
 		rt.free = rt.free[:n-1]
 		rt.freeMu.Unlock()
-		rt.reused.Add(1)
+		rt.Counters.ThreadsReused.Add(1)
 		return w
 	}
 	rt.freeMu.Unlock()
-	rt.created.Add(1)
+	rt.Counters.ThreadsCreated.Add(1)
 	w := &nestedWorker{jobs: make(chan job)}
 	w.th = pthread.Create(func() {
 		for j := range w.jobs {
@@ -273,11 +227,11 @@ func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 		// run the overflow task undeferred at its spawn site, as the native
 		// runtime does.
 		e.FlushTasks(tc)
-		e.rt.tasksDirect.Add(1)
+		e.rt.Counters.TasksDirect.Add(1)
 		omp.ExecTask(tc, node)
 		return
 	}
-	e.rt.tasksQueued.Add(1)
+	e.rt.Counters.TasksQueued.Add(1)
 	if e.rt.taskBuf > 0 {
 		if tc.BufferTask(node, e.rt.taskBuf) {
 			e.FlushTasks(tc)
@@ -297,7 +251,7 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 	if len(nodes) == 0 {
 		return
 	}
-	e.rt.flushes.Add(1)
+	e.rt.Counters.TaskFlushes.Add(1)
 	d := &e.dequesOf(tc.Team())[tc.ThreadNum()]
 	d.mu.Lock()
 	d.q = append(d.q, nodes...)
@@ -319,7 +273,7 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 // execute the task inline (it may be running unrelated code mid-Release),
 // and a released task has already paid its deferral.
 func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any) {
-	e.rt.tasksQueued.Add(1)
+	e.rt.Counters.TasksQueued.Add(1)
 	at := node.CreatedBy
 	if hot >= 0 {
 		at = hot
@@ -360,7 +314,7 @@ func (e *engine) tryRunTask(tc *omp.TC) bool {
 			off = -off
 		}
 		v := &deques[((self+off)%size+size)%size]
-		e.rt.stealAttempts.Add(1)
+		e.rt.Counters.StealAttempts.Add(1)
 		v.mu.Lock()
 		if len(v.q) > 0 {
 			node := v.q[0]
@@ -369,7 +323,7 @@ func (e *engine) tryRunTask(tc *omp.TC) bool {
 			v.q = v.q[:len(v.q)-1]
 			v.n.Store(int64(len(v.q)))
 			v.mu.Unlock()
-			e.rt.stolen.Add(1)
+			e.rt.Counters.TasksStolen.Add(1)
 			// i deques probed on this alternation tour before one paid off.
 			omp.TraceStealTour(tc.Team(), i, true)
 			omp.ExecTask(tc, node)
@@ -384,9 +338,9 @@ func (e *engine) tryRunTask(tc *omp.TC) bool {
 	// cut-off keeps seeing the same counts it would with eager flushing.
 	// The rotor-seeded raid is lock-free.
 	if node := tc.StealBufferedTask(); node != nil {
-		e.rt.bufStolen.Add(1)
+		e.rt.Counters.TasksStolenFromBuffer.Add(1)
 		if node.CreatedBy != tc.ThreadNum() {
-			e.rt.stolen.Add(1)
+			e.rt.Counters.TasksStolen.Add(1)
 			omp.TraceStealTour(tc.Team(), size, true)
 		}
 		omp.ExecTask(tc, node)
@@ -418,7 +372,6 @@ func (e *engine) Taskyield(tc *omp.TC) {}
 // only when the cache is empty, and returns them afterwards. The team
 // descriptor arrives pooled from the front end.
 func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
-	e.rt.nested.Add(1)
 	n := team.Size
 	workers := make([]*nestedWorker, n-1)
 	dones := make([]chan struct{}, n-1)

@@ -41,9 +41,9 @@ type Pool struct {
 	region  atomic.Pointer[Region]
 	stop    atomic.Bool
 
-	// Created counts workers ever started by this pool, for Table II-style
-	// accounting by the owning runtime.
-	Created atomic.Int64
+	// created is credited with every worker this pool starts: the owning
+	// runtime's ThreadsCreated counter (Table II accounting).
+	created *atomic.Int64
 }
 
 type worker struct {
@@ -56,9 +56,9 @@ type worker struct {
 }
 
 // New creates a pool able to serve teams up to size n (so n-1 workers) with
-// the given wait policy.
-func New(n int, mode pthread.WaitMode) *Pool {
-	p := &Pool{mode: mode}
+// the given wait policy, crediting every worker it starts to created.
+func New(n int, mode pthread.WaitMode, created *atomic.Int64) *Pool {
+	p := &Pool{mode: mode, created: created}
 	p.Grow(n)
 	return p
 }
@@ -78,7 +78,7 @@ func (p *Pool) Grow(n int) {
 	for len(p.workers) < n-1 {
 		w := &worker{pool: p, rank: len(p.workers) + 1, wake: make(chan struct{}, 1)}
 		p.workers = append(p.workers, w)
-		p.Created.Add(1)
+		p.created.Add(1)
 		w.th = pthread.Create(w.loop)
 	}
 }

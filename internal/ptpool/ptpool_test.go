@@ -9,7 +9,7 @@ import (
 
 func TestDispatchRunsAllRanks(t *testing.T) {
 	for _, mode := range []pthread.WaitMode{pthread.ActiveWait, pthread.PassiveWait} {
-		p := New(4, mode)
+		p := New(4, mode, new(atomic.Int64))
 		var ranks [4]atomic.Int64
 		p.Dispatch(&Region{Size: 4, Run: func(rank int) { ranks[rank].Add(1) }})
 		for i := range ranks {
@@ -22,7 +22,7 @@ func TestDispatchRunsAllRanks(t *testing.T) {
 }
 
 func TestDispatchReusableAcrossRegions(t *testing.T) {
-	p := New(3, pthread.ActiveWait)
+	p := New(3, pthread.ActiveWait, new(atomic.Int64))
 	defer p.Shutdown()
 	var total atomic.Int64
 	for k := 0; k < 50; k++ {
@@ -34,7 +34,7 @@ func TestDispatchReusableAcrossRegions(t *testing.T) {
 }
 
 func TestSmallerRegionSkipsExtraWorkers(t *testing.T) {
-	p := New(6, pthread.ActiveWait)
+	p := New(6, pthread.ActiveWait, new(atomic.Int64))
 	defer p.Shutdown()
 	var maxRank atomic.Int64
 	p.Dispatch(&Region{Size: 2, Run: func(rank int) {
@@ -51,15 +51,16 @@ func TestSmallerRegionSkipsExtraWorkers(t *testing.T) {
 }
 
 func TestGrowOnDemand(t *testing.T) {
-	p := New(2, pthread.PassiveWait)
+	var created atomic.Int64
+	p := New(2, pthread.PassiveWait, &created)
 	defer p.Shutdown()
-	before := p.Created.Load()
+	before := created.Load()
 	var count atomic.Int64
 	p.Dispatch(&Region{Size: 8, Run: func(rank int) { count.Add(1) }})
 	if count.Load() != 8 {
 		t.Errorf("grown region ran %d ranks, want 8", count.Load())
 	}
-	if p.Created.Load() <= before {
+	if created.Load() <= before {
 		t.Error("pool did not create workers to grow")
 	}
 	if p.Size() != 8 {
@@ -69,8 +70,9 @@ func TestGrowOnDemand(t *testing.T) {
 
 func TestCreatedCountsWorkers(t *testing.T) {
 	pthread.ResetCounters()
-	p := New(5, pthread.ActiveWait)
-	if got := p.Created.Load(); got != 4 {
+	var created atomic.Int64
+	p := New(5, pthread.ActiveWait, &created)
+	if got := created.Load(); got != 4 {
 		t.Errorf("pool for size 5 created %d workers, want 4", got)
 	}
 	p.Shutdown()

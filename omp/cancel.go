@@ -71,7 +71,7 @@ var cancelBreak = cancelBreakSentinel{}
 func (t *Team) Cancel() {
 	if t.cancelled.CompareAndSwap(false, true) {
 		if o := t.owner; o != nil {
-			o.groupsCancelled.Add(1)
+			o.Counters.GroupsCancelled.Add(1)
 		}
 	}
 }

@@ -225,8 +225,8 @@ func (n *TaskNode) releaseSuccessors(rc *relCtx) {
 		if rc != nil && rc.team == best.team && rc.depth < best.team.Cfg.EffectiveDepChain() {
 			team := best.team
 			if o := team.owner; o != nil {
-				o.depReleases.Add(1)
-				o.tasksChained.Add(1)
+				o.Counters.DepReleases.Add(1)
+				o.Counters.TasksChained.Add(1)
 			}
 			emitTrace(func(tr Tracer) { tr.DepRelease(team, best, DepDispatchChained) })
 			// Retire this incarnation BEFORE running the successor: the
@@ -271,9 +271,9 @@ func dispatchReleased(s *TaskNode, rc *relCtx) {
 		path = DepDispatchLocal
 	}
 	if o := team.owner; o != nil {
-		o.depReleases.Add(1)
+		o.Counters.DepReleases.Add(1)
 		if path == DepDispatchLocal {
-			o.localReleases.Add(1)
+			o.Counters.LocalReleases.Add(1)
 		}
 	}
 	// The release stamp must land before ReleaseTask requeues the
@@ -331,7 +331,7 @@ func (tc *TC) registerDeps(node *TaskNode) {
 	node.ops = tc.ops
 	node.preds.Store(1) // creation guard
 	if o := tc.team.owner; o != nil {
-		o.tasksWithDeps.Add(1)
+		o.Counters.TasksWithDeps.Add(1)
 	}
 	gen := node.depGeneration()
 	for _, w := range node.depWants {

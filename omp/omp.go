@@ -49,7 +49,9 @@
 // pools unit descriptors — so every runtime's steady-state region path is
 // allocation-free by construction rather than by per-runtime effort.
 // Runtimes receive teams that are already built (body bound, member slots
-// rearmed) and only decide where the members execute.
+// rearmed) and only decide where the members execute. The Frontend also owns
+// the runtime's one counter block (Counters): engines credit the cells only
+// they can decide, and Stats/ResetStats are the one snapshot and reset.
 //
 // # Runtimes
 //
@@ -63,7 +65,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Runtime is an instantiated OpenMP runtime as applications see it: a
@@ -112,51 +113,32 @@ type RegionEngine interface {
 	RunRegion(t *Team)
 	// Shutdown releases the engine's threads.
 	Shutdown()
-	// Stats returns a snapshot of the engine's accounting counters.
-	Stats() Stats
-	// ResetStats zeroes the accounting counters.
-	ResetStats()
+	// EngineStats is the engine's one hook into the front end's counter
+	// block, for values only the engine can read. Frontend.Stats calls it
+	// with the snapshot to complete (the pthread runtimes set PeakThreads,
+	// GLTO folds its substrate's migrations into TasksStolen);
+	// Frontend.ResetStats calls it with nil, to zero whatever engine-side
+	// source resets with the block (GLTO's glt.Stats).
+	EngineStats(s *Stats)
 }
 
 // Frontend implements the user-facing Runtime API over a RegionEngine. It
 // owns the region-descriptor pool: ParallelN fetches a Team (recycled when
 // possible), hands it to the engine, and returns it to the pool when the
 // region completes — the front-end half of the allocation-free region path.
-// Runtime packages embed a Frontend next to their engine so one type serves
-// both boundaries.
+// It also owns the runtime's counter block, behind the one Stats snapshot
+// and the one ResetStats. Runtime packages embed a Frontend next to their
+// engine so one type serves both boundaries.
 type Frontend struct {
 	eng RegionEngine
 	cfg Config
 	// teams recycles region descriptors. sync.Pool gives per-P caches, so
 	// concurrent nested regions do not contend on a shared free-list lock.
 	teams sync.Pool
-	// serialized counts parallel regions executed serially (nesting
-	// disabled or the active-level limit reached). Serialization is decided
-	// in the shared construct code (tc.Parallel), which engines never see,
-	// so the front end owns the counter; runtimes fold SerializedRegions()
-	// into their Stats.
-	serialized atomic.Int64
-	// tasksWithDeps and depReleases are the dependence-subsystem counters
-	// (see depend.go). Like serialization, dependences are decided entirely
-	// in the shared construct code, so the front end owns the counters —
-	// credited through Team.owner — and runtimes fold the accessors into
-	// their Stats.
-	tasksWithDeps atomic.Int64
-	depReleases   atomic.Int64
-	// tasksChained and localReleases break DepReleases down by dispatch
-	// path: chained = ran inline on the releasing thread, local = handed to
-	// the engine hot (routed to the releaser's rank). The remainder took the
-	// creator-side fallback.
-	tasksChained  atomic.Int64
-	localReleases atomic.Int64
-	// Failure-semantics counters (see cancel.go), owned by the front end for
-	// the same reason as the dependence counters: cancellation, panic
-	// recovery and backpressure are decided entirely in the shared construct
-	// code, credited through Team.owner.
-	tasksCancelled  atomic.Int64
-	panicsRecovered atomic.Int64
-	groupsCancelled atomic.Int64
-	inlineFallbacks atomic.Int64
+	// Counters is the counter block behind Stats. The shared construct code
+	// credits it through Team.owner, engines through their embedded Frontend
+	// (see Counters for who credits which cell).
+	Counters Counters
 }
 
 // NewFrontend builds a front end over eng with the given configuration
@@ -194,6 +176,7 @@ func (f *Frontend) ParallelN(n int, body func(*TC)) {
 		n = 1
 	}
 	t := f.getTeam(n, 0, f.cfg, body)
+	f.Counters.Regions.Add(1)
 	f.eng.RunRegion(t)
 	perr := t.TakePanic()
 	f.putTeam(t)
@@ -209,93 +192,6 @@ func (f *Frontend) ParallelN(n int, body func(*TC)) {
 
 // Shutdown stops the engine.
 func (f *Frontend) Shutdown() { f.eng.Shutdown() }
-
-// Stats reports the engine's accounting counters plus the front end's own
-// (serialized-region accounting).
-func (f *Frontend) Stats() Stats {
-	s := f.eng.Stats()
-	s.SerializedRegions = f.serialized.Load()
-	s.TasksWithDeps = f.tasksWithDeps.Load()
-	s.DepReleases = f.depReleases.Load()
-	s.TasksChained = f.tasksChained.Load()
-	s.LocalReleases = f.localReleases.Load()
-	s.TasksCancelled = f.tasksCancelled.Load()
-	s.PanicsRecovered = f.panicsRecovered.Load()
-	s.GroupsCancelled = f.groupsCancelled.Load()
-	s.InlineFallbacks = f.inlineFallbacks.Load()
-	return s
-}
-
-// ResetStats zeroes the engine's accounting counters and the front end's.
-func (f *Frontend) ResetStats() {
-	f.serialized.Store(0)
-	f.tasksWithDeps.Store(0)
-	f.depReleases.Store(0)
-	f.tasksChained.Store(0)
-	f.localReleases.Store(0)
-	f.ResetCancelStats()
-	f.eng.ResetStats()
-}
-
-// SerializedRegions reports how many parallel regions this front end has
-// executed serially. Runtimes that shadow Stats with engine-side counters
-// read it through their embedded Frontend.
-func (f *Frontend) SerializedRegions() int64 { return f.serialized.Load() }
-
-// ResetSerializedRegions zeroes the serialized-region counter; for runtimes
-// whose ResetStats shadows the Frontend's.
-func (f *Frontend) ResetSerializedRegions() { f.serialized.Store(0) }
-
-// TasksWithDeps reports how many explicit tasks carried depend clauses.
-// Runtimes that shadow Stats with engine-side counters read it through their
-// embedded Frontend.
-func (f *Frontend) TasksWithDeps() int64 { return f.tasksWithDeps.Load() }
-
-// DepReleases reports how many parked tasks were released into the engine by
-// a predecessor's completion.
-func (f *Frontend) DepReleases() int64 { return f.depReleases.Load() }
-
-// TasksChained reports how many released tasks ran inline on the releasing
-// thread (the release-to-self chain path).
-func (f *Frontend) TasksChained() int64 { return f.tasksChained.Load() }
-
-// LocalReleases reports how many released tasks were handed to the engine
-// hot — routed to the releasing thread's own deque/stream/release-slot.
-func (f *Frontend) LocalReleases() int64 { return f.localReleases.Load() }
-
-// ResetDepStats zeroes the dependence counters; for runtimes whose
-// ResetStats shadows the Frontend's.
-func (f *Frontend) ResetDepStats() {
-	f.tasksWithDeps.Store(0)
-	f.depReleases.Store(0)
-	f.tasksChained.Store(0)
-	f.localReleases.Store(0)
-}
-
-// TasksCancelled reports how many tasks were drained without executing
-// because their taskgroup or region was cancelled.
-func (f *Frontend) TasksCancelled() int64 { return f.tasksCancelled.Load() }
-
-// PanicsRecovered reports how many task or member bodies panicked and were
-// contained at the runtime's recover boundaries.
-func (f *Frontend) PanicsRecovered() int64 { return f.panicsRecovered.Load() }
-
-// GroupsCancelled reports how many taskgroups (and regions — a region is the
-// implicit outer group) were cancelled.
-func (f *Frontend) GroupsCancelled() int64 { return f.groupsCancelled.Load() }
-
-// InlineFallbacks reports how many deferred spawns degraded to undeferred
-// inline execution under the Config.MaxInflightTasks backpressure budget.
-func (f *Frontend) InlineFallbacks() int64 { return f.inlineFallbacks.Load() }
-
-// ResetCancelStats zeroes the failure-semantics counters; for runtimes whose
-// ResetStats shadows the Frontend's.
-func (f *Frontend) ResetCancelStats() {
-	f.tasksCancelled.Store(0)
-	f.panicsRecovered.Store(0)
-	f.groupsCancelled.Store(0)
-	f.inlineFallbacks.Store(0)
-}
 
 // getTeam fetches a recycled descriptor (or builds one) and prepares it for
 // a region. Nested regions reach it through Team.newNested.
@@ -316,7 +212,8 @@ func (f *Frontend) putTeam(t *Team) {
 	f.teams.Put(t)
 }
 
-// Stats aggregates runtime accounting. The nested-parallelism thread
+// Stats is a snapshot of runtime accounting, built by Frontend.Stats from
+// the runtime's counter block (see Counters). The nested-parallelism thread
 // accounting of the paper's Table II and the task-queueing percentages of
 // Table III are read from here.
 type Stats struct {

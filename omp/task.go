@@ -321,7 +321,7 @@ func runBody(ttc *TC, node *TaskNode) {
 			team := ttc.team
 			if _, isBreak := r.(cancelBreakSentinel); !isBreak {
 				if o := team.owner; o != nil {
-					o.panicsRecovered.Add(1)
+					o.Counters.PanicsRecovered.Add(1)
 				}
 				team.recordPanic(r)
 			}
@@ -343,7 +343,7 @@ func runBody(ttc *TC, node *TaskNode) {
 // finishTask holds here identically.
 func drainTask(team *Team, node *TaskNode, rc *relCtx) {
 	if o := team.owner; o != nil {
-		o.tasksCancelled.Add(1)
+		o.Counters.TasksCancelled.Add(1)
 	}
 	emitTrace(func(tr Tracer) { tr.TaskCancel(team, node) })
 	if p := node.parent; p != nil {

@@ -33,7 +33,7 @@ func (g *TaskGroup) Cancel() {
 	if g.cancelled.CompareAndSwap(false, true) {
 		if g.team != nil {
 			if o := g.team.owner; o != nil {
-				o.groupsCancelled.Add(1)
+				o.Counters.GroupsCancelled.Add(1)
 			}
 		}
 	}

@@ -473,7 +473,7 @@ func (tc *TC) Task(fn func(*TC), opts ...TaskOpt) {
 		// instead of growing queues and descriptor pools without bound.
 		node.Undeferred = true
 		if o := tc.team.owner; o != nil {
-			o.inlineFallbacks.Add(1)
+			o.Counters.InlineFallbacks.Add(1)
 		}
 	}
 	if len(node.depWants) != 0 {
@@ -537,6 +537,9 @@ func (tc *TC) Parallel(n int, body func(*TC)) {
 		return
 	}
 	team := tc.team.newNested(n, body)
+	if o := tc.team.owner; o != nil {
+		o.Counters.NestedRegions.Add(1)
+	}
 	tc.ops.Nested(tc, team)
 	perr := team.TakePanic()
 	tc.team.releaseNested(team)
@@ -554,7 +557,7 @@ func (tc *TC) Parallel(n int, body func(*TC)) {
 // tasks inside still work.
 func (tc *TC) serialRegion(body func(*TC)) {
 	if owner := tc.team.owner; owner != nil {
-		owner.serialized.Add(1)
+		owner.Counters.SerializedRegions.Add(1)
 	}
 	team := tc.team.newNested(1, body)
 	team.Run(0, tc.ops, tc.ectx)

@@ -205,7 +205,7 @@ func (t *Team) runMember(tc *TC) {
 		if r := recover(); r != nil {
 			if _, isBreak := r.(cancelBreakSentinel); !isBreak {
 				if o := t.owner; o != nil {
-					o.panicsRecovered.Add(1)
+					o.Counters.PanicsRecovered.Add(1)
 				}
 				t.recordPanic(r)
 			}

@@ -19,7 +19,8 @@
 //
 // All three are runtime SPI implementations (omp.RegionEngine +
 // omp.EngineOps) behind a shared omp.Frontend that owns the pooled Team/TC
-// lifecycle and the producer-side task buffer; see the omp package docs.
+// lifecycle, the producer-side task buffer and the Stats counter block; see
+// the omp package docs.
 // The user-facing API here is unchanged by that split — code written
 // against omp.Runtime and omp.TC needs no migration. New knobs:
 // omp.Config.TaskBuffer (OMP_TASK_BUFFER) sizes or disables batched task
