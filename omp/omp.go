@@ -135,9 +135,8 @@ type Frontend struct {
 	// teams recycles region descriptors. sync.Pool gives per-P caches, so
 	// concurrent nested regions do not contend on a shared free-list lock.
 	teams sync.Pool
-	// Counters is the counter block behind Stats. The shared construct code
-	// credits it through Team.owner, engines through their embedded Frontend
-	// (see Counters for who credits which cell).
+	// Counters is the counter block behind Stats; see Counters for who
+	// credits which cell.
 	Counters Counters
 }
 
