@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/glt"
@@ -38,7 +39,9 @@ func assignSpin() int {
 	return s
 }
 
-var assignSink int
+// assignSink keeps assignSpin from being optimised away; every team member
+// adds to it, hence the atomic.
+var assignSink atomic.Int64
 
 func runAssign(cfg Config) error {
 	cfg = cfg.withDefaults()
@@ -47,7 +50,7 @@ func runAssign(cfg Config) error {
 	frac := NewTable(fmt.Sprintf("Assignment fraction %% of (assign+exec), %d regions, busy-work body", regions),
 		"threads", labels)
 	p99 := NewTable("Assignment latency p99 (dispatch→member start)", "threads", labels)
-	prom := NewTable("GLT promotions / ULTs started (members that yielded and got a private goroutine; the rest ran inline)",
+	prom := NewTable("GLT promotions / ULTs started (members that yielded and got a private goroutine; the rest ran inline), token handoffs per yield",
 		"threads", labels)
 
 	met := &trace.Metrics{}
@@ -60,7 +63,7 @@ func runAssign(cfg Config) error {
 			if err != nil {
 				return err
 			}
-			body := func(tc *omp.TC) { assignSink += assignSpin() }
+			body := func(tc *omp.TC) { assignSink.Add(int64(assignSpin())) }
 			for i := 0; i < 5; i++ {
 				rt.ParallelN(n, body) // warm pools before measuring dispatch
 			}
@@ -72,7 +75,11 @@ func runAssign(cfg Config) error {
 			prom.Set(fmt.Sprint(n), v.Label, "—")
 			if g, ok := rt.(interface{ GLT() *glt.Runtime }); ok {
 				gs := g.GLT().Stats()
-				prom.Set(fmt.Sprint(n), v.Label, fmt.Sprintf("%d/%d", gs.Promotions, gs.ULTsStarted))
+				cell := fmt.Sprintf("%d/%d", gs.Promotions, gs.ULTsStarted)
+				if gs.Yields > 0 {
+					cell += fmt.Sprintf(", %.2f h/y", float64(gs.Handoffs)/float64(gs.Yields))
+				}
+				prom.Set(fmt.Sprint(n), v.Label, cell)
 			}
 			rt.Shutdown()
 			a, e := met.Assign.Mean(), met.Exec.Mean()
