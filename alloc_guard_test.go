@@ -50,10 +50,11 @@ func TestRegionRespawnAllocCeiling(t *testing.T) {
 }
 
 // TestPromotionAllocFree pins the cost of a ULT leaving the inline path: a
-// promotion takes the stream's next driver from the shell pool and parks on
-// gates embedded in the descriptor, so in steady state a whole
+// promoted ULT keeps the goroutine it started on as its stack, and a lone
+// yielder pops itself straight back, so in steady state a whole
 // spawn→yield→join→release cycle allocates nothing — no goroutine, no
-// per-promotion channel.
+// per-promotion channel. TestHandoffAllocFree covers the yields that do move
+// the stream's token.
 func TestPromotionAllocFree(t *testing.T) {
 	for _, backend := range []string{"abt", "ws"} {
 		t.Run(backend, func(t *testing.T) {
@@ -73,6 +74,38 @@ func TestPromotionAllocFree(t *testing.T) {
 			}
 			if s := g.Stats(); s.Promotions != 301 {
 				t.Errorf("Promotions = %d, want one per cycle (301)", s.Promotions)
+			}
+		})
+	}
+}
+
+// TestHandoffAllocFree pins the token-handoff paths of a yield: the parent's
+// scheduling step pops the fresh child it queued, hands the stream to a
+// pooled shell, and that shell resumes the parent through the gate embedded
+// in its descriptor. In steady state neither handoff allocates.
+func TestHandoffAllocFree(t *testing.T) {
+	for _, backend := range []string{"abt", "ws"} {
+		t.Run(backend, func(t *testing.T) {
+			g := glt.MustNew(glt.Config{Backend: backend, NumThreads: 1})
+			defer g.Shutdown()
+			child := func(*glt.Ctx) {}
+			body := func(c *glt.Ctx) {
+				c.SpawnDetached(c.Rank(), child, false)
+				c.Yield()
+			}
+			cycle := func() {
+				u := g.Spawn(0, body)
+				u.Join()
+				u.Release()
+			}
+			for i := 0; i < 100; i++ {
+				cycle() // warm the descriptor and shell pools and the gates' channels
+			}
+			if got := testing.AllocsPerRun(200, cycle); got > 0 {
+				t.Errorf("handoff cycle allocates %.2f/op, want 0", got)
+			}
+			if s := g.Stats(); s.Handoffs != 2*301 {
+				t.Errorf("Handoffs = %d, want two per cycle (602)", s.Handoffs)
 			}
 		})
 	}

@@ -1,6 +1,10 @@
 package glt
 
-import "runtime"
+import (
+	"runtime"
+
+	"repro/glt/trace"
+)
 
 // Ctx is the execution context handed to every work-unit body. It identifies
 // the unit and the execution stream currently running it, and exposes the
@@ -35,15 +39,13 @@ func (c *Ctx) IsMain() bool { return c.u.main }
 // fixed for the unit's lifetime.
 func (c *Ctx) Tag() int { return c.u.tag }
 
-// Yield gives the execution token back to the stream, making the unit
-// runnable again at the tail of its current stream's pool (or wherever
-// MigrateTo directed it). Control returns when a stream reschedules the unit.
-//
-// The first yield of a ULT still running inline promotes it: the unit is
-// requeued and the stream handed to a pooled goroutine that keeps scheduling,
-// while the goroutine that drove the stream so far stays behind, parked here,
-// as the ULT's private stack — the stream moves, the ULT stays. Later yields
-// are token handoffs through the unit's gates.
+// Yield makes the unit runnable again at the tail of its current stream's
+// pool and runs that stream's next scheduling step itself, since it holds the
+// token: popping itself costs one OS-level scheduling hint and no switch;
+// popping a suspended ULT hands that ULT the token directly; popping a fresh
+// unit, or nothing, hands the stream to a pooled shell (see shellPool). This
+// goroutine then parks, as the ULT's private stack, until a stream pops the
+// unit again. The first yield promotes the ULT (see Unit.promoted).
 //
 // Two special cases mirror the native libraries:
 //   - Tasklets cannot yield; Yield panics if the unit is a tasklet.
@@ -51,7 +53,20 @@ func (c *Ctx) Tag() int { return c.u.tag }
 //     (MassiveThreads, paper §IV-G), Yield is a no-op apart from an OS-level
 //     scheduling hint: the main ULT occupies its stream until it finishes,
 //     and other streams must steal its children.
-func (c *Ctx) Yield() {
+func (c *Ctx) Yield() { c.yieldTo(-1) }
+
+// MigrateTo is Yield with the unit pushed to the pool of the execution stream
+// with the given rank instead of the current one.
+func (c *Ctx) MigrateTo(rank int) {
+	if rank < 0 || rank >= len(c.rt.threads) {
+		panic("glt: migrate target out of range")
+	}
+	c.yieldTo(rank)
+}
+
+// yieldTo is Yield with the unit requeued on stream target (-1: the current
+// one).
+func (c *Ctx) yieldTo(target int) {
 	u, t := c.u, c.w
 	if u.tasklet {
 		panic("glt: tasklet attempted to yield")
@@ -66,28 +81,36 @@ func (c *Ctx) Yield() {
 		return
 	}
 	t.stats.yields.Add(1)
-	if u.promoted {
-		u.yield.signal()
-	} else {
-		// u cannot run on until this goroutine reaches sched.wait, so it
-		// is safe to requeue it first; c.w is stale from here on.
+	if !u.promoted {
 		u.promoted = true
 		t.stats.promotions.Add(1)
-		t.requeue(u)
-		c.rt.handoff(t)
+	}
+	trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
+	if target < 0 {
+		target = t.rank
+	} else {
+		t.stats.migrations.Add(1)
+	}
+	// Once pushed, u may be popped and signalled by another stream, but it
+	// cannot run on until this goroutine reaches sched.wait below; c.w is
+	// stale from here on.
+	c.rt.dispatchFrom(t.rank, target, u)
+	var next *Unit
+	if !c.rt.shutdown.isSet() {
+		next = c.rt.policy.Pop(t.rank)
+	}
+	switch {
+	case next == u:
+		trace.Emit(t.rank, trace.KindUnitStart, uint64(u.tag))
+		runtime.Gosched()
+		return
+	case next != nil && next.promoted:
+		t.exec(next)
+	default:
+		c.rt.handoff(t, next)
 	}
 	u.sched.wait()
-}
-
-// MigrateTo requests that, at the next Yield, the unit be pushed to the pool
-// of the execution stream with the given rank instead of the current one.
-// It then yields immediately.
-func (c *Ctx) MigrateTo(rank int) {
-	if rank < 0 || rank >= len(c.rt.threads) {
-		panic("glt: migrate target out of range")
-	}
-	c.u.migrate.Store(int32(rank))
-	c.Yield()
+	c.w.take()
 }
 
 // Spawn creates a ULT on the current execution stream's pool. This is the

@@ -1,7 +1,7 @@
 package glt
 
-// White-box tests for the engine internals: the spin-then-park token gate
-// and the pool of stream-driving shell goroutines.
+// White-box tests for the engine internals: the token gate and the pool of
+// stream-driving shell goroutines.
 
 import (
 	"sync"
@@ -80,8 +80,8 @@ func TestGateDoubleSignalTolerated(t *testing.T) {
 }
 
 // idleShells reports the number of parked shells, waiting (up to a second)
-// for at least min: a promoted goroutine returns to the pool just after
-// handing its finished unit's token back, so a joiner can get there first.
+// for at least min: a shell returns to the pool just after handing the token
+// to the unit it resumed, so a joiner can get there first.
 func idleShells(rt *Runtime, min int) int {
 	for deadline := time.Now().Add(time.Second); ; time.Sleep(100 * time.Microsecond) {
 		idle := int(rt.shells.n.Load())
@@ -91,13 +91,21 @@ func idleShells(rt *Runtime, min int) int {
 	}
 }
 
+// yieldPastChild is a body whose one yield hands its stream to a shell: the
+// fresh unit it queued first is what its scheduling step pops. (A lone
+// yielder pops itself and moves no token.)
+func yieldPastChild(c *Ctx) {
+	c.SpawnDetached(c.Rank(), func(*Ctx) {}, false)
+	c.Yield()
+}
+
 func TestShellsAreReused(t *testing.T) {
 	rt := MustNew(Config{Backend: "abt", NumThreads: 1})
 	defer rt.Shutdown()
 	// Sequential promotions on one stream must reuse a small set of shells
 	// rather than start a goroutine per yielding unit.
 	for i := 0; i < 100; i++ {
-		rt.Spawn(0, func(c *Ctx) { c.Yield() }).Join()
+		rt.Spawn(0, yieldPastChild).Join()
 	}
 	idle := idleShells(rt, 1)
 	if idle == 0 {
@@ -130,7 +138,7 @@ func TestShellPoolBounded(t *testing.T) {
 
 func TestShutdownReleasesIdleShells(t *testing.T) {
 	rt := MustNew(Config{Backend: "abt", NumThreads: 1})
-	rt.Spawn(0, func(c *Ctx) { c.Yield() }).Join()
+	rt.Spawn(0, yieldPastChild).Join()
 	if idleShells(rt, 1) == 0 {
 		t.Fatal("no shell parked after a promotion")
 	}

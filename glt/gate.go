@@ -1,35 +1,24 @@
 package glt
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
-// gate is a single-token synchronization point optimized for the ULT token
-// handoff. The protocol guarantees at most one outstanding signal and one
-// waiter at a time (worker and ULT alternate strictly), which permits a
-// hybrid design: the waiter spins briefly — the common case is a running
-// peer that signals within nanoseconds — and only then parks on a channel.
-// Plain channel handoff costs tens of microseconds per wake on slow-futex
-// hosts, which would swamp every scheduling measurement this library exists
-// to support.
+// gate is the single-token synchronization point through which a suspended
+// ULT receives its stream's execution token: only the unit's own goroutine
+// waits, and only the token holder that popped the unit signals, so there is
+// at most one waiter and one outstanding signal. It is a one-slot channel: a
+// signal that lands first is buffered, and one that finds the waiter parked
+// makes it runnable on the signaller's P, which then parks or moves on — one
+// goroutine switch per handoff.
 //
-// The park channel is allocated lazily by the first waiter that actually
-// parks, so the fast path costs no allocation: gates are embedded by value
-// in every work unit, and the paper's task benchmarks create hundreds of
-// thousands of them.
+// The channel is allocated on first use, so a unit that never yields costs
+// no allocation, and kept across descriptor recycles: the protocol leaves it
+// empty whenever the unit is quiescent.
 type gate struct {
-	// state: 0 idle, 1 signalled, 2 waiter parked.
-	state atomic.Int32
-	ch    atomic.Pointer[chan struct{}]
+	ch atomic.Pointer[chan struct{}]
 }
-
-// reset rearms the gate for its unit's next incarnation (see Unit.recycle).
-// The park channel is kept: the strict alternation protocol guarantees it is
-// empty whenever the unit is quiescent, and reallocating it would reintroduce
-// the per-spawn cost the free list exists to avoid.
-func (g *gate) reset() { g.state.Store(0) }
 
 // park returns the gate's channel, allocating it on first use.
 func (g *gate) park() chan struct{} {
@@ -43,29 +32,17 @@ func (g *gate) park() chan struct{} {
 	return *g.ch.Load()
 }
 
-// signal delivers the token. It never blocks for long: either it flips the
-// gate to signalled, or it hands the parked waiter its channel token.
+// signal delivers the token. A second signal before the first was consumed
+// would break the token protocol; it is dropped for robustness.
 func (g *gate) signal() {
-	for {
-		switch g.state.Load() {
-		case 0:
-			if g.state.CompareAndSwap(0, 1) {
-				return
-			}
-		case 1:
-			// A second signal before the first was consumed would break the
-			// token protocol; tolerate it as a no-op for robustness.
-			return
-		case 2:
-			if g.state.CompareAndSwap(2, 0) {
-				// The waiter installed the channel before announcing state
-				// 2, so park() here re-reads the same channel.
-				g.park() <- struct{}{}
-				return
-			}
-		}
+	select {
+	case g.park() <- struct{}{}:
+	default:
 	}
 }
+
+// wait consumes the token, parking until it is signalled.
+func (g *gate) wait() { <-g.park() }
 
 // joinGate is the generation-counted broadcast gate behind Unit.Join. Unlike
 // the token gate above, which alternates strictly between two parties, the
@@ -143,30 +120,4 @@ func (g *joinGate) rearm() {
 	g.gen++
 	g.mu.Unlock()
 	g.cond.Broadcast() // release stragglers; they observe the generation bump
-}
-
-// spinWait is the number of fast-path spin iterations before parking.
-const spinWait = 192
-
-// wait consumes the token, spinning first and parking only if the signal
-// does not arrive promptly.
-func (g *gate) wait() {
-	for i := 0; i < spinWait; i++ {
-		if g.state.CompareAndSwap(1, 0) {
-			return
-		}
-		if i%32 == 31 {
-			runtime.Gosched()
-		}
-	}
-	ch := g.park()
-	for {
-		if g.state.CompareAndSwap(1, 0) {
-			return
-		}
-		if g.state.CompareAndSwap(0, 2) {
-			<-ch
-			return
-		}
-	}
 }

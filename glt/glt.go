@@ -25,18 +25,20 @@
 //     no private stack: it runs to completion on the Thread that picks it up
 //     and can never yield or migrate once started.
 //
-// In this Go implementation every unit starts run-to-completion: the
-// goroutine driving a stream calls the body inline, so a unit that never
-// yields costs no goroutine and no switch. A ULT acquires its private stack
-// lazily, at its first yield: the unit is requeued, the driving goroutine's
-// stack *becomes* the ULT's stack and parks, and the stream is handed to a
-// pooled goroutine that keeps scheduling. From then on the ULT is *gated* by
-// a token handoff: the stream that pops it hands it the execution token and
-// blocks until it yields or finishes. Both halves preserve the essential
-// execution-stream invariant of Argobots, Qthreads and MassiveThreads — one
-// running unit per stream — while reusing goroutine stacks as ULT stacks. A
-// tasklet is the same inline unit with yielding forbidden, mirroring the
-// stackless work units of Argobots.
+// In this Go implementation a stream is a pool plus one execution token, and
+// whichever goroutine holds the token runs the stream's scheduling step.
+// Every unit starts run-to-completion: the token holder calls the body
+// inline, so a unit that never yields costs no goroutine and no switch. A
+// ULT acquires its private stack lazily: at its first yield the goroutine it
+// started on *becomes* its stack. A yielding ULT requeues itself and pops the
+// stream's next unit itself — itself: no switch; a suspended ULT: one direct
+// handoff; a fresh unit (never run nested on a waiter's stack) or nothing: a
+// pooled goroutine takes the stream over — then parks until popped again. A
+// ULT whose body returns goes on scheduling the stream it ended on. This
+// preserves the essential execution-stream invariant of Argobots, Qthreads
+// and MassiveThreads — one running unit per stream — while reusing goroutine
+// stacks as ULT stacks. A tasklet is the same inline unit with yielding
+// forbidden, mirroring the stackless work units of Argobots.
 //
 // # Backends
 //
@@ -208,7 +210,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt := &Runtime{cfg: cfg, policy: mk()}
 	rt.stealer, _ = rt.policy.(Stealer)
 	// Idle stream-driving goroutines kept for reuse; the rest exit.
-	rt.shells.idle, rt.shells.cap = make(chan *Thread), int32(8*cfg.NumThreads)
+	rt.shells.idle, rt.shells.cap = make(chan shellJob), int32(8*cfg.NumThreads)
 	// Descriptor free list: per-stream caches over a global pool sized for a
 	// healthy task backlog per stream.
 	rt.units.init(cfg.NumThreads, 64*cfg.NumThreads, cfg.PerUnitDispatch)
@@ -219,7 +221,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	rt.wg.Add(len(rt.threads))
 	for _, t := range rt.threads {
-		rt.handoff(t)
+		go rt.drive(t, nil)
 	}
 	return rt, nil
 }
@@ -361,9 +363,9 @@ func (rt *Runtime) SpawnDetachedFrom(from, target int, fn Func, arg any, tasklet
 // the stream whose caches its inputs are hot in. The caller must be
 // executing ON stream from: inside one of its units or on its scheduler
 // goroutine. That contract holds for GLTO's dependence releases because the
-// token-handoff model gives a ULT running on stream from exclusive use of
-// from's owner-side structures until it yields, and the release fires inside
-// the finishing task's body extent. Counted in Stats.LocalSpawns.
+// token model gives a ULT running on stream from exclusive use of from's
+// owner-side structures until it yields, and the release fires inside the
+// finishing task's body extent. Counted in Stats.LocalSpawns.
 func (rt *Runtime) SpawnDetachedOn(from, target int, fn Func, arg any, tasklet bool) {
 	from %= len(rt.threads)
 	rt.threads[from].stats.localSpawns.Add(1)
@@ -570,9 +572,9 @@ func (rt *Runtime) Shutdown() {
 		t.park.wake()
 	}
 	rt.wg.Wait()
-	// Every stream's last driver is gone, so nothing hands off any more:
-	// release the parked shells. Goroutines hosting still-suspended units
-	// are not waited for; units must be joined before Shutdown.
+	// Every stream's last token holder is gone, so nothing hands off any
+	// more: release the parked shells. Goroutines hosting still-suspended
+	// units are not waited for; units must be joined before Shutdown.
 	close(rt.shells.idle)
 }
 

@@ -1,15 +1,18 @@
 package glt
 
 // Tests for the run-to-completion-first execution model: every unit starts
-// inline on the goroutine driving its stream, and a ULT gets a private
-// goroutine only at its first yield (promotion), when the stream is handed to
-// a pooled successor. They run on one private-pool and two stealing backends.
+// inline on the goroutine holding its stream's token, a ULT keeps that
+// goroutine as its private stack from its first yield (promotion) on, and a
+// yielding ULT runs its stream's next scheduling step itself. They run on one
+// private-pool and two stealing backends.
 
 import (
 	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/glt/trace"
 )
 
 var inlineBackends = []string{"abt", "mth", "ws"}
@@ -140,10 +143,10 @@ func TestMigrateToPromotesAndMoves(t *testing.T) {
 	})
 }
 
-// TestHandoffChurn moves one stream between goroutines ten thousand times.
-// Every promotion must find its successor in the pool, every finished ULT's
-// goroutine must go back to it, and Shutdown must still find exactly one
-// driver per stream to release its WaitGroup.
+// TestHandoffChurn promotes ten thousand ULTs on one stream. However the
+// token moved meanwhile, goroutines must not accumulate, parked shells must
+// stay within the pool's cap, and Shutdown must still find exactly one token
+// holder per stream to release its WaitGroup.
 func TestHandoffChurn(t *testing.T) {
 	for _, b := range inlineBackends {
 		t.Run(b, func(t *testing.T) {
@@ -172,8 +175,8 @@ func TestHandoffChurn(t *testing.T) {
 }
 
 // TestPromotedPanicContained is TestULTPanicContained past the promotion
-// point: the panic unwinds a private goroutine, which must still hand the
-// token back tagged done.
+// point: the panic unwinds a resumed body, which must still complete the unit
+// and leave its goroutine scheduling the stream.
 func TestPromotedPanicContained(t *testing.T) {
 	eachInlineBackend(t, 2, func(t *testing.T, rt *Runtime) {
 		u := rt.Spawn(0, func(c *Ctx) {
@@ -233,6 +236,178 @@ func TestGoexitInBody(t *testing.T) {
 			}
 		})
 	}
+}
+
+// holdStream occupies the stream with the given rank with an inline unit
+// until release is called, so units spawned meanwhile queue behind it.
+func holdStream(rt *Runtime, rank int) (release func()) {
+	started, gate := make(chan struct{}), make(chan struct{})
+	hold := rt.Spawn(rank, func(*Ctx) { close(started); <-gate })
+	<-started
+	return func() { close(gate); hold.Join(); hold.Release() }
+}
+
+// handoffCounts is the part of Stats the token-handoff tests pin exactly.
+type handoffCounts struct{ Handoffs, Yields, Promotions, Migrations int64 }
+
+// TestHandoffCounts pins where the execution token moves. A yielding ULT runs
+// its stream's next scheduling step itself, so Handoffs counts exactly the
+// direct signals to suspended ULTs plus the streams handed to shells, while a
+// yield that pops its own unit moves nothing. Every scenario also runs traced,
+// and every stream's unit_start/unit_end events must pair up.
+func TestHandoffCounts(t *testing.T) {
+	const k, n = 3, 4
+	for _, sc := range []struct {
+		name    string
+		threads int
+		run     func(t *testing.T, rt *Runtime)
+		want    map[string]handoffCounts // by backend
+	}{{
+		// One ULT alone on one stream: each of its k yields requeues it and
+		// pops it straight back — k yields, one promotion, no handoff.
+		name: "lone-yielder-pops-itself", threads: 1,
+		run: func(t *testing.T, rt *Runtime) {
+			u := rt.Spawn(0, func(c *Ctx) {
+				for i := 0; i < k; i++ {
+					c.Yield()
+				}
+			})
+			joinWithTimeout(t, u, "lone yielder")
+			u.Release()
+		},
+		want: map[string]handoffCounts{"abt": {0, k, 1, 0}, "mth": {0, k, 1, 0}, "ws": {0, k, 1, 0}},
+	}, {
+		// P queues a fresh child C on its own stream and yields once. P's
+		// scheduling step pops C, which must not run nested on P's stack, so
+		// the stream goes to a shell with C first (1). That shell then pops
+		// the suspended P and signals it (2). P's body returns on the
+		// goroutine it started on, which goes on driving the stream: the
+		// later spawn w runs there with no further handoff.
+		name: "yield-pops-fresh-unit-then-body-drives-on", threads: 1,
+		run: func(t *testing.T, rt *Runtime) {
+			p := rt.Spawn(0, func(c *Ctx) {
+				c.SpawnDetached(c.Rank(), func(*Ctx) {}, false)
+				c.Yield()
+			})
+			joinWithTimeout(t, p, "parent")
+			p.Release()
+			w := rt.Spawn(0, func(*Ctx) {})
+			joinWithTimeout(t, w, "follow-up unit")
+			w.Release()
+		},
+		want: map[string]handoffCounts{"abt": {2, 1, 1, 0}, "mth": {2, 1, 1, 0}, "ws": {2, 1, 1, 0}},
+	}, {
+		// A and B, queued together behind a hold, yield n times each. The
+		// first to run (X) pops the other (Y) fresh: a shell handoff. From
+		// then on abt (FIFO) and mth (continuations to the cold end, pops
+		// from the hot end) alternate strictly, so each of the 2n yields
+		// moves the token, and X's return hands it to the still-suspended Y
+		// once more: 2n+1. ws requeues continuations through the inbox and
+		// drains it LIFO, so a turn is two yields — the first pops the
+		// yielder itself, the second signals the peer: X's n yields move the
+		// token ceil(n/2) times, Y's floor(n/2), plus the final one: n+1.
+		name: "ping-pong", threads: 1,
+		run: func(t *testing.T, rt *Runtime) {
+			body := func(c *Ctx) {
+				for i := 0; i < n; i++ {
+					c.Yield()
+				}
+			}
+			release := holdStream(rt, 0)
+			a, b := rt.Spawn(0, body), rt.Spawn(0, body)
+			release()
+			joinWithTimeout(t, a, "A")
+			joinWithTimeout(t, b, "B")
+			a.Release()
+			b.Release()
+		},
+		want: map[string]handoffCounts{"abt": {2*n + 1, 2 * n, 2, 0}, "mth": {2*n + 1, 2 * n, 2, 0}, "ws": {n + 1, 2 * n, 2, 0}},
+	}, {
+		// On abt and ws, MigrateTo(1) pushes u to stream 1, so its
+		// scheduling step on stream 0 pops nothing and hands stream 0 to a
+		// shell (1); whichever stream then pops u signals it (2). u's body
+		// returns there and its goroutine drives that stream on: w, spawned
+		// to it, runs with no handoff. mth places a continuation on the
+		// pushing stream (work-first), so u's yield pops itself; the other
+		// stream is held meanwhile so no thief takes u between push and pop.
+		name: "migrate-pops-nothing", threads: 2,
+		run: func(t *testing.T, rt *Runtime) {
+			var release func()
+			if rt.Backend() == "mth" {
+				release = holdStream(rt, 1)
+			}
+			end := -1
+			u := rt.Spawn(0, func(c *Ctx) {
+				c.MigrateTo(1)
+				end = c.Rank()
+			})
+			joinWithTimeout(t, u, "migrating ULT")
+			u.Release()
+			if release != nil {
+				release()
+			}
+			w := rt.Spawn(end, func(*Ctx) {})
+			joinWithTimeout(t, w, "follow-up unit")
+			w.Release()
+		},
+		want: map[string]handoffCounts{"abt": {2, 1, 1, 1}, "mth": {0, 1, 1, 1}, "ws": {2, 1, 1, 1}},
+	}} {
+		t.Run(sc.name, func(t *testing.T) {
+			eachInlineBackend(t, sc.threads, func(t *testing.T, rt *Runtime) {
+				rec := trace.Start(sc.threads, 1<<12)
+				sc.run(t, rt)
+				trace.Stop()
+				s := rt.Stats()
+				if got, want := (handoffCounts{s.Handoffs, s.Yields, s.Promotions, s.Migrations}), sc.want[rt.Backend()]; got != want {
+					t.Errorf("Handoffs/Yields/Promotions/Migrations = %v, want %v", got, want)
+				}
+				checkSlicesBracketed(t, rec)
+			})
+		})
+	}
+}
+
+// checkSlicesBracketed asserts that on every stream unit_start and unit_end
+// alternate, each end closing the slice its start opened.
+func checkSlicesBracketed(t *testing.T, rec *trace.Recorder) {
+	t.Helper()
+	events, dropped := rec.Drain()
+	open := map[int32]int64{} // stream -> tag+1 of its open slice, 0 if none
+	for _, ev := range events {
+		switch ev.Kind {
+		case trace.KindUnitStart:
+			if open[ev.Stream] != 0 {
+				t.Fatalf("stream %d: unit %d starts inside unit %d's slice", ev.Stream, ev.Arg, open[ev.Stream]-1)
+			}
+			open[ev.Stream] = int64(ev.Arg) + 1
+		case trace.KindUnitEnd:
+			if open[ev.Stream] != int64(ev.Arg)+1 {
+				t.Fatalf("stream %d: unit %d ends a slice it did not start (open: %d)", ev.Stream, ev.Arg, open[ev.Stream]-1)
+			}
+			open[ev.Stream] = 0
+		}
+	}
+	if dropped != 0 {
+		t.Fatalf("%d trace events dropped", dropped)
+	}
+}
+
+// TestTokenTripwire: under -tags gltdebug every token transfer sets and
+// clears the stream's held flag, so a second goroutine taking a held stream
+// panics at once.
+func TestTokenTripwire(t *testing.T) {
+	if !debugChecks {
+		t.Skip("the token tripwire is compiled in only under -tags gltdebug")
+	}
+	rt := MustNew(Config{Backend: "abt", NumThreads: 1})
+	defer shutdownWithTimeout(t, rt)
+	defer holdStream(rt, 0)() // its goroutine holds stream 0's token
+	defer func() {
+		if recover() == nil {
+			t.Error("taking a held stream's token did not panic")
+		}
+	}()
+	rt.threads[0].take()
 }
 
 // TestPinnedMainStaysInline: under mth the primary ULT's yields are

@@ -111,7 +111,6 @@ func ForEachHomeRun(units []*Unit, fn func(to int, run []*Unit)) {
 // the unit (a Runtime's Thread) will not accept it.
 func NewPolicyUnit(tag, home int) *Unit {
 	u := &Unit{tag: tag, home: home}
-	u.migrate.Store(-1)
 	u.join.init()
 	return u
 }

@@ -17,9 +17,13 @@ type Stats struct {
 	Promotions int64
 	// TaskletsRun counts tasklets executed.
 	TaskletsRun int64
-	// Yields counts successful cooperative yields (token handoffs back to a
-	// worker from a still-unfinished ULT).
+	// Yields counts cooperative yields of a still-unfinished ULT. A faster
+	// polling waiter yields more often, so this is not a cost; Handoffs is.
 	Yields int64
+	// Handoffs counts execution-token moves between goroutines: a suspended
+	// ULT handed its stream directly (its sched gate), or a stream handed to
+	// a pooled shell. A yield that pops its own unit moves nothing.
+	Handoffs int64
 	// PinnedYields counts yields suppressed because the unit was the pinned
 	// main execution (paper §IV-G, MassiveThreads).
 	PinnedYields int64
@@ -67,6 +71,7 @@ func (s *Stats) add(o Stats) {
 	s.Promotions += o.Promotions
 	s.TaskletsRun += o.TaskletsRun
 	s.Yields += o.Yields
+	s.Handoffs += o.Handoffs
 	s.PinnedYields += o.PinnedYields
 	s.Migrations += o.Migrations
 	s.Parks += o.Parks
@@ -75,16 +80,17 @@ func (s *Stats) add(o Stats) {
 	s.LocalSpawns += o.LocalSpawns
 }
 
-// threadStats are the per-stream counters. Only the owning stream increments
-// them, but snapshots may be taken concurrently, hence the atomics. The
-// padding keeps neighbouring streams' counters out of each other's cache
-// lines.
+// threadStats are the per-stream counters. Only the holder of the stream's
+// token increments them, but snapshots may be taken concurrently, hence the
+// atomics. The padding keeps neighbouring streams' counters out of each
+// other's cache lines.
 type threadStats struct {
 	ultsStarted   atomic.Int64
 	ultsCompleted atomic.Int64
 	promotions    atomic.Int64
 	taskletsRun   atomic.Int64
 	yields        atomic.Int64
+	handoffs      atomic.Int64
 	pinnedYields  atomic.Int64
 	migrations    atomic.Int64
 	parks         atomic.Int64
@@ -101,6 +107,7 @@ func (t *threadStats) snapshot() Stats {
 		Promotions:    t.promotions.Load(),
 		TaskletsRun:   t.taskletsRun.Load(),
 		Yields:        t.yields.Load(),
+		Handoffs:      t.handoffs.Load(),
 		PinnedYields:  t.pinnedYields.Load(),
 		Migrations:    t.migrations.Load(),
 		Parks:         t.parks.Load(),
@@ -116,6 +123,7 @@ func (t *threadStats) reset() {
 	t.promotions.Store(0)
 	t.taskletsRun.Store(0)
 	t.yields.Store(0)
+	t.handoffs.Store(0)
 	t.pinnedYields.Store(0)
 	t.migrations.Store(0)
 	t.parks.Store(0)

@@ -2,20 +2,23 @@ package glt
 
 import (
 	"runtime"
+	"sync/atomic"
 	"time"
 
 	"repro/glt/trace"
 	"repro/internal/chaos"
 )
 
-// Thread is an execution stream (the GLT_thread of the GLT API): one
-// scheduler loop driven by one goroutine at a time — which one changes at
-// every promotion (see Ctx.Yield), and none is bound to an OS thread (see
-// loop). Threads are created by New and run until Shutdown.
+// Thread is an execution stream (the GLT_thread of the GLT API): a pool (the
+// policy's, for this rank) plus one execution token. Whichever goroutine holds
+// the token runs the stream's scheduling step — a pooled shell in loop, a
+// unit body, or a yielding ULT in Ctx.Yield — and none is bound to an OS
+// thread (see loop). Threads are created by New and run until Shutdown.
 type Thread struct {
 	rt    *Runtime
 	rank  int
 	park  parker
+	held  atomic.Bool // gltdebug token tripwire (see take)
 	stats threadStats
 }
 
@@ -23,9 +26,28 @@ func newThread(rt *Runtime, rank int) *Thread {
 	return &Thread{rt: rt, rank: rank, park: parker{ch: make(chan struct{}, 1)}}
 }
 
-// loop is the scheduler loop of one execution stream. The stream repeatedly
-// asks the policy for the next unit and executes it; when no unit is
-// available it spins briefly and then parks.
+// take records that the calling goroutine now holds t's token, and give that
+// it passed the token on; the caller must not touch t's owner-side state
+// after give. Under the gltdebug build tag they panic with tokenFault if two
+// goroutines ever hold one stream; otherwise they compile to nothing.
+func (t *Thread) take() {
+	if debugChecks && !t.held.CompareAndSwap(false, true) {
+		panic(tokenFault)
+	}
+}
+
+func (t *Thread) give() {
+	if debugChecks && !t.held.CompareAndSwap(true, false) {
+		panic(tokenFault)
+	}
+}
+
+const tokenFault = "glt: execution-stream token held twice or given by a non-holder"
+
+// loop is the scheduler loop of one execution stream, entered by a shell that
+// was handed t's token. It runs u first when non-nil, then repeatedly asks the
+// policy for the next unit and executes it; when no unit is available it
+// spins briefly and then parks.
 //
 // GLT_threads are bound to CPU cores in the native libraries (paper Fig. 3).
 // Here each stream is driven by an ordinary goroutine that the Go
@@ -39,17 +61,21 @@ func newThread(rt *Runtime, rank int) *Thread {
 // the pthread substrate (internal/pthread) keeps hard OS-thread binding and
 // genuinely pays kernel-thread costs, as the paper's comparison requires.
 //
-// loop returns at Shutdown, or once exec reports that the calling goroutine
-// no longer drives the stream (a successor runs the loop by then).
-func (t *Thread) loop() {
+// A promoted body that returns on another stream moves the loop there (see
+// runInline). loop returns at Shutdown or once its token is passed on.
+func (t *Thread) loop(u *Unit) {
 	const spinBeforePark = 64
+	t.take()
 	idleSpins := 0
 	for {
 		if t.rt.shutdown.isSet() {
+			t.give()
 			t.rt.wg.Done() // not deferred: a Goexit must not release it
 			return
 		}
-		u := t.rt.policy.Pop(t.rank)
+		if u == nil {
+			u = t.rt.policy.Pop(t.rank)
+		}
 		if u == nil {
 			idleSpins++
 			if idleSpins < spinBeforePark {
@@ -70,9 +96,10 @@ func (t *Thread) loop() {
 		}
 		idleSpins = 0
 		if u != nil {
-			if !t.exec(u) {
+			if t = t.exec(u); t == nil {
 				return
 			}
+			u = nil
 			continue
 		}
 		// Still nothing anywhere in the policy's pools: give the engine's
@@ -90,53 +117,49 @@ func (t *Thread) loop() {
 	}
 }
 
-// exec runs one unit until it yields or completes and reports whether the
-// calling goroutine still drives the stream afterwards. A fresh unit — ULT or
-// tasklet — starts inline, costing no goroutine switch if it never yields; a
-// promoted ULT (see Ctx.Yield) is resumed through its sched/yield gates.
-func (t *Thread) exec(u *Unit) bool {
+// exec runs popped unit u on t, whose token the caller holds, and returns the
+// stream the caller drives afterwards, or nil once it passed the token on. A
+// fresh unit — ULT or tasklet — starts inline, costing no goroutine switch if
+// it never yields; a promoted ULT is handed the token through its sched gate.
+func (t *Thread) exec(u *Unit) *Thread {
 	// Unit start/end bracket one execution slice on this stream, up to the
 	// next yield. Disabled cost is one atomic load per emit.
 	trace.Emit(t.rank, trace.KindUnitStart, uint64(u.tag))
 	u.ctx.w = t // happens-before a resumed ULT observes it via the sched gate
-	if !u.promoted {
-		if !u.tasklet {
-			t.stats.ultsStarted.Add(1)
-		}
-		return t.runInline(u)
-	}
-	u.sched.signal()
-	u.yield.wait()
 	if u.promoted {
-		t.requeue(u)
-	} else {
-		t.finish(u)
+		t.stats.handoffs.Add(1)
+		t.give()
+		u.sched.signal()
+		return nil
 	}
-	return true
+	if !u.tasklet {
+		t.stats.ultsStarted.Add(1)
+	}
+	return t.runInline(u)
 }
 
-// runInline calls a fresh unit's body on the goroutine driving the stream and
-// reports whether that goroutine still drives it afterwards. The deferred
-// function is the containment boundary: a panic is recovered and counted; a
-// runtime.Goexit (a t.FailNow in a body) cannot be, so the dying driver
-// appoints a successor. Either way the unit completes. A body promoted on the
-// way ends on its own goroutine instead: however it ended, it hands the token
-// back with promoted cleared and leaves completion to the waiting stream.
-func (t *Thread) runInline(u *Unit) (driving bool) {
+// runInline calls a fresh unit's body on the calling goroutine, finishes the
+// unit on the stream the body ended on (a promoted body may have been resumed
+// elsewhere) and returns that stream, which the goroutine goes on driving.
+// The deferred function is the containment boundary for inline and resumed
+// bodies alike: a panic is recovered and counted; a runtime.Goexit (a
+// t.FailNow in a body) cannot be, so the dying goroutine hands the stream to
+// a successor and returns nil. Either way the unit completes.
+func (t *Thread) runInline(u *Unit) (driving *Thread) {
 	returned := false // still false in the deferred call: panic or Goexit
 	defer func() {
-		if !returned && recover() != nil {
+		if r := recover(); !returned && r != nil {
+			if r == tokenFault {
+				panic(r) // the tripwire is not the body's panic to contain
+			}
 			t.rt.panicsRecovered.inc()
 			returned = true // contained: the stream carries on as after a return
 		}
-		if u.promoted {
-			u.promoted = false
-			u.yield.signal()
-			return
-		}
-		t.finish(u)
-		if driving = returned; !driving {
-			t.rt.handoff(t)
+		end := u.ctx.w // read before finish may recycle u
+		end.finish(u)
+		if driving = end; !returned {
+			driving = nil
+			t.rt.handoff(end, nil)
 		}
 	}()
 	u.fn(&u.ctx)
@@ -155,17 +178,6 @@ func (t *Thread) finish(u *Unit) {
 	}
 	u.complete()
 	u.unrefOn(t.rank)
-}
-
-// requeue ends a yielding ULT's slice and makes it runnable again.
-func (t *Thread) requeue(u *Unit) {
-	trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
-	target := t.rank
-	if m := u.migrate.Swap(-1); m >= 0 {
-		target = int(m)
-		t.stats.migrations.Add(1)
-	}
-	t.rt.dispatchFrom(t.rank, target, u)
 }
 
 // parker lets an idle execution stream sleep until work might be available.

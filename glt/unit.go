@@ -14,8 +14,8 @@ type Func func(*Ctx)
 //
 // Unit is built for cheap mass creation — the GLTO runtime makes one per
 // OpenMP task: a body that never yields runs inline on its stream and costs
-// no goroutine at all, the token gates a yielding ULT needs are embedded by
-// value with lazily allocated park channels, and the Join rendezvous is
+// no goroutine at all, the token gate a suspended ULT waits on is embedded by
+// value with a lazily allocated park channel, and the Join rendezvous is
 // embedded too. Descriptors themselves are recycled through the runtime's free list
 // (see Release and the Spawn*Detached variants), so the steady-state spawn
 // path allocates nothing.
@@ -36,11 +36,10 @@ type Unit struct {
 	// here, so a batch of tasks needs no per-task closure.
 	arg any
 
-	// sched carries the execution token from a stream to a promoted ULT;
-	// yield carries it back when the ULT yields or finishes. Unused while the
-	// unit runs inline.
+	// sched hands a stream's token to the suspended ULT: the holder that pops
+	// the unit signals it, and the ULT's goroutine, parked in Ctx.Yield,
+	// resumes on that stream.
 	sched gate
-	yield gate
 
 	finished atomic.Bool
 	// join is the Join rendezvous: a generation-counted broadcast gate that
@@ -51,13 +50,10 @@ type Unit struct {
 	// Whoever drops the last reference returns the descriptor to the free
 	// list, so a recycle can never race with the worker's completion path.
 	refs atomic.Int32
-	// promoted is set while the ULT owns a private goroutine: from its first
-	// yield (Ctx.Yield) until its body returns. Written by that goroutine
-	// while it holds the execution token, read by whoever holds it next.
+	// promoted is set from the ULT's first yield on: its body keeps the
+	// goroutine it started on as a private stack, which a pop resumes.
+	// Written by the ULT before it requeues itself, read by its next popper.
 	promoted bool
-	// migrate holds a requested destination rank (set by Ctx.MigrateTo),
-	// or -1. The worker consumes it when the unit yields.
-	migrate atomic.Int32
 
 	home int // rank the unit was dispatched to
 	ctx  Ctx
@@ -67,7 +63,6 @@ type Unit struct {
 // Runtime.newUnit, which prefers the free list; this is the slow path.
 func allocUnit(rt *Runtime) *Unit {
 	u := &Unit{rt: rt}
-	u.migrate.Store(-1)
 	u.join.init()
 	u.ctx.u = u
 	u.ctx.rt = rt
@@ -176,7 +171,7 @@ func (u *Unit) complete() {
 }
 
 // recycle clears per-execution state so the descriptor can host its next
-// incarnation. The gates' park channels, the join gate's condition variable
+// incarnation. The token gate's park channel, the join gate's condition variable
 // and the ctx back-pointers survive: they are position-independent, and
 // reallocating them is exactly the per-spawn cost the free list exists to
 // avoid.
@@ -187,12 +182,9 @@ func (u *Unit) recycle() {
 	u.main = false
 	u.detached = false
 	u.tag = 0
-	u.sched.reset()
-	u.yield.reset()
 	u.finished.Store(false)
 	u.join.rearm()
 	u.promoted = false
-	u.migrate.Store(-1)
 	u.home = 0
 	u.ctx.w = nil
 }

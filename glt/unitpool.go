@@ -27,8 +27,9 @@ type unitPool struct {
 	free []*Unit
 	cap  int
 	// caches are the per-stream shards, indexed by rank. Each is touched
-	// only by code running on its owning stream (the worker loop, or ULT
-	// bodies the worker is token-blocked on), so no locking is needed.
+	// only by the holder of its stream's execution token (the scheduler
+	// loop, or the unit body running on the stream), so no locking is
+	// needed.
 	caches []unitCache
 	// disable restores per-spawn allocation (Config.PerUnitDispatch): get
 	// always allocates and put drops, so every unit pays the paper-faithful
