@@ -285,10 +285,7 @@ func TestHandoffCounts(t *testing.T) {
 		// later spawn w runs there with no further handoff.
 		name: "yield-pops-fresh-unit-then-body-drives-on", threads: 1,
 		run: func(t *testing.T, rt *Runtime) {
-			p := rt.Spawn(0, func(c *Ctx) {
-				c.SpawnDetached(c.Rank(), func(*Ctx) {}, false)
-				c.Yield()
-			})
+			p := rt.Spawn(0, yieldPastChild)
 			joinWithTimeout(t, p, "parent")
 			p.Release()
 			w := rt.Spawn(0, func(*Ctx) {})
@@ -323,12 +320,13 @@ func TestHandoffCounts(t *testing.T) {
 		},
 		want: map[string]handoffCounts{"abt": {2*n + 1, 2 * n, 2, 0}, "mth": {2*n + 1, 2 * n, 2, 0}, "ws": {n + 1, 2 * n, 2, 0}},
 	}, {
-		// On abt and ws, MigrateTo(1) pushes u to stream 1, so its
-		// scheduling step on stream 0 pops nothing and hands stream 0 to a
-		// shell (1); whichever stream then pops u signals it (2). u's body
-		// returns there and its goroutine drives that stream on: w, spawned
-		// to it, runs with no handoff. mth places a continuation on the
-		// pushing stream (work-first), so u's yield pops itself; the other
+		// u migrates to the stream it did not start on (a stealer may have
+		// started it on either). On abt and ws that pushes u to the other
+		// stream, so its scheduling step pops nothing and hands its start
+		// stream to a shell (1); whichever stream then pops u signals it (2).
+		// u's body returns there and its goroutine drives that stream on: w,
+		// spawned to it, runs with no handoff. mth places a continuation on
+		// the pushing stream (work-first), so u's yield pops itself; one
 		// stream is held meanwhile so no thief takes u between push and pop.
 		name: "migrate-pops-nothing", threads: 2,
 		run: func(t *testing.T, rt *Runtime) {
@@ -338,7 +336,7 @@ func TestHandoffCounts(t *testing.T) {
 			}
 			end := -1
 			u := rt.Spawn(0, func(c *Ctx) {
-				c.MigrateTo(1)
+				c.MigrateTo(1 - c.Rank())
 				end = c.Rank()
 			})
 			joinWithTimeout(t, u, "migrating ULT")
