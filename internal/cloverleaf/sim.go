@@ -189,10 +189,6 @@ func (serialRT) ParallelN(n int, body func(*omp.TC)) {
 // FlushTasks has nothing to do.
 type serialOps struct{}
 
-func (serialOps) BarrierWait(tc *omp.TC) {
-	team := tc.Team()
-	team.Bar.Wait(1, &team.Tasks, nil, func() {})
-}
 func (serialOps) SpawnTask(tc *omp.TC, node *omp.TaskNode) { omp.ExecTask(tc, node) }
 
 // ReleaseTask can never fire under serial execution (every task completes at

@@ -373,20 +373,6 @@ func ctxOf(tc *omp.TC) *glt.Ctx {
 	return c
 }
 
-// BarrierWait parks the calling ULT in a yield loop until the team arrives
-// and its tasks drain. Waiters do not poll an engine queue for *dispatched*
-// tasks: those are ULTs living in the GLT pools, so yielding *is* how waiting
-// threads execute them — the stream's scheduler picks the task ULTs up
-// between yields. Ring-resident tasks are different: they are not units yet,
-// so waiters claim them inline through TryRunTask (the same raid the
-// pthread engines' barrier waiters perform) before falling back to a yield.
-// The wait itself is omp's shared BarrierState, so the adaptive
-// OMP_WAIT_POLICY-clamped spin budget and the combining tree for wide teams
-// apply here exactly as in the pthread runtimes.
-func (e *engine) BarrierWait(tc *omp.TC) {
-	tc.Team().Bar.WaitTC(tc, true)
-}
-
 func (e *engine) idle(c *glt.Ctx) {
 	if c == nil {
 		return
@@ -552,12 +538,15 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx a
 	e.rt.g.SpawnDetachedArg(target, e.rt.taskBody, node, e.rt.cfg.Tasklets)
 }
 
-// TryRunTask raids the team's producer-side overflow rings and executes one
-// claimed task inline — the only engine-queue work a GLTO thread can run
-// directly, since dispatched tasks are ULTs the stream scheduler owns (those
-// are picked up while the caller yields in Idle). Executing at a barrier,
-// taskwait or taskgroup wait is a legal task scheduling point for the
-// claimed task, exactly as on the pthread engines.
+// TryRunTask is the wait step's task hook: it raids the team's producer-side
+// overflow rings and executes one claimed task inline. Waiters do not poll an
+// engine queue for *dispatched* tasks: those are ULTs living in the GLT
+// pools, so yielding in Idle *is* how waiting threads execute them — the
+// stream's scheduler picks the task ULTs up between yields. Ring-resident
+// tasks are different: they are not units yet, so waiters claim them here
+// (the same raid the pthread engines' waiters perform) before falling back
+// to a yield. Every wait that calls the step is a task scheduling point, so
+// running the claimed task there is legal, exactly as on the pthread engines.
 func (e *engine) TryRunTask(tc *omp.TC) bool {
 	node := tc.StealBufferedTask()
 	if node == nil {

@@ -178,13 +178,6 @@ func (e *engine) tasksOf(team *omp.Team) *teamTasks {
 	return team.EngineData(newTeamTasks).(*teamTasks)
 }
 
-// BarrierWait funnels through omp's shared BarrierState, so gomp gets the
-// adaptive spin budget (OMP_WAIT_POLICY-clamped EWMA) and the combining-tree
-// topology for wide teams without any runtime-specific barrier code.
-func (e *engine) BarrierWait(tc *omp.TC) {
-	tc.Team().Bar.WaitTC(tc, true)
-}
-
 func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 	if node.Final || node.Undeferred {
 		// Final and if(false) tasks execute undeferred in the encountering
@@ -248,7 +241,9 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any)
 	ts.mu.Unlock()
 }
 
-func (e *engine) tryRunTask(tc *omp.TC) bool {
+// TryRunTask is the wait step's task hook: own release slot, then the shared
+// queue, then the other ranks' slots, then the overflow rings.
+func (e *engine) TryRunTask(tc *omp.TC) bool {
 	ts := e.tasksOf(tc.Team())
 	// Own release slot first: a successor the thread itself just released is
 	// the hottest work available, and claiming it is one CAS, no lock.
@@ -305,15 +300,10 @@ func (e *engine) execPopped(tc *omp.TC, node *omp.TaskNode) {
 	omp.ExecTask(tc, node)
 }
 
-// TryRunTask exposes the shared-queue pop to construct-level waits.
-func (e *engine) TryRunTask(tc *omp.TC) bool { return e.tryRunTask(tc) }
-
 func (e *engine) Taskwait(tc *omp.TC) {
 	cur := tc.CurTask()
 	for cur.Children() > 0 {
-		if !e.tryRunTask(tc) {
-			e.Idle(tc)
-		}
+		tc.WaitStep()
 	}
 }
 
@@ -342,7 +332,7 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	}
 }
 
-// Idle backs construct-level waits: active spinning or a scheduler yield.
+// Idle backs the wait step and Ordered: a scheduler yield.
 func (e *engine) Idle(tc *omp.TC) {
 	runtime.Gosched()
 }

@@ -202,13 +202,6 @@ func (e *engine) dequesOf(team *omp.Team) []taskDeque {
 	return ds
 }
 
-// BarrierWait funnels through omp's shared BarrierState: the adaptive
-// OMP_WAIT_POLICY-clamped spin budget and the tree topology for wide teams
-// apply to iomp exactly as to the other three runtimes.
-func (e *engine) BarrierWait(tc *omp.TC) {
-	tc.Team().Bar.WaitTC(tc, true)
-}
-
 // SpawnTask queues to the encountering thread's deque (via the producer-side
 // buffer when batching is on) — unless the observable queue length, buffered
 // tasks included, has reached the cut-off bound or the task is final, in
@@ -285,10 +278,10 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any)
 	d.mu.Unlock()
 }
 
-// tryRunTask pops the newest task from the caller's own deque (LIFO for
-// locality) or steals the oldest from another thread's deque (FIFO, Intel's
-// stealing order).
-func (e *engine) tryRunTask(tc *omp.TC) bool {
+// TryRunTask is the wait step's task hook: it pops the newest task from the
+// caller's own deque (LIFO for locality) or steals the oldest from another
+// thread's deque (FIFO, Intel's stealing order).
+func (e *engine) TryRunTask(tc *omp.TC) bool {
 	deques := e.dequesOf(tc.Team())
 	self := tc.ThreadNum()
 	d := &deques[self]
@@ -352,15 +345,10 @@ func (e *engine) tryRunTask(tc *omp.TC) bool {
 	return false
 }
 
-// TryRunTask exposes the deque pop/steal to construct-level waits.
-func (e *engine) TryRunTask(tc *omp.TC) bool { return e.tryRunTask(tc) }
-
 func (e *engine) Taskwait(tc *omp.TC) {
 	cur := tc.CurTask()
 	for cur.Children() > 0 {
-		if !e.tryRunTask(tc) {
-			e.Idle(tc)
-		}
+		tc.WaitStep()
 	}
 }
 
@@ -392,7 +380,7 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	}
 }
 
-// Idle backs construct-level waits.
+// Idle backs the wait step and Ordered: a scheduler yield.
 func (e *engine) Idle(tc *omp.TC) {
 	runtime.Gosched()
 }

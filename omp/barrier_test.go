@@ -20,7 +20,6 @@ import (
 // the pthread engines. No test below spawns explicit tasks.
 type barrierOps struct{}
 
-func (barrierOps) BarrierWait(tc *TC)                     { tc.Team().Bar.WaitTC(tc, true) }
 func (barrierOps) SpawnTask(tc *TC, n *TaskNode)          { ExecTask(tc, n) }
 func (barrierOps) ReleaseTask(*Team, *TaskNode, int, any) {}
 func (barrierOps) FlushTasks(*TC)                         {}

@@ -382,9 +382,7 @@ func (tc *TC) spawnWithDeps(node *TaskNode) {
 		// bring preds down to 1 — the node cannot be double-run by a release
 		// racing this inline execution.
 		for node.preds.Load() != 1 {
-			if !tc.ops.TryRunTask(tc) {
-				tc.ops.Idle(tc)
-			}
+			tc.WaitStep()
 		}
 		node.preds.Store(0)
 		tc.ops.SpawnTask(tc, node)

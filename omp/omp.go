@@ -41,8 +41,8 @@
 //     every TC construct — is what applications program against. It is
 //     unchanged by the redesign.
 //   - The runtime SPI is what a runtime implements: RegionEngine (region
-//     placement over pre-built teams) plus EngineOps (barriers, tasking,
-//     nesting for the shared construct code).
+//     placement over pre-built teams) plus EngineOps (tasking, nesting and
+//     the two hooks of the wait step for the shared construct code).
 //
 // The Frontend type sits between them. It owns the Team/TC lifecycle —
 // descriptors are pooled and recycled across regions, the way the glt engine

@@ -2,7 +2,6 @@ package omp
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -219,29 +218,41 @@ func TestWtimeMonotonic(t *testing.T) {
 	}
 }
 
+// waitStepOps drives the barrier's wait steps by hand: tryTask and idle
+// stand in for the engine's TryRunTask and Idle hooks.
+type waitStepOps struct {
+	barrierOps
+	tryTask func() bool
+	idle    func()
+}
+
+func (o waitStepOps) TryRunTask(*TC) bool { return o.tryTask() }
+func (o waitStepOps) Idle(*TC)            { o.idle() }
+
 func TestBarrierStateSingleParticipant(t *testing.T) {
-	var b BarrierState
-	var tasks atomic.Int64
 	idles := 0
-	b.Wait(1, &tasks, nil, func() { idles++ })
+	ops := waitStepOps{tryTask: func() bool { return false }, idle: func() { idles++ }}
+	team := NewTeam(1, 0, Config{}, nil)
+	team.Bar.wait(NewTC(team, 0, ops, nil, nil))
 	if idles != 0 {
 		t.Errorf("size-1 barrier idled %d times", idles)
 	}
 }
 
 func TestBarrierStateDrainsTasks(t *testing.T) {
-	var b BarrierState
-	var tasks atomic.Int64
+	team := NewTeam(1, 0, Config{}, nil)
+	tasks := &team.Tasks
 	tasks.Store(3)
 	ran := 0
-	b.Wait(1, &tasks, func() bool {
+	ops := waitStepOps{tryTask: func() bool {
 		if tasks.Load() == 0 {
 			return false
 		}
 		tasks.Add(-1)
 		ran++
 		return true
-	}, func() { t.Fatal("idled with runnable tasks") })
+	}, idle: func() { t.Fatal("idled with runnable tasks") }}
+	team.Bar.wait(NewTC(team, 0, ops, nil, nil))
 	if ran != 3 {
 		t.Errorf("drained %d tasks, want 3", ran)
 	}

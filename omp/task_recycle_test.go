@@ -23,8 +23,6 @@ type recycleEngine struct {
 	q  []*TaskNode
 }
 
-func (e *recycleEngine) BarrierWait(tc *TC) { tc.Team().Bar.WaitTC(tc, true) }
-
 func (e *recycleEngine) SpawnTask(tc *TC, node *TaskNode) {
 	if node.Final || node.Undeferred {
 		ExecTask(tc, node)

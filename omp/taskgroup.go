@@ -58,9 +58,7 @@ func (tc *TC) Taskgroup(body func()) {
 	// buffered must be dispatched before the wait, or the count never drains.
 	tc.flushPending()
 	for g.count.Load() > 0 {
-		if !tc.ops.TryRunTask(tc) {
-			tc.ops.Idle(tc)
-		}
+		tc.WaitStep()
 	}
 }
 

@@ -74,13 +74,10 @@ type TC struct {
 
 // EngineOps is the service provider interface a runtime engine implements to
 // back the constructs of a TC. All other construct logic (loop scheduling,
-// single election, critical sections, reductions, ordered sequencing) is
-// shared and lives in this package.
+// single election, critical sections, reductions, ordered sequencing, the
+// barrier and every task-scheduling wait) is shared and lives in this
+// package.
 type EngineOps interface {
-	// BarrierWait blocks tc at the team barrier, executing queued tasks
-	// while waiting, until all members arrive and the team's task count
-	// drains (task scheduling point semantics).
-	BarrierWait(tc *TC)
 	// SpawnTask makes node runnable according to the engine's tasking
 	// policy (queue, deque, ULT, immediate undeferred execution, or the
 	// producer-side buffer via tc.BufferTask — whose true return obliges
@@ -93,8 +90,9 @@ type EngineOps interface {
 	// be a cheap no-op when the buffer is empty. Engines that never buffer
 	// (tc.BufferTask unused) may implement it as an empty method.
 	FlushTasks(tc *TC)
-	// Taskwait blocks until the current task's children have completed,
-	// executing queued tasks while waiting.
+	// Taskwait blocks until the current task's children have completed. The
+	// pthread engines loop on TC.WaitStep; GLTO only yields, since its
+	// queued tasks are ULTs its streams run between yields.
 	Taskwait(tc *TC)
 	// Taskyield is a task scheduling point at which the engine may suspend
 	// the current task in favour of other work.
@@ -124,15 +122,15 @@ type EngineOps interface {
 	// same completion bookkeeping as any queued task.
 	ReleaseTask(team *Team, node *TaskNode, hot int, ectx any)
 	// TryRunTask executes one queued task of the team if the engine's
-	// tasking structures hold one, reporting whether it did. All engines can
-	// at minimum raid the team's overflow rings (Team.StealBufferedTask) —
-	// including GLTO, whose queued task ULTs are otherwise scheduled by the
-	// streams during Idle. Construct-level waits that must guarantee task
-	// progress (taskgroup) use it together with Idle.
+	// tasking structures hold one, reporting whether it did. Its one caller
+	// is the wait step (TC.WaitStep). All engines can at minimum raid the
+	// team's overflow rings (TC.StealBufferedTask) — including GLTO, whose
+	// queued task ULTs are otherwise scheduled by the streams during Idle.
 	TryRunTask(tc *TC) bool
 	// Idle is the engine's waiting primitive: spin hint for pthread
-	// engines, cooperative yield for ULT engines. Construct-level waits
-	// (ordered sequencing, reductions) use it.
+	// engines, cooperative yield for ULT engines. The wait step calls it
+	// when TryRunTask finds nothing; Ordered, which is not a task
+	// scheduling point, calls it alone.
 	Idle(tc *TC)
 }
 
@@ -374,12 +372,41 @@ func (tc *TC) flushPending() {
 	}
 }
 
+// WaitStep is one step of a task-scheduling wait: it runs one task through
+// the engine's TryRunTask and calls Idle only if that found nothing. Every
+// wait that is a task scheduling point loops on it, and this is where each
+// loop's progress bound is stated — the event that ends it, and whether
+// cancellation abandons it:
+//
+//   - Barrier spinners (BarrierState.spin) loop until the barrier's last
+//     arriver bumps the epoch word they watch. They alone spin an adaptive
+//     budget between steps, and they alone abandon on cancellation: a
+//     cancelled rank may never arrive.
+//   - The barrier's last arriver (drainTasks) loops until Team.Tasks is zero.
+//   - Region end (Team.memberEnd) loops until every rank has arrived and
+//     Team.Tasks is zero; each rank arrives exactly once, even after a
+//     panic or a cancellation.
+//   - Taskgroup end loops until the group's count is zero.
+//   - The undeferred-dependence spin (spawnWithDeps) loops until every
+//     predecessor has released the node.
+//   - Taskwait on the pthread engines loops until the current task's
+//     children are done. GLTO's taskwait only yields.
+//
+// Apart from the barrier spinners, no loop abandons on cancellation, and none
+// needs to: a cancelled task completes as a drain, so every count above still
+// reaches zero and every predecessor still releases.
+func (tc *TC) WaitStep() {
+	if !tc.ops.TryRunTask(tc) {
+		tc.ops.Idle(tc)
+	}
+}
+
 // Barrier executes a team barrier (#pragma omp barrier). Barriers are task
 // scheduling points: buffered tasks are flushed and waiting threads execute
 // queued tasks.
 //
 // Barriers are also cancellation points: when the region is cancelled, the
-// engine's barrier wait may abandon (a cancelled rank might never arrive),
+// barrier's spinners abandon the wait (a cancelled rank might never arrive),
 // and this rank skips the rest of the member body via the cancelBreak
 // sentinel — swallowed by Team.runMember — to the region-end rendezvous,
 // which synchronizes the team regardless of abandoned construct barriers.
@@ -387,7 +414,7 @@ func (tc *TC) Barrier() {
 	chaosBarrier()
 	tc.flushPending()
 	emitTrace(func(tr Tracer) { tr.BarrierEnter(tc) })
-	tc.ops.BarrierWait(tc)
+	tc.team.Bar.wait(tc)
 	emitTrace(func(tr Tracer) { tr.BarrierExit(tc) })
 	if tc.team.Cancelled() {
 		panic(cancelBreak)

@@ -235,9 +235,7 @@ func (t *Team) memberEnd(tc *TC) {
 			continue
 		}
 		spins = 0
-		if !tc.ops.TryRunTask(tc) {
-			tc.ops.Idle(tc)
-		}
+		tc.WaitStep()
 	}
 	emitTrace(func(tr Tracer) { tr.BarrierExit(tc) })
 }
@@ -755,7 +753,7 @@ func (ct *claimTable) reset() {
 //     the clamp's worth of spins and reach the engine's Idle (which yields,
 //     and on GLTO is what lets queued task ULTs run) promptly.
 //   - A combining tree for wide teams. Above barrierTreeThreshold ranks,
-//     WaitTC switches to a two-level barrier: ranks arrive at their group's
+//     the barrier goes two-level: ranks arrive at their group's
 //     counter (groups of barrierGroupArity, each on its own pair of padded
 //     cache lines), the last arriver of a group combines one arrival at the
 //     root, and the release fans out group by group — so at width w the
@@ -816,9 +814,9 @@ const (
 	barrierSpinMaxActive = 4096
 )
 
-// barrierTreeCfg overrides the width threshold above which WaitTC uses the
-// combining tree (0 = the default, barrierGroupArity). Settable only through
-// SetBarrierTreeThreshold.
+// barrierTreeCfg overrides the width threshold above which the barrier uses
+// the combining tree (0 = the default, barrierGroupArity). Settable only
+// through SetBarrierTreeThreshold.
 var barrierTreeCfg atomic.Int32
 
 func barrierTreeThreshold() int {
@@ -828,8 +826,8 @@ func barrierTreeThreshold() int {
 	return barrierGroupArity
 }
 
-// SetBarrierTreeThreshold overrides the team width above which WaitTC uses
-// the combining tree barrier instead of the flat epoch word; n <= 0 restores
+// SetBarrierTreeThreshold overrides the team width above which the barrier
+// uses the combining tree instead of the flat epoch word; n <= 0 restores
 // the default (barrierGroupArity). It exists for benchmarks and tests that
 // compare the two shapes (the bench-diff width sweep forces the flat path at
 // width 32 with a huge threshold); call it only while no region is running.
@@ -913,85 +911,56 @@ func (b *BarrierState) groupsFor(n int) []barrierGroup {
 	}
 }
 
-// Wait blocks until all size participants have arrived and, if tasks is
-// non-nil, until it has drained to zero. While waiting, tryTask (if non-nil)
-// is invoked to execute queued work; when it reports no work, idle is called
-// (spin hint, cooperative yield, ...).
-//
-// The last arriver performs the release; everyone else helps with tasks.
-// Wait always uses the flat arrival word with the passive spin clamp — it
-// has neither a rank (which the tree's group assignment needs) nor a wait
-// policy. Engine barriers go through WaitTC, which has both; do not mix Wait
-// and WaitTC on one BarrierState for teams wider than the tree threshold.
-func (b *BarrierState) Wait(size int, tasks *atomic.Int64, tryTask func() bool, idle func()) {
-	epoch := b.epoch.Load()
-	if b.arrived.Add(1) == int64(size) {
-		// Last arriver: the region's tasks must complete before release.
-		for tasks != nil && tasks.Load() > 0 {
-			if tryTask == nil || !tryTask() {
-				idle()
-			}
-		}
-		b.arrived.Store(0)
-		b.epoch.Add(1)
-		return
-	}
-	budget := b.spinBudget(false)
-	spins, total := int64(0), int64(0)
-	for b.epoch.Load() == epoch {
-		if spins < budget {
-			spins++
-			total++
-			continue
-		}
-		spins = 0
-		if tryTask == nil || !tryTask() {
-			idle()
-		}
-	}
-	b.observeSpins(total)
-}
-
-// WaitTC is Wait specialized for an engine's BarrierWait: it drives the
-// engine's TryRunTask/Idle hooks through tc directly, so engines need no
-// per-call closures on the barrier hot path. runTasks selects whether
-// waiting threads execute tasks through TryRunTask between idles; every
-// in-tree engine passes true — the pthread engines poll their queues and
-// deques, and GLTO (whose dispatched task ULTs run under the stream
-// scheduler between yields) still raids the overflow rings inline. Pass
-// false only for an engine whose TryRunTask must never run at a barrier.
+// wait is the team barrier behind tc.Barrier: it returns once every member
+// has arrived and the region's tasks have drained, or — for a waiter that is
+// not the last arriver — once the team is cancelled. Every waiting iteration
+// is the wait step (TC.WaitStep), so waiters execute queued tasks and raid
+// the overflow rings exactly as every other task-scheduling wait does.
 //
 // The spin budget adapts to the team's observed release latency under the
 // clamp of the team's OMP_WAIT_POLICY, and teams wider than the tree
 // threshold arrive through the combining tree (see BarrierState).
 //
-// WaitTC is cancellation-aware: when the team is cancelled, waiters stop
-// spinning and report false ("abandoned") — a cancelled or panicked rank may
-// never arrive, and spinning for it would wedge the region. The arrival this
-// waiter already contributed stands (so a concurrent normal release still
-// balances), and the caller is expected to skip forward to the region-end
-// rendezvous (tc.Barrier raises the cancelBreak sentinel). True means the
-// barrier completed normally. The cancel check costs one atomic load per
-// idle round, never on the pure-spin fast path.
-func (b *BarrierState) WaitTC(tc *TC, runTasks bool) bool {
+// A cancelled wait is abandoned (see spin): the arrival this waiter already
+// contributed stands (so a concurrent normal release still balances), and
+// tc.Barrier raises the cancelBreak sentinel to skip forward to the
+// region-end rendezvous. The cancel check costs one atomic load per wait
+// step, never on the pure-spin fast path.
+func (b *BarrierState) wait(tc *TC) {
 	team := tc.team
 	if team.Size > barrierTreeThreshold() {
-		return b.waitTree(tc, runTasks)
+		b.waitTree(tc)
+		return
 	}
 	epoch := b.epoch.Load()
 	if b.arrived.Add(1) == int64(team.Size) {
-		for team.Tasks.Load() > 0 {
-			if !runTasks || !tc.ops.TryRunTask(tc) {
-				tc.ops.Idle(tc)
-			}
-		}
+		drainTasks(tc)
 		b.arrived.Store(0)
 		b.epoch.Add(1)
-		return true
+		return
 	}
+	b.spin(tc, &b.epoch, epoch)
+}
+
+// drainTasks is the last arriver's duty before any release: the region's
+// tasks must complete first.
+func drainTasks(tc *TC) {
+	for tc.team.Tasks.Load() > 0 {
+		tc.WaitStep()
+	}
+}
+
+// spin is a non-last arriver's wait: it returns once the epoch word it
+// watches moves past seen, burning the adaptive spin budget between wait
+// steps and feeding the pure-spin count back into the EWMA. It abandons the
+// wait when the team is cancelled; arrivals already contributed stand — in
+// the tree, combining happened at arrival time, so its invariants are
+// unaffected by leaving the spin.
+func (b *BarrierState) spin(tc *TC, epoch *atomic.Uint64, seen uint64) {
+	team := tc.team
 	budget := b.spinBudget(team.Cfg.WaitPolicy == ActiveWait)
 	spins, total := int64(0), int64(0)
-	for b.epoch.Load() == epoch {
+	for epoch.Load() == seen {
 		if spins < budget {
 			spins++
 			total++
@@ -999,15 +968,11 @@ func (b *BarrierState) WaitTC(tc *TC, runTasks bool) bool {
 		}
 		spins = 0
 		if team.Cancelled() {
-			b.observeSpins(total)
-			return false
+			break
 		}
-		if !runTasks || !tc.ops.TryRunTask(tc) {
-			tc.ops.Idle(tc)
-		}
+		tc.WaitStep()
 	}
 	b.observeSpins(total)
-	return true
 }
 
 // waitTree is the wide-team arrival path: rank-assigned groups combine
@@ -1021,9 +986,8 @@ func (b *BarrierState) WaitTC(tc *TC, runTasks bool) bool {
 // has already been reset; a spinner from the previous epoch that misses an
 // intermediate value simply observes epoch != snapshot one bump later
 // (epochs only move forward, and waiters compare for inequality).
-func (b *BarrierState) waitTree(tc *TC, runTasks bool) bool {
-	team := tc.team
-	size := team.Size
+func (b *BarrierState) waitTree(tc *TC) {
+	size := tc.team.Size
 	ngroups := (size + barrierGroupArity - 1) / barrierGroupArity
 	groups := b.groupsFor(ngroups)
 	gi := tc.num / barrierGroupArity
@@ -1033,47 +997,20 @@ func (b *BarrierState) waitTree(tc *TC, runTasks bool) bool {
 		gsize = barrierGroupArity
 	}
 	epoch := g.epoch.Load()
-	if g.arrived.Add(1) == int64(gsize) {
-		// Last of the group: combine one arrival at the root.
-		if b.arrived.Add(1) == int64(ngroups) {
-			// Last arriver of the whole team: drain the region's tasks, then
-			// reset all counters and fan the release out over the groups.
-			for team.Tasks.Load() > 0 {
-				if !runTasks || !tc.ops.TryRunTask(tc) {
-					tc.ops.Idle(tc)
-				}
-			}
-			b.arrived.Store(0)
-			for i := 0; i < ngroups; i++ {
-				groups[i].arrived.Store(0)
-			}
-			b.epoch.Add(1) // keep the flat word monotonic alongside the tree
-			for i := 0; i < ngroups; i++ {
-				groups[i].epoch.Add(1)
-			}
-			return true
+	// The last of a group combines one arrival at the root; the last arriver
+	// of the whole team drains the region's tasks, then resets all counters
+	// and fans the release out over the groups.
+	if g.arrived.Add(1) == int64(gsize) && b.arrived.Add(1) == int64(ngroups) {
+		drainTasks(tc)
+		b.arrived.Store(0)
+		for i := 0; i < ngroups; i++ {
+			groups[i].arrived.Store(0)
 		}
+		b.epoch.Add(1) // keep the flat word monotonic alongside the tree
+		for i := 0; i < ngroups; i++ {
+			groups[i].epoch.Add(1)
+		}
+		return
 	}
-	budget := b.spinBudget(team.Cfg.WaitPolicy == ActiveWait)
-	spins, total := int64(0), int64(0)
-	for g.epoch.Load() == epoch {
-		if spins < budget {
-			spins++
-			total++
-			continue
-		}
-		spins = 0
-		if team.Cancelled() {
-			// Abandon on cancellation. Group and root arrivals already
-			// contributed stand — combining happened at arrival time, so the
-			// tree's invariants are unaffected by leaving the spin.
-			b.observeSpins(total)
-			return false
-		}
-		if !runTasks || !tc.ops.TryRunTask(tc) {
-			tc.ops.Idle(tc)
-		}
-	}
-	b.observeSpins(total)
-	return true
+	b.spin(tc, &g.epoch, epoch)
 }
