@@ -379,9 +379,9 @@ func (tc *TC) flushPending() {
 // cancellation abandons it:
 //
 //   - Barrier spinners (BarrierState.spin) loop until the barrier's last
-//     arriver bumps the epoch word they watch. They alone spin an adaptive
-//     budget between steps, and they alone abandon on cancellation: a
-//     cancelled rank may never arrive.
+//     arriver bumps the epoch word they watch. They alone feed the adaptive
+//     spin budget (region end spins it but never feeds it), and they alone
+//     abandon on cancellation: a cancelled rank may never arrive.
 //   - The barrier's last arriver (drainTasks) loops until Team.Tasks is zero.
 //   - Region end (Team.memberEnd) loops until every rank has arrived and
 //     Team.Tasks is zero; each rank arrives exactly once, even after a
