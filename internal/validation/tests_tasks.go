@@ -2,8 +2,11 @@ package validation
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
+	"time"
 
+	"repro/glt"
 	"repro/omp"
 )
 
@@ -11,6 +14,50 @@ import (
 // per-runtime outcomes the paper's Table I analysis turns on: omp_taskyield,
 // omp_task_untied and omp_task_final. These probe genuine scheduler
 // observables, so which runtimes pass is decided by mechanism.
+
+// spinUntil spins cooperatively, below any task scheduling point, until cond
+// holds or ten seconds pass, and reports whether cond came true.
+func spinUntil(cond func() bool) bool {
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		runtime.Gosched()
+	}
+	return true
+}
+
+// holdHome is called by a task about to yield. It returns the thread the task
+// runs on, numbered as TaskNode.ResumedBy numbers the thread it resumes on:
+// the team rank on the pthread runtimes, the GLT stream modulo the team size
+// on GLTO. On a GLT runtime whose streams steal, it also queues a holder on
+// the task's stream that sets held when it runs — after the task has yielded
+// — and keeps the stream busy until the returned resumed is called; elsewhere
+// it sets held at once and queues nothing.
+func holdHome(rt omp.Runtime, tc *omp.TC, held *atomic.Bool) (home int, resumed func()) {
+	g, isGLT := rt.(interface{ GLT() *glt.Runtime })
+	c, isULT := tc.Ectx().(*glt.Ctx)
+	if !isGLT || !isULT {
+		held.Store(true)
+		return tc.ThreadNum(), func() {}
+	}
+	home = c.Rank() % tc.NumThreads()
+	if !g.GLT().Policy().Steals() {
+		held.Store(true)
+		return home, func() {}
+	}
+	var done atomic.Bool
+	h := c.Spawn(func(*glt.Ctx) {
+		held.Store(true)
+		spinUntil(done.Load)
+	})
+	return home, func() {
+		done.Store(true)
+		h.Join()
+		h.Release()
+	}
+}
 
 func init() {
 	add("omp_task", "task", func(e *Env) error {
@@ -211,30 +258,39 @@ func init() {
 
 	add("omp_task_untied", "untied task", func(e *Env) error {
 		// Untied tasks may resume on a different thread after any scheduling
-		// point. The check counts tasks whose starting and finishing threads
-		// differ; only a runtime that migrates started tasks (GLTO over
-		// MassiveThreads, via work stealing) passes.
-		const n = 128
-		var moved atomic.Int64
+		// point. Rank 1 runs one untied task, which yields once; the check
+		// passes if it resumed on another thread. Where a suspended task can
+		// resume elsewhere at all (a GLT backend whose streams steal), the
+		// task first queues a holder on its own stream, which runs once the
+		// task has yielded and keeps that stream busy until the task resumed:
+		// the continuation can only resume on another stream, and only
+		// runtimes that migrate started tasks (GLTO over MassiveThreads or ws)
+		// pass. The task starts once every rank is running, and the other
+		// ranks keep their streams busy until the holder runs, so no stream
+		// can take the holder first; then they fall through to the region's
+		// end, where they are free to take the continuation. Nowhere else can
+		// the task move: taskyield is a no-op on the pthread runtimes, and
+		// abt/qth resume a yielded ULT on its own stream.
+		var arrived atomic.Int64
+		var held, moved atomic.Bool
 		e.RT.ParallelN(e.Threads, func(tc *omp.TC) {
-			tc.Single(func() {
-				for i := 0; i < n; i++ {
-					tc.Task(func(ttc *omp.TC) {
-						start := ttc.ThreadNum()
-						for k := 0; k < 4; k++ {
-							ttc.Taskyield()
-						}
-						cur := ttc.CurTask()
-						resumed := cur.ResumedBy.Load()
-						if resumed >= 0 && int(resumed) != start {
-							moved.Add(1)
-						}
-					}, omp.Untied())
+			arrived.Add(1)
+			if tc.ThreadNum() != 1 {
+				spinUntil(held.Load)
+				return
+			}
+			spinUntil(func() bool { return arrived.Load() == int64(tc.NumThreads()) })
+			tc.Task(func(ttc *omp.TC) {
+				home, resumed := holdHome(e.RT, ttc, &held)
+				ttc.Taskyield()
+				resumed()
+				if r := ttc.CurTask().ResumedBy.Load(); r >= 0 && int(r) != home {
+					moved.Store(true)
 				}
-			})
+			}, omp.Untied(), omp.If(false))
 		})
-		if moved.Load() == 0 {
-			return fmt.Errorf("no untied task migrated between threads")
+		if !moved.Load() {
+			return fmt.Errorf("the untied task did not migrate between threads")
 		}
 		return nil
 	}, Normal, Orphan)
