@@ -1,31 +1,18 @@
-// Package gomp implements a GNU-libgomp-like OpenMP runtime over the
-// pthread substrate, registered with the omp front end as "gomp".
+// Package gomp implements a GNU-libgomp-like OpenMP runtime over the shared
+// pthread engine (internal/ptpool), registered with the omp front end as
+// "gomp". It owns the two mechanisms that set GNU apart in the paper:
 //
-// The behaviours that matter for the paper's comparison are reproduced
-// faithfully:
-//
-//   - The top-level team is a persistent pthread pool; dispatching a region
-//     is a function-pointer handoff (cheap work assignment, Fig. 7).
+//   - Explicit tasks go to a single queue shared by the whole team, GNU's
+//     documented design (§III-A); a foreign pop from it is the runtime's
+//     whole work distribution.
 //   - Nested parallel regions create a *fresh* team of pthreads for every
 //     inner region and destroy it afterwards — "this approach does not reuse
 //     idle threads" (§VI-D) — which, at 36 outer threads and 100 inner
 //     regions, creates the 3,536 OS threads of Table II and the order-of-
 //     magnitude slowdown of Figs. 8 and 9.
-//   - Explicit tasks go to a single queue shared by the whole team, GNU's
-//     documented design (§III-A). Deferred tasks are appended in
-//     producer-side batches by default (one queue lock per batch);
-//     Config.PerUnitDispatch or a negative TaskBuffer restores one locked
-//     push per task.
-//   - Taskyield is a no-op, so started tasks never migrate — the reason the
-//     GNU runtime fails the taskyield/untied validation tests in Table I.
-//
-// The package implements the runtime SPI (omp.RegionEngine + omp.EngineOps);
-// the embedded omp.Frontend owns the Team/TC lifecycle, so the region
-// respawn path allocates nothing here either.
 package gomp
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -42,71 +29,49 @@ func init() {
 
 // Runtime is the GNU-like OpenMP runtime.
 type Runtime struct {
-	*omp.Frontend
-
-	// cfg is the construction-time snapshot; only ICVs that cannot change
-	// after New are read from it (the mutable team-size ICV lives in the
-	// Frontend — never read cfg.NumThreads here).
-	cfg  omp.Config
-	pool *ptpool.Pool
-	eng  engine
-
-	// region is the persistent dispatch descriptor of the top-level pool:
-	// its Run closure is built once and reads the current team from cur, so
-	// region dispatch stores two fields instead of allocating a Region and a
-	// closure per parallel region. Top-level regions are serialized by the
-	// OpenMP host model (one initial thread), so one slot suffices.
-	region ptpool.Region
-	cur    atomic.Pointer[omp.Team]
-
-	taskBuf int
+	*ptpool.Engine
 }
 
-// New builds a runtime with the given configuration. The top-level pool is
-// created eagerly, as libgomp does on first use, sized to NumThreads.
+// New builds a runtime with the given configuration.
 func New(cfg omp.Config) (*Runtime, error) {
-	cfg = cfg.WithDefaults()
-	rt := &Runtime{cfg: cfg, taskBuf: cfg.EffectiveTaskBuffer()}
-	rt.Frontend = omp.NewFrontend(rt, cfg)
-	rt.eng.rt = rt
-	rt.pool = ptpool.New(cfg.NumThreads, ptpool.WaitMode(cfg), &rt.Counters.ThreadsCreated)
-	rt.region.Run = func(rank int) { rt.cur.Load().Run(rank, &rt.eng, nil) }
+	rt := &Runtime{}
+	rt.Engine = ptpool.NewEngine(cfg, rt, Queue{})
 	return rt, nil
 }
 
 // Name reports "gomp".
 func (rt *Runtime) Name() string { return "gomp" }
 
-// RunRegion implements the runtime SPI: the persistent pool executes the
-// pre-built team, with the calling goroutine as thread 0.
-func (rt *Runtime) RunRegion(t *omp.Team) {
-	rt.cur.Store(t)
-	rt.region.Size = t.Size
-	rt.pool.Dispatch(&rt.region)
-}
-
-// Shutdown stops the pool.
-func (rt *Runtime) Shutdown() { rt.pool.Shutdown() }
-
-// EngineStats reports the process-wide OS-thread high-water mark, which no
-// reset clears.
-func (rt *Runtime) EngineStats(s *omp.Stats) {
-	if s != nil {
-		s.PeakThreads = pthread.Peak()
+// Nested creates a brand-new pthread team for the inner region and destroys
+// it afterwards. The encountering thread is rank 0 of the inner team; ranks
+// 1..n-1 are fresh OS threads, created and thrown away per region — the
+// deliberate Table II cost. The team descriptor itself arrives pooled from
+// the front end.
+func (rt *Runtime) Nested(tc *omp.TC, team *omp.Team) {
+	threads := make([]*pthread.Thread, team.Size-1)
+	for i := range threads {
+		rank := i + 1
+		rt.Counters.ThreadsCreated.Add(1)
+		threads[i] = pthread.Create(func() {
+			team.Run(rank, rt, nil)
+		})
+	}
+	team.Run(0, rt, nil)
+	for _, th := range threads {
+		th.Join()
 	}
 }
 
-// engine implements omp.EngineOps for the GNU-like runtime. One instance per
-// runtime serves every region, nested ones included; all per-region state
-// lives in the team.
-type engine struct {
-	rt *Runtime
-}
+// Queue is GNU's task queue: one FIFO shared by the whole team (§III-A: "the
+// GNU version implements a single shared task queue for all the threads").
+// A task claimed by a thread other than its creator counts as a steal, a
+// degenerate one-stop tour, which is exactly how Fig. 7 accounts the
+// centralized-queue runtime's work distribution.
+type Queue struct{}
 
-// teamTasks is the single shared task queue of a team (§III-A: "the GNU
-// version implements a single shared task queue for all the threads"). It
-// survives team-descriptor recycling (the queue is drained at every region's
-// end barrier), so steady-state tasking reuses its backing array.
+// teamTasks is a team's shared queue. It survives team-descriptor recycling
+// (the queue is drained at every region's end barrier), so steady-state
+// tasking reuses its backing array.
 //
 // The per-rank release slots bolt a locality fast path onto the centralized
 // design: a dependence release with a hot rank parks the successor in that
@@ -131,6 +96,12 @@ type relSlot struct {
 	_ [56]byte
 }
 
+func newTeamTasks() any { return &teamTasks{} }
+
+func tasksOf(team *omp.Team) *teamTasks {
+	return team.EngineData(newTeamTasks).(*teamTasks)
+}
+
 // slotsFor returns the release-slot directory, allocating it (sized to the
 // current team) on first use.
 func (ts *teamTasks) slotsFor(size int) []relSlot {
@@ -152,11 +123,10 @@ func (ts *teamTasks) slotsFor(size int) []relSlot {
 // probed (the hot fast path), with sweep true the whole directory is toured
 // (the idle/barrier drain that keeps slotted work from stranding).
 func (ts *teamTasks) claimRelease(num int, sweep bool) *omp.TaskNode {
-	p := ts.rel.Load()
-	if p == nil {
-		return nil
+	if ts.relCount.Load() == 0 {
+		return nil // nonzero only once Place has allocated the directory
 	}
-	slots := *p
+	slots := *ts.rel.Load()
 	n := len(slots)
 	limit := 1
 	if sweep {
@@ -172,63 +142,34 @@ func (ts *teamTasks) claimRelease(num int, sweep bool) *omp.TaskNode {
 	return nil
 }
 
-func newTeamTasks() any { return &teamTasks{} }
-
-func (e *engine) tasksOf(team *omp.Team) *teamTasks {
-	return team.EngineData(newTeamTasks).(*teamTasks)
-}
-
-func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
-	if node.Final || node.Undeferred {
-		// Final and if(false) tasks execute undeferred in the encountering
-		// thread. Finality is not inherited by descendants — the defect the
-		// omp_task_final validation test catches in the 2017 runtimes
-		// (Table I).
-		omp.ExecTask(tc, node)
-		return
-	}
-	e.rt.Counters.TasksQueued.Add(1)
-	if e.rt.taskBuf > 0 {
-		if tc.BufferTask(node, e.rt.taskBuf) {
-			e.FlushTasks(tc)
-		}
-		return
-	}
-	ts := e.tasksOf(tc.Team())
-	ts.mu.Lock()
-	ts.q = append(ts.q, node)
-	ts.mu.Unlock()
-}
-
-// FlushTasks appends the producer-side buffer to the shared team queue under
-// a single lock acquisition — one synchronization episode per batch instead
-// of one contended lock per task on GNU's single queue.
-func (e *engine) FlushTasks(tc *omp.TC) {
-	nodes := tc.TakeBuffered()
-	if len(nodes) == 0 {
-		return
-	}
-	e.rt.Counters.TaskFlushes.Add(1)
-	ts := e.tasksOf(tc.Team())
+func (ts *teamTasks) append(nodes ...*omp.TaskNode) {
 	ts.mu.Lock()
 	ts.q = append(ts.q, nodes...)
 	ts.mu.Unlock()
-	// The queue owns the nodes now; clear the TC's pooled buffer slots so
-	// they do not retain finished tasks.
-	clear(nodes)
 }
 
-// ReleaseTask enqueues a task whose last dependence was just satisfied by a
-// predecessor's completion. With a hot rank the task is parked in that
-// rank's release slot — claimed by the releasing thread ahead of the shared
-// queue, no lock — falling back to the locked shared queue when the slot is
-// still occupied (the releaser is running ahead of its own consumption) or
-// when the releaser had no team context (hot < 0). Every member's
-// TryRunTask sweeps the slots once the queue runs dry, so a slotted task is
-// no less visible than a queued one.
-func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any) {
-	e.rt.Counters.TasksQueued.Add(1)
-	ts := e.tasksOf(team)
+// oneStop is the queue's steal accounting: a claim of another thread's task
+// is a one-stop tour.
+func oneStop(tc *omp.TC, node *omp.TaskNode) (*omp.TaskNode, int) {
+	if node == nil || node.CreatedBy == tc.ThreadNum() {
+		return node, 0
+	}
+	return node, 1
+}
+
+// Push appends the burst to the shared queue; every rank pushes there.
+func (Queue) Push(team *omp.Team, _ int, nodes []*omp.TaskNode) {
+	tasksOf(team).append(nodes...)
+}
+
+// Place parks a task released on a hot rank in that rank's release slot —
+// claimed by the releasing thread ahead of the shared queue, no lock —
+// falling back to the shared queue when the slot is still occupied (the
+// releaser is running ahead of its own consumption) or when there is no hot
+// rank. Every member's hunt sweeps the slots once the queue runs dry, so a
+// slotted task is no less visible than a queued one.
+func (Queue) Place(team *omp.Team, node *omp.TaskNode, hot int) {
+	ts := tasksOf(team)
 	if hot >= 0 {
 		slots := ts.slotsFor(team.Size)
 		if s := &slots[hot%len(slots)]; s.p.CompareAndSwap(nil, node) {
@@ -236,103 +177,35 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any)
 			return
 		}
 	}
-	ts.mu.Lock()
-	ts.q = append(ts.q, node)
-	ts.mu.Unlock()
+	ts.append(node)
 }
 
-// TryRunTask is the wait step's task hook: own release slot, then the shared
-// queue, then the other ranks' slots, then the overflow rings.
-func (e *engine) TryRunTask(tc *omp.TC) bool {
-	ts := e.tasksOf(tc.Team())
-	// Own release slot first: a successor the thread itself just released is
-	// the hottest work available, and claiming it is one CAS, no lock.
-	if ts.relCount.Load() > 0 {
-		if node := ts.claimRelease(tc.ThreadNum(), false); node != nil {
-			e.execPopped(tc, node)
-			return true
-		}
+// Pop claims the caller's own release slot — a successor the thread itself
+// just released is the hottest work available, one CAS and no lock — and
+// then the head of the shared queue.
+func (Queue) Pop(tc *omp.TC) (*omp.TaskNode, int) {
+	ts := tasksOf(tc.Team())
+	if node := ts.claimRelease(tc.ThreadNum(), false); node != nil {
+		return oneStop(tc, node)
 	}
 	ts.mu.Lock()
 	if len(ts.q) == 0 {
 		ts.mu.Unlock()
-		// Queue dry: tour the other ranks' release slots so hot-parked work
-		// cannot strand behind an already-busy releaser...
-		if ts.relCount.Load() > 0 {
-			if node := ts.claimRelease(tc.ThreadNum(), true); node != nil {
-				e.execPopped(tc, node)
-				return true
-			}
-		}
-		// ...then raid the members' producer-side overflow rings so a burst
-		// buffered by a busy producer is picked up now rather than at the
-		// producer's next scheduling point. (The native runtime has no
-		// analogue — its producers hold the queue lock per task; the raid
-		// keeps the batched design's task *visibility* no worse than the
-		// paper's.) The rotor-seeded raid is lock-free.
-		node := tc.StealBufferedTask()
-		if node == nil {
-			return false
-		}
-		e.rt.Counters.TasksStolenFromBuffer.Add(1)
-		e.execPopped(tc, node)
-		return true
+		return nil, 0
 	}
 	node := ts.q[0]
 	copy(ts.q, ts.q[1:])
 	ts.q[len(ts.q)-1] = nil
 	ts.q = ts.q[:len(ts.q)-1]
 	ts.mu.Unlock()
-	e.execPopped(tc, node)
-	return true
+	return oneStop(tc, node)
 }
 
-// execPopped settles the steal accounting for a claimed task and runs it. A
-// foreign pop from the single shared queue (or a slot/ring claim of another
-// thread's task) is gomp's whole "steal": a degenerate one-stop tour, which
-// is exactly how Fig. 7 accounts the centralized-queue runtime's work
-// distribution.
-func (e *engine) execPopped(tc *omp.TC, node *omp.TaskNode) {
-	if node.CreatedBy != tc.ThreadNum() {
-		e.rt.Counters.TasksStolen.Add(1)
-		omp.TraceStealTour(tc.Team(), 1, true)
-	}
-	omp.ExecTask(tc, node)
+// Steal tours the other ranks' release slots, so hot-parked work cannot
+// strand behind an already-busy releaser.
+func (Queue) Steal(tc *omp.TC, _ *omp.Counters) (*omp.TaskNode, int) {
+	return oneStop(tc, tasksOf(tc.Team()).claimRelease(tc.ThreadNum(), true))
 }
 
-func (e *engine) Taskwait(tc *omp.TC) {
-	cur := tc.CurTask()
-	for cur.Children() > 0 {
-		tc.WaitStep()
-	}
-}
-
-// Taskyield is a no-op: libgomp does not reschedule at taskyield, which is
-// why the omp_taskyield validation test fails on it (Table I).
-func (e *engine) Taskyield(tc *omp.TC) {}
-
-// Nested creates a brand-new pthread team for the inner region and destroys
-// it afterwards. The encountering thread is rank 0 of the inner team; ranks
-// 1..n-1 are fresh OS threads, created and thrown away per region — the
-// deliberate Table II cost. The team descriptor itself arrives pooled from
-// the front end.
-func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
-	n := team.Size
-	threads := make([]*pthread.Thread, n-1)
-	for i := range threads {
-		rank := i + 1
-		e.rt.Counters.ThreadsCreated.Add(1)
-		threads[i] = pthread.Create(func() {
-			team.Run(rank, e, nil)
-		})
-	}
-	team.Run(0, e, nil)
-	for _, th := range threads {
-		th.Join()
-	}
-}
-
-// Idle backs the wait step and Ordered: a scheduler yield.
-func (e *engine) Idle(tc *omp.TC) {
-	runtime.Gosched()
-}
+// Backlog is -1: GNU's queue applies no cut-off.
+func (Queue) Backlog(*omp.Team, int) int { return -1 }

@@ -1,0 +1,190 @@
+package ptpool
+
+import (
+	"runtime"
+	"sync/atomic"
+
+	"repro/internal/pthread"
+	"repro/omp"
+)
+
+// TaskQueue is the task-queue shape of one pthread runtime: where deferred
+// tasks wait and the order the engine's hunt finds them in. It keeps its
+// per-team state in Team.EngineData, so one value serves every team.
+type TaskQueue interface {
+	// Push appends a flushed burst, in order, to rank's queue under one lock.
+	Push(team *omp.Team, rank int, nodes []*omp.TaskNode)
+	// Place queues one task: where rank hot consumes next when hot >= 0 (a
+	// dependence release on that rank), on its creator's queue otherwise (an
+	// unbuffered spawn, or a release by a thread with no team context).
+	Place(team *omp.Team, node *omp.TaskNode, hot int)
+	// Pop claims a task from the caller's own queue. Steal claims one from
+	// the other queues, crediting c with any probe accounting of its own. A
+	// claim with visited > 0 is a steal: the engine credits TasksStolen and
+	// reports a found tour of that many queues. A Steal that finds nothing
+	// returns the queues it probed, and the ring raid after it is one stop
+	// further along the same tour.
+	Pop(tc *omp.TC) (node *omp.TaskNode, visited int)
+	Steal(tc *omp.TC, c *omp.Counters) (node *omp.TaskNode, visited int)
+	// Backlog reports how many tasks wait in rank's own queue, which the
+	// Fig. 14 cut-off reads, or -1 if the queue applies no cut-off.
+	Backlog(team *omp.Team, rank int) int
+}
+
+// Runtime is a pthread runtime: the Engine it embeds plus its Name and
+// Nested.
+type Runtime interface {
+	omp.RegionEngine
+	omp.EngineOps
+}
+
+// Engine is the OpenMP engine both pthread runtimes are built on: the
+// persistent pool dispatches top-level regions, deferred tasks go to the
+// runtime's TaskQueue, and the wait step's hunt walks that queue before it
+// raids the overflow rings. Taskyield is a no-op, so started tasks never
+// migrate (the taskyield/untied failures of Table I). A runtime embeds an
+// Engine and supplies the rest of omp.EngineOps: Nested.
+type Engine struct {
+	*omp.Frontend
+
+	ops   omp.EngineOps
+	queue TaskQueue
+	pool  *Pool
+
+	// region is the top-level pool's persistent dispatch descriptor: its Run
+	// closure reads the current team from cur, so dispatch allocates nothing.
+	// Top-level regions are serialized (one initial thread): one slot serves.
+	region Region
+	cur    atomic.Pointer[omp.Team]
+
+	taskBuf, cutoff int
+}
+
+// NewEngine builds the engine of runtime rt over queue q. The top-level pool
+// is created eagerly, as the native runtimes do on first use, sized to
+// NumThreads.
+func NewEngine(cfg omp.Config, rt Runtime, q TaskQueue) *Engine {
+	cfg = cfg.WithDefaults()
+	e := &Engine{ops: rt, queue: q, taskBuf: cfg.EffectiveTaskBuffer(), cutoff: cfg.EffectiveCutoff()}
+	e.Frontend = omp.NewFrontend(rt, cfg)
+	e.pool = New(cfg.NumThreads, WaitMode(cfg), &e.Counters.ThreadsCreated)
+	e.region.Run = func(rank int) { e.cur.Load().Run(rank, e.ops, nil) }
+	return e
+}
+
+// RunRegion implements the runtime SPI: the persistent pool executes the
+// pre-built team, with the calling goroutine as thread 0.
+func (e *Engine) RunRegion(t *omp.Team) {
+	e.cur.Store(t)
+	e.region.Size = t.Size
+	e.pool.Dispatch(&e.region)
+}
+
+// Shutdown stops the pool.
+func (e *Engine) Shutdown() { e.pool.Shutdown() }
+
+// EngineStats reports the process-wide OS-thread high-water mark, which no
+// reset clears.
+func (e *Engine) EngineStats(s *omp.Stats) {
+	if s != nil {
+		s.PeakThreads = pthread.Peak()
+	}
+}
+
+// SpawnTask queues node through the producer-side buffer (or straight to
+// the queue when batching is off) — unless it runs undeferred: final and
+// if(false) tasks, whose finality descendants do not inherit (the
+// omp_task_final defect of Table I), and tasks past the queue's cut-off.
+func (e *Engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
+	if node.Final || node.Undeferred {
+		omp.ExecTask(tc, node)
+		return
+	}
+	// The cut-off counts buffered tasks as queued, so it fires at the same
+	// task counts with batching on or off; the backlog is made stealable
+	// before the producer serializes, as in the native runtime (§VI-E).
+	if n := e.queue.Backlog(tc.Team(), tc.ThreadNum()); n >= 0 && n+tc.BufferedTasks() >= e.cutoff {
+		e.FlushTasks(tc)
+		e.Counters.TasksDirect.Add(1)
+		omp.ExecTask(tc, node)
+		return
+	}
+	e.Counters.TasksQueued.Add(1)
+	if e.taskBuf > 0 {
+		if tc.BufferTask(node, e.taskBuf) {
+			e.FlushTasks(tc)
+		}
+		return
+	}
+	e.queue.Place(tc.Team(), node, -1)
+}
+
+// FlushTasks hands the producer-side buffer to the queue in one push: one
+// synchronization episode per batch instead of one locked push per task.
+func (e *Engine) FlushTasks(tc *omp.TC) {
+	nodes := tc.TakeBuffered()
+	if len(nodes) == 0 {
+		return
+	}
+	e.Counters.TaskFlushes.Add(1)
+	e.queue.Push(tc.Team(), tc.ThreadNum(), nodes)
+	// The queue owns the nodes now; clear the TC's pooled buffer slots so
+	// they do not retain finished tasks.
+	clear(nodes)
+}
+
+// ReleaseTask queues a task whose last dependence was just satisfied, where
+// the releasing rank hot consumes next. The cut-off does not apply: the
+// releaser cannot run the task inline, and a released task has already paid
+// its deferral.
+func (e *Engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any) {
+	e.Counters.TasksQueued.Add(1)
+	e.queue.Place(team, node, hot)
+}
+
+// TryRunTask is the wait step's task hook: the caller's own queue, then the
+// other queues, then a raid on the members' producer-side overflow rings, so
+// a burst buffered by a busy producer runs now rather than at the producer's
+// next scheduling point. (The native runtimes have no analogue — their
+// producers take the queue lock per task; the raid keeps the batched
+// design's task visibility no worse than the paper's.)
+func (e *Engine) TryRunTask(tc *omp.TC) bool {
+	node, visited := e.queue.Pop(tc)
+	if node == nil {
+		node, visited = e.queue.Steal(tc, &e.Counters)
+	}
+	if node == nil {
+		if node = tc.StealBufferedTask(); node == nil {
+			if visited > 0 {
+				omp.TraceStealTour(tc.Team(), visited, false)
+			}
+			return false
+		}
+		e.Counters.TasksStolenFromBuffer.Add(1)
+		visited++
+		if node.CreatedBy == tc.ThreadNum() {
+			visited = 0
+		}
+	}
+	if visited > 0 {
+		e.Counters.TasksStolen.Add(1)
+		omp.TraceStealTour(tc.Team(), visited, true)
+	}
+	omp.ExecTask(tc, node)
+	return true
+}
+
+// Taskwait runs queued tasks until the current task's children are done.
+func (e *Engine) Taskwait(tc *omp.TC) {
+	cur := tc.CurTask()
+	for cur.Children() > 0 {
+		tc.WaitStep()
+	}
+}
+
+// Taskyield is a no-op: the native runtimes do not reschedule at taskyield,
+// which is why they fail the omp_taskyield validation test (Table I).
+func (e *Engine) Taskyield(tc *omp.TC) {}
+
+// Idle backs the wait step and Ordered: a scheduler yield.
+func (e *Engine) Idle(tc *omp.TC) { runtime.Gosched() }

@@ -1,17 +1,22 @@
-// Package ptpool implements the persistent top-level thread pool shared by
-// the two pthread-based OpenMP runtimes of this reproduction (internal/gomp
-// and internal/iomp).
+// Package ptpool is the one pthread OpenMP engine both pthread-based
+// runtimes of this reproduction are built on (internal/gomp and
+// internal/iomp).
 //
 // Both GNU's libgomp and the Intel OpenMP runtime keep the threads of the
 // top-level team alive across parallel regions and dispatch a region by
 // handing the team the function pointer to execute — the "work assignment
 // step" whose cost the paper isolates in Fig. 7 and finds cheaper than
-// GLTO's ULT creation. This package reproduces that mechanism: dispatch is
-// one pointer store plus an epoch bump; workers either spin on the epoch
-// (OMP_WAIT_POLICY=active) or sleep on a channel (passive).
+// GLTO's ULT creation. Pool reproduces that mechanism: dispatch is one
+// pointer store plus an epoch bump; workers either spin on the epoch
+// (OMP_WAIT_POLICY=active) or sleep on a channel (passive). Engine adds
+// everything else the two runtimes share: task spawn, flush and release,
+// the wait step's task hunt, taskwait and idling.
 //
-// Where the two runtimes differ — nested-team policy and task engines — they
-// implement it themselves; only the shared pool lives here.
+// The paper separates the two runtimes on exactly two mechanisms, and each
+// runtime supplies those itself: a TaskQueue (GNU's one shared queue,
+// Intel's per-thread deques with the Fig. 14 cut-off, §III-A) and Nested
+// (fresh threads per inner region for GNU, a reused thread cache for Intel,
+// §VI-D and Table II).
 package ptpool
 
 import (
