@@ -30,22 +30,19 @@ func spinUntil(cond func() bool) bool {
 
 // holdHome is called by a task about to yield. It returns the thread the task
 // runs on, numbered as TaskNode.ResumedBy numbers the thread it resumes on:
-// the team rank on the pthread runtimes, the GLT stream modulo the team size
-// on GLTO. On a GLT runtime whose streams steal, it also queues a holder on
-// the task's stream that sets held when it runs — after the task has yielded
-// — and keeps the stream busy until the returned resumed is called; elsewhere
-// it sets held at once and queues nothing.
-func holdHome(rt omp.Runtime, tc *omp.TC, held *atomic.Bool) (home int, resumed func()) {
-	g, isGLT := rt.(interface{ GLT() *glt.Runtime })
+// the team rank, or on GLTO the stream modulo the team size. On a GLT backend
+// whose streams steal, it also queues a holder on the task's stream that sets
+// held when it runs — after the task has yielded — and keeps the stream busy
+// until resumed is called; elsewhere it sets held at once.
+func holdHome(tc *omp.TC, held *atomic.Bool) (home int, resumed func()) {
+	home, resumed = tc.ThreadNum(), func() {}
 	c, isULT := tc.Ectx().(*glt.Ctx)
-	if !isGLT || !isULT {
-		held.Store(true)
-		return tc.ThreadNum(), func() {}
+	if isULT {
+		home = c.Rank() % tc.NumThreads()
 	}
-	home = c.Rank() % tc.NumThreads()
-	if !g.GLT().Policy().Steals() {
+	if !isULT || !c.Runtime().Policy().Steals() {
 		held.Store(true)
-		return home, func() {}
+		return home, resumed
 	}
 	var done atomic.Bool
 	h := c.Spawn(func(*glt.Ctx) {
@@ -258,19 +255,16 @@ func init() {
 
 	add("omp_task_untied", "untied task", func(e *Env) error {
 		// Untied tasks may resume on a different thread after any scheduling
-		// point. Rank 1 runs one untied task, which yields once; the check
-		// passes if it resumed on another thread. Where a suspended task can
-		// resume elsewhere at all (a GLT backend whose streams steal), the
-		// task first queues a holder on its own stream, which runs once the
-		// task has yielded and keeps that stream busy until the task resumed:
-		// the continuation can only resume on another stream, and only
-		// runtimes that migrate started tasks (GLTO over MassiveThreads or ws)
-		// pass. The task starts once every rank is running, and the other
-		// ranks keep their streams busy until the holder runs, so no stream
-		// can take the holder first; then they fall through to the region's
-		// end, where they are free to take the continuation. Nowhere else can
-		// the task move: taskyield is a no-op on the pthread runtimes, and
-		// abt/qth resume a yielded ULT on its own stream.
+		// point. Rank 1 (not MassiveThreads' pinned rank 0) runs one untied
+		// task that yields once; the check passes if it resumed on another
+		// thread. On a GLT backend whose streams steal, holdHome keeps the
+		// task's own stream busy until it resumed, so only a runtime that
+		// migrates started tasks (GLTO over mth or ws) passes. The task starts
+		// once every rank runs, and the other ranks keep their streams busy
+		// until the holder runs, so none can take the holder first; then they
+		// fall through to region end, free to take the continuation. Elsewhere
+		// the task cannot move: taskyield is a no-op on the pthread runtimes,
+		// and abt/qth resume a yielded ULT on its own stream.
 		var arrived atomic.Int64
 		var held, moved atomic.Bool
 		e.RT.ParallelN(e.Threads, func(tc *omp.TC) {
@@ -281,7 +275,7 @@ func init() {
 			}
 			spinUntil(func() bool { return arrived.Load() == int64(tc.NumThreads()) })
 			tc.Task(func(ttc *omp.TC) {
-				home, resumed := holdHome(e.RT, ttc, &held)
+				home, resumed := holdHome(ttc, &held)
 				ttc.Taskyield()
 				resumed()
 				if r := ttc.CurTask().ResumedBy.Load(); r >= 0 && int(r) != home {
