@@ -16,16 +16,12 @@ import (
 // observables, so which runtimes pass is decided by mechanism.
 
 // spinUntil spins cooperatively, below any task scheduling point, until cond
-// holds or ten seconds pass, and reports whether cond came true.
-func spinUntil(cond func() bool) bool {
+// holds or ten seconds pass.
+func spinUntil(cond func() bool) {
 	deadline := time.Now().Add(10 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return false
-		}
+	for !cond() && time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
-	return true
 }
 
 // holdHome is called by a task about to yield. It returns the thread the task
