@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/omp"
 )
@@ -275,5 +276,93 @@ func TestTaskletModeTaskwaitFromMaster(t *testing.T) {
 	})
 	if ran.Load() != 40 {
 		t.Errorf("taskwait over tasklets: ran=%d, want 40", ran.Load())
+	}
+}
+
+// TestDrainTableSpill puts more regions in flight on one stream than its
+// drain directory has slots, so the surplus regions enlist on the spill list.
+// A top-level team of one runs on stream 0 and its rank 0 opens nested teams
+// of two, level inside level; §IV-E spawns every inner team on the
+// encountering stream, so all the regions enlist under stream 0 and stream 1
+// hosts no unit at all. Every member of every level buffers tasks in its
+// overflow ring. The innermost producer then spins without a scheduling
+// point, so its tasks — owned by a spilled team — can run only if idle
+// stream 1's drain hook tours the directory and then the spill list. Every
+// task must run exactly once, and the directory and spill list must be empty
+// once the regions are over.
+func TestDrainTableSpill(t *testing.T) {
+	const (
+		regions = drainSlots + 2
+		tasks   = 3 // per member per level
+	)
+	for _, backend := range []string{"abt", "qth"} {
+		t.Run(backend, func(t *testing.T) {
+			rt, err := New(omp.Config{NumThreads: 2, Backend: backend, Nested: true, TaskBuffer: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			var hits [regions][2][tasks]atomic.Int32
+			var spilled atomic.Int32
+			var level func(d int) func(*omp.TC)
+			level = func(d int) func(*omp.TC) {
+				return func(tc *omp.TC) {
+					me := tc.ThreadNum()
+					var ran atomic.Int32
+					for i := range hits[d][me] {
+						h := &hits[d][me][i]
+						tc.Task(func(*omp.TC) { h.Add(1); ran.Add(1) })
+					}
+					switch {
+					case me != 0:
+					case d+1 < regions:
+						tc.Parallel(2, level(d+1))
+					default:
+						spilled.Store(rt.spillN.Load())
+						deadline := time.Now().Add(10 * time.Second)
+						for ran.Load() < tasks && time.Now().Before(deadline) {
+							runtime.Gosched()
+						}
+						if ran.Load() < tasks {
+							t.Errorf("idle stream ran %d of the spilled team's %d buffered tasks", ran.Load(), tasks)
+						}
+					}
+				}
+			}
+			rt.ParallelN(1, level(0))
+			if got := spilled.Load(); got != regions-drainSlots {
+				t.Errorf("%d regions on the spill list with %d in flight, want %d", got, regions, regions-drainSlots)
+			}
+			for d := range hits {
+				size := 2
+				if d == 0 {
+					size = 1
+				}
+				for me := range hits[d] {
+					for i := range hits[d][me] {
+						want := int32(0)
+						if me < size {
+							want = 1
+						}
+						if got := hits[d][me][i].Load(); got != want {
+							t.Errorf("level %d rank %d task %d ran %d times, want %d", d, me, i, got, want)
+						}
+					}
+				}
+			}
+			for s := range rt.drainTab {
+				for j := range rt.drainTab[s].slot {
+					if rt.drainTab[s].slot[j].team.Load() != nil {
+						t.Errorf("drain directory %d slot %d still holds a team", s, j)
+					}
+				}
+			}
+			rt.spillMu.Lock()
+			left := len(rt.spill)
+			rt.spillMu.Unlock()
+			if left != 0 || rt.spillN.Load() != 0 {
+				t.Errorf("spill list holds %d teams (count %d) after the regions ended", left, rt.spillN.Load())
+			}
+		})
 	}
 }
