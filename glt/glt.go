@@ -359,8 +359,10 @@ func (rt *Runtime) SpawnDetachedFrom(from, target int, fn Func, arg any, tasklet
 
 // SpawnDetachedOn is the rank-targeted hot spawn: one fire-and-forget unit
 // carrying arg, created from stream from's unlocked descriptor cache and
-// dispatched to target — typically from == target, placing released work on
-// the stream whose caches its inputs are hot in. The caller must be
+// dispatched to target. from == target places released work on the stream
+// whose caches its inputs are hot in; a different target spreads a release's
+// fan-out over the streams while the descriptor still comes from the
+// releaser's own cache, with no shared lock. The caller must be
 // executing ON stream from: inside one of its units or on its scheduler
 // goroutine. That contract holds for GLTO's dependence releases because the
 // token model gives a ULT running on stream from exclusive use of from's

@@ -43,9 +43,11 @@ type Stats struct {
 	// when no hook is registered.
 	BufferSteals int64
 	// LocalSpawns counts rank-targeted hot spawns (SpawnDetachedOn): units
-	// created through a stream's own descriptor cache and aimed back at a
-	// chosen stream — for GLTO, dependence-released tasks placed on their
-	// releaser's stream instead of their creator's.
+	// created through a stream's own descriptor cache and aimed at a chosen
+	// stream — for GLTO, every dependence-released task with a releasing
+	// stream: the kept successor aimed back at that stream, fan-out at the
+	// stream its creation rule picks (round-robin for tasks created inside
+	// single/master). The count is per creating stream, whatever the target.
 	LocalSpawns int64
 	// BatchPushes counts batch dispatch episodes: each SpawnTeam/SpawnBatch
 	// that reached Policy.PushBatch contributes one, however many units it

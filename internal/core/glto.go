@@ -15,7 +15,8 @@
 //     region, deliberately.
 //   - Task parallelism: every OMP task becomes a GLT_ult. Tasks created
 //     inside a single/master construct are dispatched round-robin over all
-//     streams; otherwise each stream keeps its own tasks (§IV-D). Deferred
+//     streams; otherwise each stream keeps its own tasks (§IV-D). The rule
+//     also places the fan-out of a dependence release. Deferred
 //     tasks are submitted in producer-side batches through the engine's
 //     PushBatch by default; Config.PerUnitDispatch restores the paper's
 //     one-push-per-task cost.
@@ -386,17 +387,24 @@ func (e *engine) idle(c *glt.Ctx) {
 	c.Yield()
 }
 
+// nextStream advances the round-robin cursor of single/master task
+// dispatch (§IV-D) and returns the stream it points at.
+func (rt *Runtime) nextStream() int {
+	return int(rt.rr.Add(1)-1) % rt.g.NumThreads()
+}
+
 // taskTarget resolves the dispatch destination of a deferred task (§IV-D):
 // tasks created inside a single/master construct are distributed round-robin
 // over all streams, others stay on the creating stream. The decision reads
 // the placement snapshot PrepareTask took, so it is identical whether the
-// task is dispatched at creation or later from the producer-side buffer.
+// task is dispatched at creation, later from the producer-side buffer, or as
+// the fan-out of a dependence release.
 func (e *engine) taskTarget(c *glt.Ctx, node *omp.TaskNode) int {
 	if c == nil {
 		return glt.AnyThread
 	}
 	if node.InSingleMaster {
-		return int(e.rt.rr.Add(1)-1) % e.rt.g.NumThreads()
+		return e.rt.nextStream()
 	}
 	return c.Rank()
 }
@@ -504,16 +512,21 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 // it is executing under, naming the true stream — the team rank alone would
 // not (stolen and nested tasks run off-rank) — so the spawn goes through
 // SpawnDetachedOn: the unit comes from the releasing stream's unlocked
-// descriptor cache and is aimed back at that stream, where the successor's
-// inputs were just written. The token-handoff model makes that safe: a ULT
-// running on a stream has exclusive use of its owner-side caches until it
-// yields, and the release fires inside the finishing task's body extent.
-// Without a hot context (hot < 0: the last reference was dropped by a
-// goroutine with no stream — a tracer's deferred Release, glt's ReleaseAll)
-// the spawn takes the no-origin path through the shared descriptor free
-// list and the unit targets the creator's stream (round-robin for
-// single/master spawners, mirroring taskTarget); either way it obeys the
-// policy's ordinary steal/migration rules from there.
+// descriptor cache. The token-handoff model makes that safe: a ULT running
+// on a stream has exclusive use of its owner-side caches until it yields,
+// and the release fires inside the finishing task's body extent. Where the
+// unit is aimed depends on which successor it is. The one the releaser kept
+// (the budget-exhausted link of a chain) goes back to the releasing stream,
+// where its inputs were just written. Fan-out (TaskNode.FanOut) is placed by
+// the creation rule, taskTarget: round-robin over the streams for
+// single/master-created tasks, the releasing stream otherwise — abt and qth
+// never steal, so a wave sent to the releaser would wait behind its chain
+// while the other streams idle. Without a hot context (hot < 0: the last
+// reference was dropped by a goroutine with no stream — a tracer's deferred
+// Release, glt's ReleaseAll) the spawn takes the no-origin path through the
+// shared descriptor free list and the unit targets the creator's stream
+// (round-robin for single/master spawners, mirroring taskTarget); either way
+// it obeys the policy's ordinary steal/migration rules from there.
 func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx any) {
 	e.rt.Counters.TasksQueued.Add(1)
 	e.rt.Counters.ULTsCreated.Add(1)
@@ -521,7 +534,11 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx a
 	if hot >= 0 {
 		if c, ok := ectx.(*glt.Ctx); ok && c != nil {
 			s := c.Rank()
-			e.rt.g.SpawnDetachedOn(s, s, e.rt.taskBody, node, e.rt.cfg.Tasklets)
+			target := s
+			if node.FanOut() {
+				target = e.taskTarget(c, node)
+			}
+			e.rt.g.SpawnDetachedOn(s, target, e.rt.taskBody, node, e.rt.cfg.Tasklets)
 			return
 		}
 		// Hot rank but no stream context (an implicit task run without a ULT,
@@ -533,7 +550,7 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx a
 	}
 	target := node.CreatedBy % streams
 	if node.InSingleMaster {
-		target = int(e.rt.rr.Add(1)-1) % streams
+		target = e.rt.nextStream()
 	}
 	e.rt.g.SpawnDetachedArg(target, e.rt.taskBody, node, e.rt.cfg.Tasklets)
 }

@@ -180,14 +180,18 @@ func addDepEdge(pred *TaskNode, predGen uint32, succ *TaskNode) bool {
 // pair in a map can never commit an edge against the node's next life.
 //
 // Dispatch is locality-first. The walk keeps a running best-priority ready
-// successor and dispatches the rest as they surface; at the end, if the
-// releaser has an execution context on the successor's team and chain budget
-// left (rc.depth < EffectiveDepChain), the best successor runs INLINE on the
-// releasing thread — the data its predecessor just wrote is still hot, and
-// the enqueue/dequeue/wakeup round trip is skipped entirely. A chain that
+// successor — the one the releaser keeps — and dispatches the rest as they
+// surface, marked as fan-out (TaskNode.FanOut) so an engine whose streams do
+// not steal can spread them over the team instead of queueing them all
+// behind the releaser. At the end, if the releaser has an execution context
+// on the successor's team and chain budget left (rc.depth <
+// EffectiveDepChain), the kept successor runs INLINE on the releasing thread
+// — the data its predecessor just wrote is still hot, and the
+// enqueue/dequeue/wakeup round trip is skipped entirely. A chain that
 // exhausts its budget (or a releaser with no context: a tracer's deferred
-// Release, glt's ReleaseAll) falls back to ReleaseTask, so the tail of a
-// long chain re-surfaces where TryRunTask and idle-drain can claim it.
+// Release, glt's ReleaseAll) dispatches the kept successor last and unmarked,
+// so the tail of a long chain stays on the releasing stream and re-surfaces
+// where TryRunTask and idle-drain can claim it.
 // Undeferred/final dependent tasks are unreachable here: their creation
 // guard keeps preds at 1, so the spin in spawnWithDeps — never this walk —
 // runs them.
@@ -214,10 +218,10 @@ func (n *TaskNode) releaseSuccessors(rc *relCtx) {
 			case best == nil:
 				best = s
 			case s.priority > best.priority:
-				dispatchReleased(best, rc)
+				dispatchReleased(best, rc, true)
 				best = s
 			default:
-				dispatchReleased(s, rc)
+				dispatchReleased(s, rc, true)
 			}
 		}
 	}
@@ -236,7 +240,7 @@ func (n *TaskNode) releaseSuccessors(rc *relCtx) {
 			execChained(best, rc)
 			return
 		}
-		dispatchReleased(best, rc)
+		dispatchReleased(best, rc, false)
 	}
 	n.retireSuccState(w, sp)
 }
@@ -253,14 +257,19 @@ func (n *TaskNode) retireSuccState(w uint64, sp *[]atomic.Pointer[TaskNode]) {
 	n.succState.Store((w>>depGenShift + 1) << depGenShift)
 }
 
-// dispatchReleased hands one released successor to its engine. With a
+// dispatchReleased hands one released successor to its engine, marking it
+// as fan-out or as the kept successor (fanOut; see TaskNode.FanOut). With a
 // releaser context on the successor's team the hand-off is HOT: ReleaseTask
 // receives the releaser's team rank and routes the task to that rank's own
 // deque/stream/release-slot, so the successor is consumed where its inputs
-// were just written. Without one (rc nil, or a cross-team release) hot is -1
-// and the engine falls back to creator-side placement.
-func dispatchReleased(s *TaskNode, rc *relCtx) {
+// were just written. An engine may place fan-out by its task-creation rule
+// instead (GLTO does: its abt and qth streams never steal, so a wide release
+// sent to the releaser would queue behind it). Without a context (rc nil, or
+// a cross-team release) hot is -1 and the engine falls back to creator-side
+// placement.
+func dispatchReleased(s *TaskNode, rc *relCtx, fanOut bool) {
 	chaosDepRelease()
+	s.fanOut = fanOut
 	team := s.team
 	hot := -1
 	var ectx any

@@ -268,9 +268,11 @@ type Stats struct {
 	// thread (release-to-self chaining): the enqueue/dequeue/wakeup round
 	// trip was skipped entirely. A subset of DepReleases.
 	TasksChained int64
-	// LocalReleases counts released tasks handed to the engine hot — routed
-	// to the releasing thread's own deque/stream/release-slot rather than the
-	// creator's. A subset of DepReleases, disjoint from TasksChained.
+	// LocalReleases counts released tasks handed to the engine hot, with the
+	// releasing thread's rank and context: routed to its own
+	// deque/stream/release-slot rather than the creator's — except fan-out
+	// on GLTO, which goes where the task-creation rule sends it (see
+	// TaskNode.FanOut). A subset of DepReleases, disjoint from TasksChained.
 	LocalReleases int64
 	// TasksCancelled counts tasks drained without executing because their
 	// taskgroup or region was cancelled (explicitly, by a recovered panic, or

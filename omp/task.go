@@ -36,6 +36,10 @@ type TaskNode struct {
 	// distribution, paper §IV-D) stay correct when the task is dispatched
 	// later from a producer-side buffer, possibly after the construct ended.
 	InSingleMaster bool
+	// fanOut marks a task its dependence release dispatched during the
+	// successor walk: one of the rest, not the successor the releaser kept
+	// (see releaseSuccessors and FanOut).
+	fanOut bool
 
 	// priority is the task's scheduling hint (the Priority option, clause
 	// priority(n)): 0..MaxTaskPriority, higher first. It is advisory —
@@ -119,6 +123,7 @@ func (n *TaskNode) reset(createdBy int) {
 	n.Final = false
 	n.Undeferred = false
 	n.InSingleMaster = false
+	n.fanOut = false
 	n.priority = 0
 	n.parent = nil
 	n.children.Store(0)
@@ -156,6 +161,15 @@ func (n *TaskNode) Children() int64 { return n.children.Load() }
 // barrier waits for it). It is set by PrepareTask; engines dispatching tasks
 // from a buffer use it to rebuild the execution context (see ExecTaskOn).
 func (n *TaskNode) Team() *Team { return n.team }
+
+// FanOut reports whether a dependence release handed the task to its engine
+// as fan-out: a successor released together with a better one that the
+// releaser kept, to run inline or to dispatch last. Engines whose streams do
+// not steal place fan-out by the task-creation rule instead of on the
+// releasing stream, so one release cannot queue a whole wave behind the
+// releaser's chain. It is false for the kept successor and for tasks never
+// released.
+func (n *TaskNode) FanOut() bool { return n.fanOut }
 
 // Generation reports the descriptor's recycle stamp. A party holding a
 // reference (creator until dispatch, executor until FinishTask, a child's
