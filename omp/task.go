@@ -36,9 +36,8 @@ type TaskNode struct {
 	// distribution, paper §IV-D) stay correct when the task is dispatched
 	// later from a producer-side buffer, possibly after the construct ended.
 	InSingleMaster bool
-	// fanOut marks a task its dependence release dispatched during the
-	// successor walk: one of the rest, not the successor the releaser kept
-	// (see releaseSuccessors and FanOut).
+	// fanOut is set by the dependence release that readied the task (see
+	// FanOut).
 	fanOut bool
 
 	// priority is the task's scheduling hint (the Priority option, clause
@@ -163,12 +162,12 @@ func (n *TaskNode) Children() int64 { return n.children.Load() }
 func (n *TaskNode) Team() *Team { return n.team }
 
 // FanOut reports whether a dependence release handed the task to its engine
-// as fan-out: a successor released together with a better one that the
-// releaser kept, to run inline or to dispatch last. Engines whose streams do
-// not steal place fan-out by the task-creation rule instead of on the
-// releasing stream, so one release cannot queue a whole wave behind the
-// releaser's chain. It is false for the kept successor and for tasks never
-// released.
+// as fan-out: a successor readied together with the one the releaser kept
+// (its best-priority ready successor, run inline or dispatched last). GLTO
+// places fan-out by its task-creation rule instead of on the releasing
+// stream, so one release cannot queue a whole wave behind the releaser's
+// chain on streams that never steal; the pthread engines ignore the mark. It
+// is false for the kept successor and for tasks never released.
 func (n *TaskNode) FanOut() bool { return n.fanOut }
 
 // Generation reports the descriptor's recycle stamp. A party holding a
