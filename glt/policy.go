@@ -115,6 +115,15 @@ func NewPolicyUnit(tag, home int) *Unit {
 	return u
 }
 
+// NewPolicyContinuation is NewPolicyUnit for a suspended continuation: the
+// unit reports Started() == true, as a ULT requeued after a yield does, so a
+// Policy driver can lay out pools that mix fresh spawns with polling waiters.
+func NewPolicyContinuation(tag, home int) *Unit {
+	u := NewPolicyUnit(tag, home)
+	u.promoted = true
+	return u
+}
+
 // SetHome re-targets a unit before its next Push, emulating what the engine
 // does on every dispatch (Unit.Home is engine-owned state). It exists for
 // Policy drivers and conformance harnesses; application code never calls it

@@ -25,6 +25,11 @@
 // over — and the transfer stays sound while the victim's deque indices wrap
 // and its ring grows. Backends without the capability skip that section.
 //
+// Run additionally drives a registered backend through the real engine:
+// for a policy whose Pop steals (Policy.Steals), a child spawned by a ULT
+// that spins without yielding must escape to the peer stream even though
+// that stream never idles, because it keeps running a yielding waiter.
+//
 // Third-party backends certify themselves by calling Run (for a registered
 // backend name) or Suite (for an unregistered constructor) from a test:
 //
@@ -38,24 +43,76 @@ package policytest
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/glt"
 )
 
 // Run exercises the conformance suite against a registered backend
-// (glt.NewPolicy), in both private-pool and shared-queue modes.
+// (glt.NewPolicy), in both private-pool and shared-queue modes, and then
+// the engine-level cases that need a runtime built from the backend name.
 func Run(t *testing.T, name string) {
 	t.Helper()
-	Suite(t, func() glt.Policy {
+	mk := func() glt.Policy {
 		p, err := glt.NewPolicy(name)
 		if err != nil {
 			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
 		return p
+	}
+	Suite(t, mk)
+	t.Run("Engine/SpinnerChildEscapes", func(t *testing.T) {
+		if !mk().Steals() {
+			t.Skip("policy's Pop does not steal")
+		}
+		spinnerChildEscapes(t, name)
 	})
+}
+
+// spinnerChildEscapes is the engine-level face of a stealing Pop's progress
+// guarantee. A ULT spins in Go code, never yielding, until a unit it spawned
+// on its own stream has run. The only other unit in the runtime is a waiter
+// that yields in a loop on the peer stream, so that stream always has a
+// unit to pop and never reaches the engine's idle path: only a steal from
+// inside Pop can move the child. It must run before the deadline; the
+// spinner gives up at the deadline, so a policy that strands the child
+// fails the case instead of hanging it.
+func spinnerChildEscapes(t *testing.T, name string) {
+	rt, err := glt.New(glt.Config{Backend: name, NumThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	deadline := time.Now().Add(10 * time.Second)
+	var childRan, rescued, stop atomic.Bool
+	var waitRank atomic.Int64
+	waitRank.Store(-1)
+	waiter := rt.Spawn(1, func(c *glt.Ctx) {
+		for !stop.Load() {
+			waitRank.Store(int64(c.Rank()))
+			c.Yield()
+		}
+	})
+	for waitRank.Load() < 0 && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	spinner := rt.Spawn(1-int(waitRank.Load()), func(c *glt.Ctx) {
+		c.Spawn(func(*glt.Ctx) { childRan.Store(true) })
+		for !childRan.Load() && time.Now().Before(deadline) {
+			runtime.Gosched() // hold the stream without yielding it
+		}
+		rescued.Store(childRan.Load())
+	})
+	spinner.Join()
+	stop.Store(true)
+	waiter.Join()
+	if !rescued.Load() {
+		t.Fatal("the spinning ULT's child never ran: the peer's pops kept returning the waiter")
+	}
 }
 
 // Suite exercises the conformance suite against a policy constructor. Each

@@ -222,6 +222,54 @@ func TestStealRescuesInboxBehindBusyOwner(t *testing.T) {
 	blocker.Join()
 }
 
+// probeLayout builds the two-stream state both probe tests start from, as
+// the policy sees it while a nested inner team runs: stream 0's deque holds
+// the given units (oldest, i.e. the steal end, first) and stream 1's only
+// work is a started waiter that the caller holds, as if running it. Stream 0
+// has popped twice, so its pop count is not the zero a fresh prober
+// remembers.
+func probeLayout(deque ...*glt.Unit) (p *policy, waiter *glt.Unit) {
+	p = &policy{}
+	p.Setup(2, false)
+	for i := 0; i < 2; i++ {
+		p.Push(0, 0, glt.NewPolicyUnit(-1, 0))
+		p.Pop(0)
+	}
+	for _, u := range deque {
+		p.streams[0].d.pushBottom(u)
+	}
+	return p, glt.NewPolicyContinuation(100, 1)
+}
+
+// TestProbeRescuesBehindStuckOwner pins the starvation case the Pop probe
+// exists for. Stream 0's owner runs a ULT that never yields, so its pop
+// count is frozen; its deque holds a started continuation at the steal end
+// with a fresh unit behind it. Stream 1 never idles — its pops return only
+// its own yielding waiter — so the engine's idle-path StealHalf never runs
+// for it, and the probe is the only way the fresh unit can leave stream 0.
+// It must come over within a bounded number of pops, even though the
+// continuation in front of it is a waiter.
+func TestProbeRescuesBehindStuckOwner(t *testing.T) {
+	cont := glt.NewPolicyContinuation(10, 0)
+	fresh := glt.NewPolicyUnit(11, 0)
+	p, waiter := probeLayout(cont, fresh)
+	p.Push(1, 1, waiter) // yield: requeue through the inbox
+	for i := 0; i < 64; i++ {
+		u := p.Pop(1)
+		switch {
+		case u == nil:
+			t.Fatalf("pop %d: stream 1 came up empty", i)
+		case u == fresh:
+			return
+		case u.Started():
+			p.Push(1, 1, u) // the popped waiter polls once and yields again
+		default:
+			t.Fatalf("pop %d: unexpected unit tag %d", i, u.Tag())
+		}
+	}
+	t.Fatal("the fresh unit behind a stuck owner's continuation never reached the busy peer")
+}
+
 // TestEngineIdleStealRescuesBurst runs the real engine: a burst spawned onto
 // one stream while the others are idle must spread across streams, and the
 // spreading must go through the engine's idle-path Stealer hook — ws's Pop
