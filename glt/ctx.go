@@ -81,8 +81,8 @@ func (c *Ctx) yieldTo(target int) {
 		return
 	}
 	t.stats.yields.Add(1)
-	if !u.promoted {
-		u.promoted = true
+	if !u.promoted.Load() {
+		u.promoted.Store(true)
 		t.stats.promotions.Add(1)
 	}
 	trace.Emit(t.rank, trace.KindUnitEnd, uint64(u.tag))
@@ -104,7 +104,7 @@ func (c *Ctx) yieldTo(target int) {
 		trace.Emit(t.rank, trace.KindUnitStart, uint64(u.tag))
 		runtime.Gosched()
 		return
-	case next != nil && next.promoted:
+	case next != nil && next.promoted.Load():
 		t.exec(next)
 	default:
 		c.rt.handoff(t, next)

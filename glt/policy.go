@@ -120,7 +120,7 @@ func NewPolicyUnit(tag, home int) *Unit {
 // Policy driver can lay out pools that mix fresh spawns with polling waiters.
 func NewPolicyContinuation(tag, home int) *Unit {
 	u := NewPolicyUnit(tag, home)
-	u.promoted = true
+	u.promoted.Store(true)
 	return u
 }
 

@@ -126,7 +126,7 @@ func (t *Thread) exec(u *Unit) *Thread {
 	// next yield. Disabled cost is one atomic load per emit.
 	trace.Emit(t.rank, trace.KindUnitStart, uint64(u.tag))
 	u.ctx.w = t // happens-before a resumed ULT observes it via the sched gate
-	if u.promoted {
+	if u.promoted.Load() {
 		t.stats.handoffs.Add(1)
 		t.give()
 		u.sched.signal()

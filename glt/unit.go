@@ -52,8 +52,9 @@ type Unit struct {
 	refs atomic.Int32
 	// promoted is set from the ULT's first yield on: its body keeps the
 	// goroutine it started on as a private stack, which a pop resumes.
-	// Written by the ULT before it requeues itself, read by its next popper.
-	promoted bool
+	// Written by the ULT before it requeues itself, read by its next popper
+	// and, through Started, by a policy peeking at a unit it has not claimed.
+	promoted atomic.Bool
 
 	home int // rank the unit was dispatched to
 	ctx  Ctx
@@ -107,8 +108,12 @@ func (u *Unit) Home() int { return u.home }
 
 // Started reports whether the unit is a suspended continuation — a ULT being
 // requeued after a yield — rather than a fresh spawn. Only meaningful inside
-// a Policy, where pool synchronization orders it against the writer.
-func (u *Unit) Started() bool { return u.promoted }
+// a Policy. On a unit the policy holds in a pool or has claimed, pool
+// synchronization orders the answer after the writer. A policy may also ask
+// about a unit it has not claimed (a thief peeking at a deque slot before
+// its claim CAS); that read is race-free, but the unit may meanwhile be
+// claimed, run, yield or be recycled, so the answer may be stale.
+func (u *Unit) Started() bool { return u.promoted.Load() }
 
 // Release returns a finished unit's descriptor to the runtime's free list
 // for reuse by later spawns. The caller asserts that every Join has returned
@@ -184,7 +189,7 @@ func (u *Unit) recycle() {
 	u.tag = 0
 	u.finished.Store(false)
 	u.join.rearm()
-	u.promoted = false
+	u.promoted.Store(false)
 	u.home = 0
 	u.ctx.w = nil
 }

@@ -44,6 +44,11 @@
 //     raids for an empty stream — division of labour with the engine keeps
 //     the rescue at exactly one point; only the loaded-stream progress
 //     probe (one unit every few pops, as in mth) steals from inside Pop.
+//     The probe leaves a victim that is making progress (its pop count
+//     moved since the last probe) all but a fresh unit at its deque top,
+//     so it never moves a working stream's polling waiters; a victim whose
+//     count stood still may be stuck under a ULT that never yields, and
+//     the probe takes its oldest unit, deque or inbox, whatever it is.
 //
 // Yielded continuations are requeued through the inbox rather than the deque
 // bottom: a polling ULT (a barrier waiter, a joining parent) goes to the
@@ -189,13 +194,24 @@ func (d *deque) popBottom() *glt.Unit {
 // is empty or the CAS was lost to a competitor. Reading the slot before the
 // CAS is safe: the owner never overwrites an index below its observed top
 // (it grows instead), so a successful CAS certifies the read.
-func (d *deque) stealTop() *glt.Unit {
+func (d *deque) stealTop() *glt.Unit { return d.stealTopIf(false) }
+
+// stealTopIf is stealTop that, with freshOnly set, leaves a started oldest
+// unit in place. The peek happens before the claim, so it reads a unit the
+// thief does not own and the answer may be stale; a successful CAS
+// certifies it, since a unit cannot run while it sits in the deque. A nil
+// slot is one a grow did not copy because the top has already passed it,
+// so the CAS would fail anyway.
+func (d *deque) stealTopIf(freshOnly bool) *glt.Unit {
 	t := d.top.Load()
 	b := d.bottom.Load()
 	if t >= b {
 		return nil
 	}
 	u := d.buf.Load().get(t)
+	if freshOnly && (u == nil || u.Started()) {
+		return nil
+	}
 	if !d.top.CompareAndSwap(t, t+1) {
 		return nil
 	}
@@ -281,9 +297,15 @@ type stream struct {
 	scratch []*glt.Unit // drainBox staging; retained so steady-state drains allocate nothing
 	rank    int         // own rank, for trace emission (set once in Setup)
 	rng     uint64
-	pops    uint64
-	stole   atomic.Uint64 // units stolen by this rank (read by StealsObserved)
-	_       [64]byte
+	// pops counts the owner's Pop calls. It paces the owner's progress probe
+	// and tells a prober whether this stream is making progress: stored by
+	// the owner only, loaded by the other streams' probes.
+	pops atomic.Uint64
+	// seen holds, per victim rank, the victim's pop count as of this
+	// stream's last probe of it. Owner-only.
+	seen  []uint64
+	stole atomic.Uint64 // units stolen by this rank (read by StealsObserved)
+	_     [64]byte
 }
 
 // drainBox moves the inbox backlog into the owner's deque in FIFO order and
@@ -489,6 +511,7 @@ func (p *policy) Setup(nthreads int, shared bool) {
 		p.streams[i].rank = i
 		p.streams[i].d.init()
 		p.streams[i].box.init()
+		p.streams[i].seen = make([]uint64, nthreads)
 		// Distinct splitmix streams per rank: the counter seeds differ by a
 		// constant unrelated to the splitmix gamma, and mix64 decorrelates.
 		p.streams[i].rng = uint64(i) * 0x6C62272E07BB0142
@@ -539,16 +562,21 @@ func (p *policy) PushBatch(from int, units []*glt.Unit) {
 //
 // The one exception is the periodic single-unit probe (as in the mth
 // backend): every few pops a *loaded* stream takes one unit from a victim,
-// so a stream cycling on polling continuations cannot starve loaded
-// neighbours. It deliberately takes one unit, not half — the probing stream
-// has work of its own, and bulk transfer between two loaded streams would
-// just ping-pong units.
+// so a stream cycling on polling continuations cannot starve a neighbour
+// whose current ULT never yields. It deliberately takes one unit, not half —
+// the probing stream has work of its own, and bulk transfer between two
+// loaded streams would just ping-pong units. What it may take depends on
+// whether the victim is making progress (see steal): from a stream whose
+// pop count moved since the last probe it takes only a fresh unit, so it
+// never moves a working stream's polling waiters; from a stream whose count
+// stood still it takes whatever is oldest, as the starvation rescue.
 func (p *policy) Pop(self int) *glt.Unit {
 	if p.shared != nil {
 		return p.shared.pop()
 	}
 	s := &p.streams[self]
-	s.pops++
+	pops := s.pops.Load() + 1
+	s.pops.Store(pops)
 	u := s.d.popBottom()
 	if u == nil {
 		if !s.drainBox() {
@@ -563,7 +591,7 @@ func (p *policy) Pop(self int) *glt.Unit {
 	// polling continuation cycling through the inbox, which is exactly the
 	// state that must not starve loaded neighbours. The stolen oldest runs
 	// first; our own unit goes back to the bottom and is popped next.
-	if s.pops%4 == 0 {
+	if pops%4 == 0 {
 		if v := p.steal(self, false); v != nil {
 			s.d.pushBottom(u)
 			return v
@@ -597,7 +625,13 @@ func (p *policy) StealHalf(self int) *glt.Unit {
 // victim's oldest unit is returned for immediate execution and, when half
 // is set, the ceiling half of the observed run moves into self's deque with
 // it. With half unset this is the single-unit progress probe of Pop, cheap
-// enough to run while the prober still has local work.
+// enough to run while the prober still has local work. The probe reads each
+// victim's pop count first. If it moved since self last probed that victim,
+// the victim is making progress and will reach its own work: the probe
+// takes its oldest deque unit only if that unit is fresh, and leaves its
+// inbox alone, because a started unit there is a polling waiter and moving
+// it gains no work. If the count stood still, the victim's current ULT may
+// never yield, and the probe raids it as StealHalf would, one unit only.
 func (p *policy) steal(self int, half bool) *glt.Unit {
 	n := len(p.streams)
 	if n == 1 {
@@ -622,16 +656,37 @@ func (p *policy) steal(self int, half bool) *glt.Unit {
 			continue
 		}
 		v := &p.streams[at]
-		if u := p.raidDeque(s, v, half); u != nil {
-			trace.Emit(self, trace.KindRaid, uint64(at))
-			return u
+		var u *glt.Unit
+		if !half && s.progressed(at, v) {
+			u = p.raidFresh(s, v)
+		} else if u = p.raidDeque(s, v, half); u == nil {
+			u = p.raidInbox(s, v, half)
 		}
-		if u := p.raidInbox(s, v, half); u != nil {
+		if u != nil {
 			trace.Emit(self, trace.KindRaid, uint64(at))
 			return u
 		}
 	}
 	return nil
+}
+
+// progressed reports whether victim v, of rank at, has popped since s last
+// asked, and remembers v's pop count for the next probe.
+func (s *stream) progressed(at int, v *stream) bool {
+	n := v.pops.Load()
+	moved := n != s.seen[at]
+	s.seen[at] = n
+	return moved
+}
+
+// raidFresh is the probe's raid on a victim that is making progress: its
+// oldest deque unit, and only if that unit has not started.
+func (p *policy) raidFresh(s, v *stream) *glt.Unit {
+	u := v.d.stealTopIf(true)
+	if u != nil {
+		s.stole.Add(1)
+	}
+	return u
 }
 
 // raidDeque steals from v's deque top. Each unit moves under its own top

@@ -270,6 +270,42 @@ func TestProbeRescuesBehindStuckOwner(t *testing.T) {
 	t.Fatal("the fresh unit behind a stuck owner's continuation never reached the busy peer")
 }
 
+// TestProbeLeavesProgressingVictimsWaiters is the other half of the probe
+// rule: a victim whose owner keeps popping is not starving, so the probe
+// takes only a fresh unit from it. Stream 0's deque holds a fresh unit at
+// the steal end, then a started continuation (an inner master polling at
+// its join), then another fresh unit; between any two of stream 1's pops,
+// stream 0's owner spawns and runs a child. The fresh unit at the steal end
+// must still come over, and the continuation must never be moved: moving a
+// waiter gains no work and strands its team across two streams.
+func TestProbeLeavesProgressingVictimsWaiters(t *testing.T) {
+	head := glt.NewPolicyUnit(10, 0)
+	cont := glt.NewPolicyContinuation(11, 0)
+	p, waiter := probeLayout(head, cont, glt.NewPolicyUnit(12, 0))
+	p.Push(1, 1, waiter)
+	freshCame := false
+	for i := 0; i < 64; i++ {
+		u := p.Pop(1)
+		switch {
+		case u == cont:
+			t.Fatalf("pop %d: the progressing victim's continuation was stolen", i)
+		case u == head:
+			freshCame = true
+		}
+		// Stream 0's owner makes progress while stream 1 runs u.
+		p.Push(0, 0, glt.NewPolicyUnit(-1, 0))
+		if v := p.Pop(0); v != nil && v.Started() {
+			p.Push(0, 0, v)
+		}
+		if u != nil && u.Started() {
+			p.Push(1, 1, u)
+		}
+	}
+	if !freshCame {
+		t.Error("the fresh unit at a progressing victim's steal end never came over")
+	}
+}
+
 // TestEngineIdleStealRescuesBurst runs the real engine: a burst spawned onto
 // one stream while the others are idle must spread across streams, and the
 // spreading must go through the engine's idle-path Stealer hook — ws's Pop
