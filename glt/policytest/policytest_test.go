@@ -3,7 +3,8 @@ package policytest_test
 // The four in-tree backends certify themselves against the conformance
 // suite — the same entry point a third-party backend would use. The ws
 // backend additionally runs the Stealer section (steal-half ownership
-// transfer, deque wraparound); the other three skip it.
+// transfer, deque wraparound); the other three skip it. ws and mth, whose
+// Pop steals, also run the engine-level spinner case; abt and qth skip it.
 
 import (
 	"os"
