@@ -100,6 +100,10 @@ func spinnerChildEscapes(t *testing.T, name string) {
 	for waitRank.Load() < 0 && time.Now().Before(deadline) {
 		runtime.Gosched()
 	}
+	if waitRank.Load() < 0 {
+		stop.Store(true)
+		t.Fatal("the waiter never started")
+	}
 	spinner := rt.Spawn(1-int(waitRank.Load()), func(c *glt.Ctx) {
 		c.Spawn(func(*glt.Ctx) { childRan.Store(true) })
 		for !childRan.Load() && time.Now().Before(deadline) {
