@@ -9,6 +9,7 @@ package omp
 // real concurrent recycling traffic to chew on.
 
 import (
+	"math/rand/v2"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -214,5 +215,177 @@ func TestTaskRingClaimExactlyOnce(t *testing.T) {
 	}
 	if n := resident.Load(); n != 0 {
 		t.Fatalf("resident gate reads %d after full drain, want 0", n)
+	}
+}
+
+// TestTaskSlotDrawReturnExactlyOnce drives one rank's descriptor pool
+// directly: two goroutines draw for the same rank at once (GLTO over ws or
+// mth can migrate a member, so two drawers can share a rank) while several
+// others return the drawn slots. No slot may be handed out twice while live,
+// every redraw must carry the generation its last return advanced to, and
+// the census must come back to its baseline once every slot is returned.
+func TestTaskSlotDrawReturnExactlyOnce(t *testing.T) {
+	const (
+		drawers   = 2
+		releasers = 4
+		perDrawer = 5000
+	)
+	EnableTaskSlotCensus(true)
+	defer EnableTaskSlotCensus(false)
+	base := LiveTaskSlots()
+	team := NewTeam(2, 0, Config{NumThreads: 2}.WithDefaults(), func(*TC) {})
+
+	// Per-slot witness: live while drawn, and the generation the slot's last
+	// return advanced it to.
+	type witness struct {
+		live atomic.Bool
+		gen  atomic.Uint32
+	}
+	var seen sync.Map // *TaskNode -> *witness
+	var twice, staleGen, recycledDraws atomic.Int64
+	ch := make(chan *TaskNode, 64)
+
+	var rel sync.WaitGroup
+	for r := 0; r < releasers; r++ {
+		rel.Add(1)
+		go func() {
+			defer rel.Done()
+			for n := range ch {
+				w, _ := seen.Load(n)
+				w.(*witness).gen.Store(n.Generation() + 1)
+				w.(*witness).live.Store(false)
+				n.Release()
+			}
+		}()
+	}
+	var draw sync.WaitGroup
+	for d := 0; d < drawers; d++ {
+		draw.Add(1)
+		go func() {
+			defer draw.Done()
+			for i := 0; i < perDrawer; i++ {
+				n := team.getTaskSlot(0)
+				v, _ := seen.LoadOrStore(n, new(witness))
+				w := v.(*witness)
+				if !w.live.CompareAndSwap(false, true) {
+					twice.Add(1) // drawn again before its return
+				}
+				if g := n.Generation(); g != w.gen.Load() {
+					staleGen.Add(1)
+				} else if g > 0 {
+					recycledDraws.Add(1)
+				}
+				n.reset(0)
+				ch <- n
+			}
+		}()
+	}
+	draw.Wait()
+	close(ch)
+	rel.Wait()
+
+	if n := twice.Load(); n != 0 {
+		t.Fatalf("%d draws handed out a slot that was still live", n)
+	}
+	if n := staleGen.Load(); n != 0 {
+		t.Fatalf("%d draws returned a slot whose generation is not the one its last return set", n)
+	}
+	if recycledDraws.Load() == 0 {
+		t.Fatal("no draw carried an advanced generation: returned slots were never redrawn")
+	}
+	if live := LiveTaskSlots(); live != base {
+		t.Fatalf("census reads %d live slots after every return, want %d", live, base)
+	}
+	t.Logf("%d draws, %d of recycled slots", drawers*perDrawer, recycledDraws.Load())
+}
+
+// TestParentRefsAcrossChildrenAndRetain pins the parent's half of the
+// reference protocol: a parent with N children, whose own execution
+// reference and children drop in random order while a tracer-style Retain
+// outlives them all. Children() must count down exactly as children finish,
+// the parent's generation must hold while any reference does, and the parent
+// must recycle exactly once, when the Retain drops last. A second phase
+// finishes the children concurrently.
+func TestParentRefsAcrossChildrenAndRetain(t *testing.T) {
+	const (
+		kids   = 16
+		rounds = 40
+	)
+	EnableTaskSlotCensus(true)
+	defer EnableTaskSlotCensus(false)
+	team := NewTeam(1, 0, Config{NumThreads: 1}.WithDefaults(), func(*TC) {})
+	top := NewTC(team, 0, nil, nil, nil)
+	rng := rand.New(rand.NewPCG(1, 2))
+
+	// spawn prepares a parent and its children, then takes the Retain.
+	spawn := func() (parent *TaskNode, children []*TaskNode) {
+		parent = PrepareTask(top, func(*TC) {})
+		ptc := &TC{team: team, num: 0, cur: parent}
+		for i := 0; i < kids; i++ {
+			children = append(children, PrepareTask(ptc, func(*TC) {}))
+			if got := parent.Children(); got != int64(i+1) {
+				t.Fatalf("Children() = %d after %d creations", got, i+1)
+			}
+		}
+		parent.Retain()
+		return parent, children
+	}
+	// settle drops the Retain and checks the parent recycled exactly once.
+	settle := func(parent *TaskNode, gen uint32, base int64) {
+		if got := parent.Generation(); got != gen {
+			t.Fatalf("parent generation moved %d -> %d under a Retain", gen, got)
+		}
+		parent.Release()
+		if got := parent.Generation(); got != gen+1 {
+			t.Fatalf("parent generation %d -> %d after the last reference, want one recycle", gen, got)
+		}
+		if live := LiveTaskSlots(); live != base {
+			t.Fatalf("census reads %d live slots after the last drop, want %d", live, base)
+		}
+	}
+
+	for round := 0; round < rounds; round++ {
+		base := LiveTaskSlots()
+		parent, children := spawn()
+		gen := parent.Generation()
+		left := kids
+		for _, k := range rng.Perm(kids + 1) {
+			if k == kids {
+				FinishTask(team, parent) // the parent's execution reference
+			} else {
+				FinishTask(team, children[k])
+				left--
+			}
+			if got := parent.Children(); got != int64(left) {
+				t.Fatalf("round %d: Children() = %d, want %d", round, got, left)
+			}
+			if got := parent.Generation(); got != gen {
+				t.Fatalf("round %d: parent recycled (generation %d -> %d) while referenced", round, gen, got)
+			}
+			if live := LiveTaskSlots() - base; live != int64(left+1) {
+				t.Fatalf("round %d: %d live slots with %d children left, want %d", round, live, left, left+1)
+			}
+		}
+		settle(parent, gen, base)
+	}
+
+	for round := 0; round < rounds; round++ {
+		base := LiveTaskSlots()
+		parent, children := spawn()
+		gen := parent.Generation()
+		var wg sync.WaitGroup
+		for _, c := range children {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				FinishTask(team, c)
+			}()
+		}
+		FinishTask(team, parent)
+		wg.Wait()
+		if got := parent.Children(); got != 0 {
+			t.Fatalf("round %d: Children() = %d after every child finished", round, got)
+		}
+		settle(parent, gen, base)
 	}
 }
