@@ -9,8 +9,8 @@ import "sync/atomic"
 // taskyield/untied tests check (paper Table I).
 //
 // Explicit-task nodes are pooled: PrepareTask draws a TaskNode+task-TC pair
-// from the team's sharded free lists and the last reference dropped at
-// FinishTask recycles it, so a steady-state tc.Task spawn allocates nothing —
+// from the creating rank's pool and the last reference dropped at FinishTask
+// returns it there, so a steady-state tc.Task spawn allocates nothing —
 // the per-ULT creation overhead the paper's Fig. 8/14 analysis identifies is
 // paid once per pool slot, not once per task. Lifetime is reference-counted
 // (see refs) because a task can outlive its parent's execution and vice
@@ -47,20 +47,22 @@ type TaskNode struct {
 	// Cholesky workload uses it to favour the critical path.
 	priority int8
 
-	parent   *TaskNode
-	children atomic.Int64
-	group    *TaskGroup
-	team     *Team
+	parent *TaskNode
+	group  *TaskGroup
+	team   *Team
 
-	// refs counts the parties that may still reach the node: its own
-	// execution (held from PrepareTask until FinishTask) plus one per
-	// unfinished child (a child dereferences its parent when it finishes, to
-	// drop the parent's child count) plus any Retain callers (tracers).
-	// Whoever drops the last reference recycles the descriptor into its
-	// team's pool — which is what makes the recycle safe against a parent
-	// that completed while children were still running, or children that
-	// finished after their parent's taskwait returned.
-	refs atomic.Int32
+	// refs packs the node's unfinished direct children (high 32 bits, what
+	// taskwait reads through Children) with the references that may still
+	// reach it (low 32 bits): its own execution (held from PrepareTask until
+	// FinishTask), one per unfinished child (a child dereferences its parent
+	// when it finishes, to drop the parent's child count) and any Retain
+	// callers (tracers). A child's creation adds childRef to its parent and
+	// its completion subtracts it, so each costs one RMW on the parent's
+	// line. Whoever drops the low half to zero recycles the descriptor into
+	// its team's pool — which is what makes the recycle safe against a
+	// parent that completed while children were still running, or children
+	// that finished after their parent's taskwait returned.
+	refs atomic.Uint64
 	// gen is the recycle generation, bumped every time the descriptor
 	// returns to the pool. A party holding a reference must never observe it
 	// change; the recycling white-box tests assert exactly that under -race.
@@ -125,7 +127,6 @@ func (n *TaskNode) reset(createdBy int) {
 	n.fanOut = false
 	n.priority = 0
 	n.parent = nil
-	n.children.Store(0)
 	n.group = nil
 	n.team = nil
 	n.refs.Store(1)
@@ -153,8 +154,12 @@ func (n *TaskNode) reset(createdBy int) {
 // rearm resets a pooled implicit-task node for its next region (Team.Run).
 func (n *TaskNode) rearm(createdBy int) { n.reset(createdBy) }
 
+// childRef is one child's share of its parent's refs word: a child count in
+// the high half and the reference the child holds in the low half.
+const childRef = 1<<32 | 1
+
 // Children reports the number of unfinished direct children.
-func (n *TaskNode) Children() int64 { return n.children.Load() }
+func (n *TaskNode) Children() int64 { return int64(n.refs.Load() >> 32) }
 
 // Team returns the team the task is bound to (the region whose implicit
 // barrier waits for it). It is set by PrepareTask; engines dispatching tasks
@@ -203,8 +208,13 @@ func (n *TaskNode) Release() { n.release(nil) }
 
 // release is Release with the releaser's context attached, so a dependence
 // release can chain or hot-dispatch (see relCtx).
-func (n *TaskNode) release(rc *relCtx) {
-	if n.refs.Add(-1) != 0 {
+func (n *TaskNode) release(rc *relCtx) { n.drop(1, rc) }
+
+// drop subtracts d from refs — 1 for a plain reference, childRef for a
+// finishing child — and runs the last-reference path when the reference
+// half reaches zero.
+func (n *TaskNode) drop(d uint64, rc *relCtx) {
+	if uint32(n.refs.Add(-d)) != 0 {
 		return
 	}
 	if n.depActive {
@@ -360,8 +370,7 @@ func drainTask(team *Team, node *TaskNode, rc *relCtx) {
 	}
 	emitTrace(func(tr Tracer) { tr.TaskCancel(team, node) })
 	if p := node.parent; p != nil {
-		p.children.Add(-1)
-		p.release(rc)
+		p.drop(childRef, rc)
 	}
 	g := node.group
 	node.release(rc)
@@ -411,8 +420,7 @@ func finishTask(team *Team, node *TaskNode, rc *relCtx) {
 	// callback).
 	emitTrace(func(tr Tracer) { tr.TaskEnd(team, node) })
 	if p := node.parent; p != nil {
-		p.children.Add(-1)
-		p.release(rc)
+		p.drop(childRef, rc)
 	}
 	g := node.group
 	node.release(rc)
@@ -439,8 +447,7 @@ func PrepareTask(tc *TC, fn func(*TC), opts ...TaskOpt) *TaskNode {
 		o(node)
 	}
 	if node.parent != nil {
-		node.parent.children.Add(1)
-		node.parent.Retain()
+		node.parent.refs.Add(childRef)
 	}
 	if tc.group != nil {
 		node.group = tc.group

@@ -148,15 +148,18 @@ func TestTaskDescriptorRecycling(t *testing.T) {
 		t.Fatalf("%d generation violations: recycled task descriptors aliased live references", n)
 	}
 	// The pool must really be recycling: after 25 regions x 4 ranks x 36
-	// tasks, the shards hold warmed slots whose generations have advanced.
+	// tasks, the shards hold warmed slots whose generations have advanced,
+	// on their free lists or still on their returned stacks.
 	var pooled, recycled int
 	for i := range team.taskPools {
 		sh := &team.taskPools[i]
 		sh.mu.Lock()
-		for s := sh.free; s != nil; s = s.next {
-			pooled++
-			if s.node.Generation() > 0 {
-				recycled++
+		for _, head := range []*taskSlot{sh.free, sh.returned.Load()} {
+			for s := head; s != nil; s = s.next {
+				pooled++
+				if s.node.Generation() > 0 {
+					recycled++
+				}
 			}
 		}
 		sh.mu.Unlock()

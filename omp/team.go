@@ -63,15 +63,17 @@ type Team struct {
 	sections loopTable  // sections instances, by per-member sections seq
 	singles  claimTable // single-construct claims, by per-member single seq
 
-	// taskPools are the sharded free lists of explicit-task descriptors
+	// taskPools are the per-rank pools of explicit-task descriptors
 	// (TaskNode + task-scoped TC pairs), one shard per rank so producers on
 	// different threads never contend on one lock. PrepareTask draws from the
-	// creating rank's shard; the last reference dropped (usually FinishTask)
-	// recycles into the creator's shard, keeping descriptors warm where the
-	// producer will spawn next. The slots — like the engine data — survive
-	// descriptor reuse, which is what makes the steady-state tc.Task spawn
-	// allocation-free across the hundreds of thousands of regions of the
-	// CloverLeaf and CG experiments.
+	// creating rank's shard under its lock; the last reference dropped
+	// (usually FinishTask, on whichever thread ran the task) pushes the slot
+	// back onto that shard's lock-free returned stack, keeping descriptors
+	// warm where the producer will spawn next without the returning consumer
+	// ever taking the producer's lock (see taskShard). The slots — like the
+	// engine data — survive descriptor reuse, which is what makes the
+	// steady-state tc.Task spawn allocation-free across the hundreds of
+	// thousands of regions of the CloverLeaf and CG experiments.
 	taskPools []taskShard
 
 	// rings is the raid registry: every producer-side overflow ring that has
@@ -310,35 +312,50 @@ func (t *Team) claimSingle(seq int64) bool {
 // taskSlot is one pooled explicit-task descriptor: the TaskNode and the
 // task-scoped TC its body runs under, allocated together so one pool hit
 // serves both halves of a task's footprint. The node's slot back-pointer is
-// set once, at allocation; the free list threads through next.
+// set once, at allocation; the free list and the returned stack thread
+// through next.
 type taskSlot struct {
 	node TaskNode
 	tc   TC
 	next *taskSlot
-	// shard is the free list this slot recycles into, captured when the
-	// slot is drawn. Releasing through the captured pointer (instead of
-	// re-indexing t.taskPools) keeps a late Release — a tracer dropping a
-	// Retain after the region ended — from racing Team.prepare's pool-array
-	// replacement on the recycled descriptor: the shard struct itself is
-	// stable, and a slot pushed into an orphaned shard is simply collected.
+	// shard is the pool this slot returns to, captured when the slot is
+	// drawn. Returning through the captured pointer (instead of re-indexing
+	// t.taskPools) keeps a late Release — a tracer dropping a Retain after
+	// the region ended — from racing Team.prepare's pool-array replacement
+	// on the recycled descriptor: the shard struct itself is stable, and a
+	// slot pushed into an orphaned shard is simply collected.
 	shard *taskShard
 }
 
-// taskShard is one rank's free list of task descriptors. Padded so
-// neighbouring ranks' list heads do not share a cache line.
+// taskShard is one rank's pool of task descriptors, split by side so the
+// rank's producer and the consumers finishing its tasks never take one lock.
+// Draws pop free under mu: the mutex stays because two goroutines can draw
+// for one rank when ws or mth migrates a member, and nothing else contends
+// for it. Returns never lock: they CAS-push onto the lock-free returned
+// stack, and a draw that finds free empty takes the whole stack with one
+// Swap as its new free list. The stack is ABA-free because no thread ever
+// reads next of a node it has not claimed: a push links only the slot it
+// owns above whatever head it read, and the drawer walks next only on slots
+// its Swap took out. The two sides sit on separate cache lines.
 type taskShard struct {
-	mu   sync.Mutex
-	free *taskSlot
-	_    [48]byte
+	mu       sync.Mutex
+	free     *taskSlot
+	_        [48]byte
+	returned atomic.Pointer[taskSlot]
+	_        [56]byte
 }
 
-// getTaskSlot pops a pooled descriptor from rank's shard, allocating only
-// when the shard is empty (the cold start of a task storm). The caller owns
-// the node until it registers references through PrepareTask.
+// getTaskSlot draws a pooled descriptor from rank's shard, refilling the
+// free list from the returned stack when it runs dry and allocating only
+// when both are empty (the cold start of a task storm). The caller owns the
+// node until it registers references through PrepareTask.
 func (t *Team) getTaskSlot(rank int) *TaskNode {
 	sh := &t.taskPools[rank%len(t.taskPools)]
 	sh.mu.Lock()
 	s := sh.free
+	if s == nil {
+		s = sh.returned.Swap(nil)
+	}
 	if s != nil {
 		sh.free = s.next
 	}
@@ -354,19 +371,23 @@ func (t *Team) getTaskSlot(rank int) *TaskNode {
 	return &s.node
 }
 
-// putTaskSlot recycles a descriptor into the shard it was drawn from. Called
-// by TaskNode.Release after the generation stamp has advanced; deliberately
-// touches nothing on the Team, so it stays safe however late the last
-// reference drops.
+// putTaskSlot returns a descriptor to the shard it was drawn from by pushing
+// it onto the shard's returned stack, so the thread dropping a task's last
+// reference never waits on the producer's draws. Called by TaskNode.release
+// after the generation stamp has advanced; deliberately touches nothing on
+// the Team, so it stays safe however late the last reference drops.
 func putTaskSlot(s *taskSlot) {
 	if censusOn.Load() {
 		liveSlots.Add(-1)
 	}
 	sh := s.shard
-	sh.mu.Lock()
-	s.next = sh.free
-	sh.free = s
-	sh.mu.Unlock()
+	for {
+		h := sh.returned.Load()
+		s.next = h
+		if sh.returned.CompareAndSwap(h, s) {
+			return
+		}
+	}
 }
 
 // ringDirSlots is the per-rank capacity of the raid directory: how many
