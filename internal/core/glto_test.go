@@ -117,11 +117,15 @@ func TestTaskBecomesULT(t *testing.T) {
 func TestRoundRobinDispatchFromSingle(t *testing.T) {
 	// Tasks created inside single are distributed round-robin over the
 	// streams: with 4 streams and enough tasks, several streams must
-	// execute some, even under the non-stealing abt backend.
+	// execute some, even under the non-stealing abt backend. The burst is
+	// flushed before any member reaches a barrier: a waiter there raids the
+	// producer's ring, and one or two early waiters can take the whole burst
+	// before it is dispatched.
 	rt := newGLTO(t, "abt", 4)
 	var perThread [4]atomic.Int64
+	var flushed atomic.Bool
 	rt.Parallel(func(tc *omp.TC) {
-		tc.Single(func() {
+		singleOnRank0(tc, &flushed, func() {
 			for i := 0; i < 64; i++ {
 				tc.Task(func(ttc *omp.TC) {
 					perThread[ttc.ThreadNum()].Add(1)
