@@ -433,9 +433,10 @@ func finishTask(team *Team, node *TaskNode, rc *relCtx) {
 // PrepareTask builds the TaskNode for a tc.Task call — drawn from the team's
 // descriptor pool, so steady-state task creation allocates nothing — and
 // registers it with the parent task and the team counters. The parent gains a
-// reference (the child must be able to drop the parent's child count whenever
-// it finishes, even long after the parent's own execution completed). It is
-// exported for runtime engines; application code uses tc.Task.
+// child and a reference in one atomic add of childRef (the child must be able
+// to drop the parent's child count whenever it finishes, even long after the
+// parent's own execution completed). It is exported for runtime engines;
+// application code uses tc.Task.
 func PrepareTask(tc *TC, fn func(*TC), opts ...TaskOpt) *TaskNode {
 	node := tc.team.getTaskSlot(tc.num)
 	node.reset(tc.num)
