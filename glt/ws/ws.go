@@ -73,6 +73,7 @@ import (
 
 	"repro/glt"
 	"repro/glt/trace"
+	"repro/internal/tour"
 )
 
 func init() {
@@ -296,7 +297,7 @@ type stream struct {
 	box     inbox
 	scratch []*glt.Unit // drainBox staging; retained so steady-state drains allocate nothing
 	rank    int         // own rank, for trace emission (set once in Setup)
-	rng     uint64
+	rng     tour.Rand   // steal-tour starts; owner-only
 	// pops counts the owner's Pop calls. It paces the owner's progress probe
 	// and tells a prober whether this stream is making progress: stored by
 	// the owner only, loaded by the other streams' probes.
@@ -512,9 +513,9 @@ func (p *policy) Setup(nthreads int, shared bool) {
 		p.streams[i].d.init()
 		p.streams[i].box.init()
 		p.streams[i].seen = make([]uint64, nthreads)
-		// Distinct splitmix streams per rank: the counter seeds differ by a
-		// constant unrelated to the splitmix gamma, and mix64 decorrelates.
-		p.streams[i].rng = uint64(i) * 0x6C62272E07BB0142
+		// Distinct tour streams per rank: the seeds differ by a constant
+		// unrelated to the splitmix gamma, and the mixer decorrelates.
+		p.streams[i].rng = tour.Rand(uint64(i) * 0x6C62272E07BB0142)
 	}
 }
 
@@ -617,11 +618,11 @@ func (p *policy) StealHalf(self int) *glt.Unit {
 // first victim with stealable work — its deque first, its inbox when the
 // deque is empty (work can be stranded in the inbox of a stream whose
 // current ULT never yields; the inbox's per-unit claim CAS makes the raid
-// safe without a lock). The tour starts at a per-stream pseudo-random rank
-// (splitmix counter, no math/rand) so N idle thieves fan out over victims
-// instead of stampeding the same one, and from the start alternates outward
-// — start, start±1, start∓1, start±2, ... with the direction also drawn
-// from the rank's stream — visiting near ranks before far ones. The
+// safe without a lock). The tour (internal/tour) starts at a pseudo-random
+// rank in a pseudo-random direction, drawn from the stream's own tour
+// stream, so N idle thieves fan out over victims instead of stampeding the
+// same one, and alternates outward from the start, visiting near ranks
+// before far ones. The
 // victim's oldest unit is returned for immediate execution and, when half
 // is set, the ceiling half of the observed run moves into self's deque with
 // it. With half unset this is the single-unit progress probe of Pop, cheap
@@ -638,20 +639,9 @@ func (p *policy) steal(self int, half bool) *glt.Unit {
 		return nil
 	}
 	s := &p.streams[self]
-	r := p.nextRand(self)
-	start := int(r % uint64(n))
-	flip := 1
-	if r&(1<<63) != 0 {
-		flip = -1
-	}
+	start, dir := s.rng.Start(n)
 	for k := 0; k < n; k++ {
-		// Signed alternation: offsets 0, +1, -1, +2, -2, ... from start
-		// (mirrored when flip is negative) visit all n ranks, nearest first.
-		d := (k + 1) / 2
-		if k%2 == 0 {
-			d = -d
-		}
-		at := ((start+flip*d)%n + n) % n
+		at := tour.At(start, dir, k, n)
 		if at == self {
 			continue
 		}
@@ -762,24 +752,4 @@ func (p *policy) StealsObserved() uint64 {
 		total += p.streams[i].stole.Load()
 	}
 	return total
-}
-
-// nextRand advances the per-rank splitmix64 counter and returns its mixed
-// output: one add, a few multiply-xor-shifts, no math/rand, no shared
-// state. Only the owning stream calls it for its rank.
-func (p *policy) nextRand(self int) uint64 {
-	p.streams[self].rng += 0x9E3779B97F4A7C15
-	return mix64(p.streams[self].rng)
-}
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64, so
-// consecutive counter values map to decorrelated tour starts.
-func mix64(z uint64) uint64 {
-	z *= 0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
 }

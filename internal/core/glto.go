@@ -43,6 +43,7 @@ import (
 	"repro/glt"
 	_ "repro/glt/backends"
 	"repro/glt/trace"
+	"repro/internal/tour"
 	"repro/omp"
 )
 
@@ -118,10 +119,10 @@ type drainEntry struct {
 // neighbouring streams' publishes do not false-share.
 type drainDir struct {
 	slot [drainSlots]drainEntry
-	// rng is the owning stream's splitmix tour counter. stealBufferedTask
-	// runs only on the owner's scheduler goroutine (the idle-drain hook and
-	// the owner's own scheduling points), so plain arithmetic suffices.
-	rng uint64
+	// rng is the owning stream's tour stream. stealBufferedTask runs only
+	// on the owner's scheduler goroutine (the idle-drain hook and the
+	// owner's own scheduling points), so it needs no synchronization.
+	rng tour.Rand
 	_   [64]byte
 }
 
@@ -229,31 +230,19 @@ func (rt *Runtime) delist(t *omp.Team, stream, h int) {
 // touring the stream-indexed registry — lock-free end to end: atomic entry
 // loads here, and the per-rank ring-directory raid inside
 // StealBufferedTaskFrom. The tour is convoy-aware: it starts at a
-// pseudo-random directory drawn from the idle stream's own splitmix counter
-// (so N streams going idle on the same burst fan out over producers instead
-// of stampeding one) and alternates outward from the start, visiting near
-// directories before far ones. A team whose epoch no longer matches its
-// entry is mid-publish or recycled and is skipped; the claim itself is
-// recycle-safe regardless (see omp's ringSet), the stamp just spares raiding
-// a descriptor that has moved on.
+// pseudo-random directory in a pseudo-random direction, drawn from the idle
+// stream's own tour stream (so N streams going idle on the same burst fan
+// out over producers instead of stampeding one), and alternates outward
+// from the start, visiting near directories before far ones (see
+// internal/tour). A team whose epoch no longer matches its entry is
+// mid-publish or recycled and is skipped; the claim itself is recycle-safe
+// regardless (see omp's ringSet), the stamp just spares raiding a
+// descriptor that has moved on.
 func (rt *Runtime) stealBufferedTask(rank int) *omp.TaskNode {
 	n := len(rt.drainTab)
-	self := &rt.drainTab[rank%n]
-	self.rng += 0x9E3779B97F4A7C15
-	r := mix64(self.rng)
-	start := int(r % uint64(n))
-	flip := 1
-	if r&(1<<63) != 0 {
-		flip = -1
-	}
+	start, dir := rt.drainTab[rank%n].rng.Start(n)
 	for k := 0; k < n; k++ {
-		// Signed alternation: offsets 0, +1, -1, +2, -2, ... (mirrored when
-		// flip is negative) visit all n directories, nearest-to-start first.
-		off := (k + 1) / 2
-		if k%2 == 0 {
-			off = -off
-		}
-		d := &rt.drainTab[((start+flip*off)%n+n)%n]
+		d := &rt.drainTab[tour.At(start, dir, k, n)]
 		for j := range d.slot {
 			e := &d.slot[j]
 			t := e.team.Load()
@@ -291,25 +280,12 @@ func (rt *Runtime) drainBufferedTask(rank int) bool {
 	}
 	// The rescue is a raid on the producer's overflow ring; stamp it on the
 	// idle stream's timeline with the raided producer as the victim. (The
-	// omp-level steal-tour hook already fired inside the team's directory
-	// tour; this is the glt-side view of the same event.)
+	// raid itself already credited TasksStolenFromBuffer and fired the
+	// omp-level StealTour; this is the glt-side view of the same event.)
 	trace.Emit(rank, trace.KindRaid, uint64(node.CreatedBy))
-	rt.Counters.TasksStolenFromBuffer.Add(1)
 	rt.Counters.ULTsCreated.Add(1)
 	rt.g.SpawnDetachedFrom(rank, rank, rt.taskBody, node, rt.cfg.Tasklets)
 	return true
-}
-
-// mix64 is the splitmix64 finalizer: a bijective avalanche over uint64, so
-// consecutive counter values map to decorrelated tour starts.
-func mix64(z uint64) uint64 {
-	z *= 0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
 }
 
 // Name reports "glto".
@@ -555,27 +531,16 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx a
 	e.rt.g.SpawnDetachedArg(target, e.rt.taskBody, node, e.rt.cfg.Tasklets)
 }
 
-// TryRunTask is the wait step's task hook: it raids the team's producer-side
-// overflow rings and executes one claimed task inline. Waiters do not poll an
-// engine queue for *dispatched* tasks: those are ULTs living in the GLT
+// TryRunTask is the wait step's hunt: tc.Hunt raids the team's producer-side
+// overflow rings and executes one claimed task inline. Waiters do not poll
+// an engine queue for *dispatched* tasks: those are ULTs living in the GLT
 // pools, so yielding in Idle *is* how waiting threads execute them — the
 // stream's scheduler picks the task ULTs up between yields. Ring-resident
 // tasks are different: they are not units yet, so waiters claim them here
-// (the same raid the pthread engines' waiters perform) before falling back
+// (the same raid that ends the pthread engines' hunt) before falling back
 // to a yield. Every wait that calls the step is a task scheduling point, so
 // running the claimed task there is legal, exactly as on the pthread engines.
-func (e *engine) TryRunTask(tc *omp.TC) bool {
-	node := tc.StealBufferedTask()
-	if node == nil {
-		return false
-	}
-	e.rt.Counters.TasksStolenFromBuffer.Add(1)
-	if node.CreatedBy != tc.ThreadNum() {
-		e.rt.Counters.TasksStolen.Add(1)
-	}
-	omp.ExecTask(tc, node)
-	return true
-}
+func (e *engine) TryRunTask(tc *omp.TC) bool { return tc.Hunt(nil, 0) }
 
 // Taskwait yields until the current task's children complete.
 func (e *engine) Taskwait(tc *omp.TC) {

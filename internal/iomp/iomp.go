@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/pthread"
 	"repro/internal/ptpool"
+	"repro/internal/tour"
 	"repro/omp"
 )
 
@@ -216,20 +217,16 @@ func (Queue) Pop(tc *omp.TC) (*omp.TaskNode, int) {
 	return node, 0
 }
 
-// Steal tours the other deques in near-first alternation — distances +1,
-// -1, +2, -2, ... from the caller, so idle threads fan out over victims
-// instead of convoying rank-upward from the same origin — and takes the
-// oldest task of the first non-empty one, crediting one StealAttempt per
-// probe.
+// Steal tours the other deques near-first from the caller (internal/tour,
+// forward direction: distances +1, -1, +2, -2, ...), so idle threads fan
+// out over victims instead of convoying rank-upward from the same origin,
+// and takes the oldest task of the first non-empty one, crediting one
+// StealAttempt per probe.
 func (Queue) Steal(tc *omp.TC, c *omp.Counters) (*omp.TaskNode, int) {
 	deques := dequesOf(tc.Team())
 	self, size := tc.ThreadNum(), tc.Team().Size
 	for i := 1; i < size; i++ {
-		off := (i + 1) / 2
-		if i%2 == 0 {
-			off = -off
-		}
-		v := &deques[((self+off)%size+size)%size]
+		v := &deques[tour.At(self, 1, i, size)]
 		c.StealAttempts.Add(1)
 		v.mu.Lock()
 		if len(v.q) > 0 {

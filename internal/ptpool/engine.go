@@ -19,11 +19,11 @@ type TaskQueue interface {
 	// unbuffered spawn, or a release by a thread with no team context).
 	Place(team *omp.Team, node *omp.TaskNode, hot int)
 	// Pop claims a task from the caller's own queue. Steal claims one from
-	// the other queues, crediting c with any probe accounting of its own. A
-	// claim with visited > 0 is a steal: the engine credits TasksStolen and
-	// reports a found tour of that many queues. A Steal that finds nothing
-	// returns the queues it probed, and the ring raid after it is one stop
-	// further along the same tour.
+	// the other queues, crediting c with any probe accounting of its own.
+	// Both report the queues they probed, and the engine hands the claim
+	// and that count to omp's TC.Hunt: a claim with visited > 0 is a steal,
+	// and a Steal that finds nothing has its probes counted into the same
+	// StealTour as the ring raid that follows it.
 	Pop(tc *omp.TC) (node *omp.TaskNode, visited int)
 	Steal(tc *omp.TC, c *omp.Counters) (node *omp.TaskNode, visited int)
 	// Backlog reports how many tasks wait in rank's own queue, which the
@@ -142,36 +142,19 @@ func (e *Engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any)
 	e.queue.Place(team, node, hot)
 }
 
-// TryRunTask is the wait step's task hook: the caller's own queue, then the
-// other queues, then a raid on the members' producer-side overflow rings, so
-// a burst buffered by a busy producer runs now rather than at the producer's
-// next scheduling point. (The native runtimes have no analogue — their
-// producers take the queue lock per task; the raid keeps the batched
-// design's task visibility no worse than the paper's.)
+// TryRunTask is the wait step's hunt: the caller's own queue, then the other
+// queues, then tc.Hunt, which raids the members' producer-side overflow rings
+// if the queues came up empty, so a burst buffered by a busy producer runs
+// now rather than at the producer's next scheduling point. (The native
+// runtimes have no analogue — their producers take the queue lock per task;
+// the raid keeps the batched design's task visibility no worse than the
+// paper's.)
 func (e *Engine) TryRunTask(tc *omp.TC) bool {
 	node, visited := e.queue.Pop(tc)
 	if node == nil {
 		node, visited = e.queue.Steal(tc, &e.Counters)
 	}
-	if node == nil {
-		if node = tc.StealBufferedTask(); node == nil {
-			if visited > 0 {
-				omp.TraceStealTour(tc.Team(), visited, false)
-			}
-			return false
-		}
-		e.Counters.TasksStolenFromBuffer.Add(1)
-		visited++
-		if node.CreatedBy == tc.ThreadNum() {
-			visited = 0
-		}
-	}
-	if visited > 0 {
-		e.Counters.TasksStolen.Add(1)
-		omp.TraceStealTour(tc.Team(), visited, true)
-	}
-	omp.ExecTask(tc, node)
-	return true
+	return tc.Hunt(node, visited)
 }
 
 // Taskwait runs queued tasks until the current task's children are done.

@@ -13,6 +13,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tour"
 )
 
 // barrierOps is the minimal EngineOps a barrier-only region needs: waits
@@ -120,8 +122,9 @@ func TestBarrierSpinBudgetClamps(t *testing.T) {
 
 // TestRandomizedTourExactlyOnce is the determinism check behind the
 // randomized near-first raid tour: producers on every rank of a wide team
-// buffer tasks while several identity-less raiders (Team.StealBufferedTask,
-// whose tour start comes from the team's splitmix seed) claim concurrently.
+// buffer tasks while several identity-less raiders
+// (Team.StealBufferedTaskFrom, each drawing its tour starts from its own
+// tour.Rand) claim concurrently.
 // Randomizing where each tour begins must change only the visit order —
 // every buffered task still surfaces exactly once, and the tour must still
 // reach all ranks' rings.
@@ -162,12 +165,14 @@ func TestRandomizedTourExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Identity-less consumer: a fresh TC per claim would be the GLTO
-			// engine's shape; the no-arg Team entry point draws its tour
-			// start from the team seed instead of a rank rotor.
+			// Identity-less consumer, the GLTO idle-drain shape: the tour
+			// start comes from the raider's own random stream instead of a
+			// rank rotor.
 			sink := NewTC(team, 0, nil, nil, nil)
+			rng := tour.Rand(r)
 			for claimed.Load() < total {
-				if node := team.StealBufferedTask(); node != nil {
+				from, _ := rng.Start(team.Size)
+				if node := team.StealBufferedTaskFrom(from); node != nil {
 					ExecTask(sink, node)
 					claimed.Add(1)
 					continue

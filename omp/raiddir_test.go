@@ -1,7 +1,7 @@
 package omp
 
 // White-box tests for the contention-free consumer path: the per-rank ring
-// directories behind Team.StealBufferedTask and the lock-free single-
+// directories behind the wait step's raid (TC.raid) and the lock-free single-
 // construct claim table. These are the targeted tests behind the "no mutex
 // acquisition on the steady-state raid path" guarantee — they drive the
 // exact concurrency shapes the mutex registry used to serialize (and, for
@@ -71,7 +71,7 @@ func TestRingDirectoryTwoProducersOneRaider(t *testing.T) {
 	raider := tcs[2]
 	start := time.Now()
 	for claimed.Load() < 2*perRank {
-		if node := raider.StealBufferedTask(); node != nil {
+		if node, _ := raider.raid(); node != nil {
 			ExecTask(raider, node)
 			claimed.Add(1)
 			continue
@@ -119,13 +119,13 @@ func TestRingDirectorySpill(t *testing.T) {
 	}
 	consumer := NewTC(team, 1, nil, nil, nil)
 	for i := 0; i < producers; i++ {
-		node := consumer.StealBufferedTask()
+		node, _ := consumer.raid()
 		if node == nil {
 			t.Fatalf("claimed %d of %d rings' tasks (spill entries unreachable?)", i, producers)
 		}
 		ExecTask(consumer, node)
 	}
-	if node := consumer.StealBufferedTask(); node != nil {
+	if node, _ := consumer.raid(); node != nil {
 		t.Fatal("claim after drain returned a task")
 	}
 	if got := ran.Load(); got != producers {
@@ -177,7 +177,7 @@ func TestStealBufferedTaskStaleTeamSafe(t *testing.T) {
 		}
 		// Drain what the raider did not take, as a scheduling point would.
 		for {
-			node := tc.StealBufferedTask()
+			node, _ := tc.raid()
 			if node == nil {
 				break
 			}

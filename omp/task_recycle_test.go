@@ -61,9 +61,8 @@ func (e *recycleEngine) TryRunTask(tc *TC) bool {
 	}
 	e.mu.Unlock()
 	if node == nil {
-		// Queue dry: raid the overflow rings, as the real engines do.
-		node = tc.Team().StealBufferedTask()
-		if node == nil {
+		// Queue dry: raid the overflow rings, as the real engines' hunt does.
+		if node, _ = tc.raid(); node == nil {
 			return false
 		}
 	}

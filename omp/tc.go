@@ -38,9 +38,10 @@ type TC struct {
 	group *TaskGroup
 
 	// raidRotor is this consumer's cursor into the team's per-rank ring
-	// directories: StealBufferedTask starts its tour here and parks the
-	// rotor on whichever rank yielded a task, so concurrent raiders spread
-	// over the producers instead of convoying on the lowest published rank.
+	// directories: the wait step's raid (TC.Hunt) starts its tour here and
+	// parks the rotor on whichever rank yielded a task, so concurrent
+	// raiders spread over the producers instead of convoying on the lowest
+	// published rank.
 	// Single-threaded like the rest of the TC, so no atomics needed.
 	raidRotor int
 
@@ -121,11 +122,13 @@ type EngineOps interface {
 	// engine's normal dequeue paths (ExecTask/ExecTaskOn), which settle the
 	// same completion bookkeeping as any queued task.
 	ReleaseTask(team *Team, node *TaskNode, hot int, ectx any)
-	// TryRunTask executes one queued task of the team if the engine's
-	// tasking structures hold one, reporting whether it did. Its one caller
-	// is the wait step (TC.WaitStep). All engines can at minimum raid the
-	// team's overflow rings (TC.StealBufferedTask) — including GLTO, whose
-	// queued task ULTs are otherwise scheduled by the streams during Idle.
+	// TryRunTask is the wait step's hunt (TC.WaitStep is its one caller): it
+	// claims what the engine's own tasking structures hold, if anything,
+	// and hands the claim — or nil — to tc.Hunt, which raids the team's
+	// overflow rings if needed, does the steal accounting, reports the
+	// hunt's one StealTour and runs the task. It returns Hunt's report of
+	// whether a task ran. GLTO hunts its rings only (tc.Hunt(nil, 0)): its
+	// queued task ULTs are scheduled by the streams during Idle.
 	TryRunTask(tc *TC) bool
 	// Idle is the engine's waiting primitive: spin hint for pthread
 	// engines, cooperative yield for ULT engines. The wait step calls it
@@ -204,11 +207,12 @@ func (tc *TC) InSingleMaster() bool { return tc.inSM }
 // taskRing is the fixed-capacity single-producer/multi-consumer overflow
 // ring behind a TC's task buffer. The owning thread is the only producer:
 // it writes the slot, then publishes by advancing tail. Consumers — idle
-// team members raiding through Team.StealBufferedTask, and the producer
-// itself when it drains at a scheduling point — claim entries by CASing
-// head forward; the slot they read is certified by the CAS (the producer
-// never overwrites index i until head has passed i, and head passing i
-// fails the claimant's CAS).
+// team members raiding through the wait step's hunt, idle glt streams
+// through Team.StealBufferedTaskFrom, and the producer itself when it
+// drains at a scheduling point — claim entries by CASing head forward; the
+// slot they read is certified by the CAS (the producer never overwrites
+// index i until head has passed i, and head passing i fails the claimant's
+// CAS).
 type taskRing struct {
 	head atomic.Int64
 	tail atomic.Int64
@@ -303,17 +307,53 @@ func (tc *TC) BufferTask(node *TaskNode, limit int) bool {
 	return r.size() >= int64(limit)
 }
 
-// StealBufferedTask claims one task from some team member's overflow ring
-// through this consumer's raid rotor (see raidRotor) — the preferred raid
-// entry point for engines, since it keeps concurrent raiders from touring
-// the per-rank directories in lockstep. The claimed node is ready for
-// ExecTask on this thread.
-func (tc *TC) StealBufferedTask() *TaskNode {
-	node, at := tc.team.stealBuffered(tc.raidRotor)
+// raid claims one task from some team member's overflow ring through this
+// consumer's raid rotor (see raidRotor), reporting the directories it
+// probed. The claimed node is ready for ExecTask on this thread.
+func (tc *TC) raid() (*TaskNode, int) {
+	node, at, visited := tc.team.stealBuffered(tc.raidRotor)
 	if node != nil {
 		tc.raidRotor = at
 	}
-	return node
+	return node, visited
+}
+
+// Hunt ends the wait step's hunt for a task; every engine's TryRunTask
+// finishes with it. node is whatever the engine's own queues yielded (nil
+// for none) and visited the queues it probed to get there: a claim with
+// visited > 0 is a steal. If the queues yielded nothing, Hunt raids the
+// team's overflow rings through this consumer's rotor, so a burst buffered
+// by a busy producer runs now rather than at the producer's next scheduling
+// point; a claim from another member's ring is a steal. Hunt credits
+// TasksStolen and TasksStolenFromBuffer on the team's counter block, reports
+// one StealTour of every queue and ring directory probed (none if nothing
+// was probed), runs the task on this thread and reports whether there was
+// one.
+func (tc *TC) Hunt(node *TaskNode, visited int) bool {
+	stolen, raided := visited > 0, false
+	if node == nil {
+		var toured int
+		node, toured = tc.raid()
+		visited += toured
+		raided = node != nil
+		stolen = raided && node.CreatedBy != tc.num
+	}
+	if visited > 0 {
+		emitTrace(func(tr Tracer) { tr.StealTour(tc.team, visited, node != nil) })
+	}
+	if node == nil {
+		return false
+	}
+	if o := tc.team.owner; o != nil {
+		if raided {
+			o.Counters.TasksStolenFromBuffer.Add(1)
+		}
+		if stolen {
+			o.Counters.TasksStolen.Add(1)
+		}
+	}
+	ExecTask(tc, node)
+	return true
 }
 
 // BufferedTasks reports how many created-but-not-yet-dispatched tasks sit in

@@ -4,6 +4,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/tour"
 )
 
 // Team is the shared state of one parallel region: the data behind every
@@ -78,17 +80,11 @@ type Team struct {
 
 	// rings is the raid registry: every producer-side overflow ring that has
 	// held a task this region, enlisted by the producer on its first push.
-	// Idle consumers walk it through StealBufferedTask, which is what makes
+	// Idle consumers walk it through the wait step's hunt (TC.Hunt) and the
+	// glt idle-drain hook's StealBufferedTaskFrom, which is what makes
 	// the producer-side buffer visible between the producer's scheduling
 	// points (the consumer-visible half of the paper's Fig. 14 analysis).
 	rings ringSet
-
-	// tourSeed feeds the splitmix-mixed random tour starts of identity-less
-	// raiders (Team.StealBufferedTask): a plain counter whose mixed value
-	// picks the directory the next tour begins at, so concurrent raiders
-	// with no rank of their own spread over the producers instead of all
-	// starting at rank 0. Raiders with an identity use the TC's rotor.
-	tourSeed atomic.Uint64
 
 	critMu sync.Mutex
 	crit   map[string]*sync.Mutex
@@ -413,7 +409,7 @@ type ringDir struct {
 // Producers enlist once per region (on the ring's first push, guarded by the
 // ring's listed flag) into their own rank's directory; raiders tour the
 // per-rank directories starting from a per-consumer rotor (see
-// TC.StealBufferedTask), so the steady-state raid path performs no mutex
+// TC.raidRotor), so the steady-state raid path performs no mutex
 // acquisition: one atomic load on the resident gate, atomic slot loads along
 // the tour, one CAS to claim. The registry's only mutex guards the spill
 // list, reachable solely when a rank published more than ringDirSlots rings
@@ -430,8 +426,8 @@ type ringDir struct {
 type ringSet struct {
 	// resident counts tasks currently sitting in enlisted rings: pushes
 	// increment, successful claims decrement (see taskRing.resident). The
-	// raid fast path reads it alone — barrier waiters spin through
-	// StealBufferedTask on every iteration, so both a region that never
+	// raid fast path reads it alone — barrier waiters spin through the
+	// wait step's hunt on every iteration, so both a region that never
 	// buffers (the CloverLeaf/CG region-respawn hot path) and a region whose
 	// bursts have drained must cost one atomic load, not a shared lock.
 	resident atomic.Int64
@@ -503,84 +499,52 @@ func (rs *ringSet) reset(size int) {
 // non-empty.
 func (t *Team) enlistRing(r *taskRing, rank int) { t.rings.add(r, rank) }
 
-// StealBufferedTask claims one task from some member's producer-side
-// overflow ring, or returns nil when every enlisted ring is empty. It is the
-// consumer half of the overflow design: engines call it from their idle and
-// wait paths (and the glt engine from its pre-park drain hook), so a burst
-// buffered by a busy producer is picked up by idle threads instead of
-// waiting for the producer's next scheduling point. The claimed node is
-// ready for ExecTask/ExecTaskOn on any team thread.
-//
-// The tour starts at a splitmix-randomized rank (see tourSeed); engines
-// with a consumer identity should prefer TC.StealBufferedTask (per-consumer
-// rotor, which parks on a productive producer) or StealBufferedTaskFrom.
-// Either way concurrent raiders spread over the producers instead of
-// convoying on the lowest published rank.
-func (t *Team) StealBufferedTask() *TaskNode {
-	if t.rings.resident.Load() <= 0 {
-		return nil // keep the empty fast path one load, no RMW on the seed
-	}
-	start := int(mix64(t.tourSeed.Add(1)) % uint64(t.Size))
-	node, _ := t.stealBuffered(start)
-	return node
-}
-
-// mix64 is the splitmix64 finalizer: a cheap stateless mixer turning a
-// counter into a well-distributed pseudo-random value, so tour starts need
-// no math/rand (and no locked rand state) on the raid hot path.
-func mix64(z uint64) uint64 {
-	z *= 0x9E3779B97F4A7C15
-	z ^= z >> 30
-	z *= 0xBF58476D1CE4E5B9
-	z ^= z >> 27
-	z *= 0x94D049BB133111EB
-	z ^= z >> 31
-	return z
-}
-
-// StealBufferedTaskFrom is StealBufferedTask with the directory tour
-// starting at rank start (mod the team size). The glt idle-drain hook seeds
-// it with the idle stream's rank.
+// StealBufferedTaskFrom claims one task from some member's producer-side
+// overflow ring, touring the per-rank ring directories from rank start (mod
+// the team size), or returns nil when every enlisted ring is empty. It is
+// the raid of consumers with no thread context on the team — the glt
+// idle-drain hook seeds it with the idle stream's rank — so it credits
+// TasksStolenFromBuffer and reports its own StealTour; team members raid
+// through the wait step's hunt (TC.Hunt) instead. The claimed node is ready
+// for ExecTask/ExecTaskOn on any team thread.
 func (t *Team) StealBufferedTaskFrom(start int) *TaskNode {
-	node, _ := t.stealBuffered(start)
+	node, _, visited := t.stealBuffered(start)
+	if node != nil {
+		if o := t.owner; o != nil {
+			o.Counters.TasksStolenFromBuffer.Add(1)
+		}
+	}
+	if visited > 0 {
+		emitTrace(func(tr Tracer) { tr.StealTour(t, visited, node != nil) })
+	}
 	return node
 }
 
 // stealBuffered tours the per-rank ring directories from start and claims
-// the first available task, reporting the rank it was found at so
-// per-consumer rotors can stick with a productive producer. The tour is
-// near-first: after start itself, directories are visited in order of
-// increasing rank distance (start+1, start-1, start+2, ...), so a raider
-// whose start encodes its own locality (a TC rotor, GLTO's stream rank)
-// reaches nearby producers before far ones and concurrent raiders with
-// different starts diverge immediately instead of converging on one victim.
-// Lock-free on the steady-state path; the spill list's mutex is touched
-// only when a directory overflowed this region.
-func (t *Team) stealBuffered(start int) (*TaskNode, int) {
+// the first available task, reporting the rank it was found at, so
+// per-consumer rotors can stick with a productive producer, and the number
+// of directories it probed, for the caller's StealTour. The tour is
+// near-first (see internal/tour, forward direction): a raider whose start
+// encodes its own locality (a TC rotor, GLTO's stream rank) reaches nearby
+// producers before far ones and concurrent raiders with different starts
+// diverge immediately instead of converging on one victim. A tour that
+// never starts (the one-load empty fast path) probes nothing, so idle
+// spinners do not flood the tracer with zero-length tours. Lock-free on the
+// steady-state path; the spill list's mutex is touched only when a
+// directory overflowed this region.
+func (t *Team) stealBuffered(start int) (node *TaskNode, at, visited int) {
 	rs := &t.rings
 	if rs.resident.Load() <= 0 {
-		return nil, start // nothing ring-resident anywhere: one atomic load
+		return nil, start, 0 // nothing ring-resident anywhere: one atomic load
 	}
 	chaosRaid()
-	// visited counts the directories this tour actually probed, reported to
-	// the tracer's steal-tour hook. Tours that never start (the one-load
-	// empty fast path above) report nothing, so idle spinners do not flood
-	// the tracer with zero-length tours.
-	visited := 0
 	if dp := rs.dirs.Load(); dp != nil {
 		n := len(*dp)
 		if start < 0 {
 			start = 0
 		}
 		for k := 0; k < n; k++ {
-			// Signed alternation: offsets 0, +1, -1, +2, -2, ... visit each
-			// of the n directories exactly once (for even n the antipode
-			// +n/2 lands on the final, odd k).
-			d := (k + 1) / 2
-			if k%2 == 0 {
-				d = -d
-			}
-			at := ((start+d)%n + n) % n
+			at := tour.At(start, 1, k, n)
 			dir := &(*dp)[at]
 			visited++
 			for j := range dir.slot {
@@ -589,8 +553,7 @@ func (t *Team) stealBuffered(start int) (*TaskNode, int) {
 					break // slots fill densely; nil ends the published prefix
 				}
 				if node := r.claim(); node != nil {
-					emitTrace(func(tr Tracer) { tr.StealTour(t, visited, true) })
-					return node, at
+					return node, at, visited
 				}
 			}
 		}
@@ -600,14 +563,12 @@ func (t *Team) stealBuffered(start int) (*TaskNode, int) {
 		for _, r := range rs.spill {
 			if node := r.claim(); node != nil {
 				rs.spillMu.Unlock()
-				emitTrace(func(tr Tracer) { tr.StealTour(t, visited+1, true) })
-				return node, start
+				return node, start, visited + 1
 			}
 		}
 		rs.spillMu.Unlock()
 	}
-	emitTrace(func(tr Tracer) { tr.StealTour(t, visited, false) })
-	return nil, start
+	return nil, start, visited
 }
 
 // BufferedTaskCount reports how many tasks currently sit in the team's

@@ -54,10 +54,11 @@ type Tracer interface {
 	// took (chained inline, hot to the releaser's rank, or the creator-side
 	// fallback through ReleaseTask).
 	DepRelease(team *Team, node *TaskNode, path DepPath)
-	// StealTour fires when a consumer completes a tour over buffered-task
-	// queues (the team's overflow-ring directories, an engine's deques):
-	// visited is the number of queues probed, found whether the tour
-	// claimed a task.
+	// StealTour fires once per hunt that probed anything: once per wait
+	// step (TC.Hunt), for the engine's queues and the team's overflow-ring
+	// directories together, and once per idle-drain raid of a team's rings
+	// (Team.StealBufferedTaskFrom). visited is the number of queues and
+	// directories probed, found whether the hunt claimed a task.
 	StealTour(team *Team, visited int, found bool)
 	// BarrierEnter and BarrierExit bracket each thread's wait at any team
 	// barrier (explicit, work-sharing, or region-end), including the task
@@ -119,14 +120,6 @@ func emitTrace(f func(Tracer)) {
 	if p := activeTracer.Load(); p != nil {
 		f(*p)
 	}
-}
-
-// TraceStealTour reports a completed steal tour to the active tracer; a
-// no-op (one atomic load) when tracing is off. Exported for runtime engines,
-// whose deque tours live outside this package; the shared overflow-ring
-// tour (Team.StealBufferedTask) reports itself.
-func TraceStealTour(team *Team, visited int, found bool) {
-	emitTrace(func(tr Tracer) { tr.StealTour(team, visited, found) })
 }
 
 // CountingTracer is a ready-made Tracer that counts events, usable as a

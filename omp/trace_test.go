@@ -11,7 +11,10 @@ import (
 // hot path (region dispatch, member brackets, task lifecycle, barrier
 // brackets, steal tours) performs one atomic load and zero allocations. The
 // closures capture only values already live in the caller's frame, so the
-// compiler keeps them on the stack when f is not invoked.
+// compiler keeps them on the stack when f is not invoked. The wait step's
+// hunt (TC.Hunt), which reports its steal tour the same way, is pinned end
+// to end: a hunt that finds a task in a member's ring and runs it, and one
+// that probes queues and finds nothing.
 func TestEmitTraceDisabledAllocFree(t *testing.T) {
 	if prev := SetTracer(nil); prev != nil {
 		defer SetTracer(prev)
@@ -30,10 +33,25 @@ func TestEmitTraceDisabledAllocFree(t *testing.T) {
 		emitTrace(func(tr Tracer) { tr.BarrierExit(tc) })
 		emitTrace(func(tr Tracer) { tr.MemberEnd(tc) })
 		emitTrace(func(tr Tracer) { tr.RegionEnd(team) })
-		TraceStealTour(team, 3, true)
+		emitTrace(func(tr Tracer) { tr.StealTour(team, 3, true) })
 	})
 	if got != 0 {
 		t.Errorf("disabled-tracer hook paths allocate %.2f/op, want 0", got)
+	}
+
+	_, tcs := raidTeam(2)
+	body := func(*TC) {}
+	got = testing.AllocsPerRun(200, func() {
+		tcs[0].BufferTask(PrepareTask(tcs[0], body), 8)
+		if !tcs[1].Hunt(nil, 0) {
+			t.Fatal("found hunt: the buffered task was not raided")
+		}
+		if tcs[1].Hunt(nil, 2) {
+			t.Fatal("failed hunt ran a task")
+		}
+	})
+	if got != 0 {
+		t.Errorf("disabled-tracer hunts allocate %.2f/op, want 0", got)
 	}
 }
 

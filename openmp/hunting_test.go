@@ -3,14 +3,15 @@ package openmp_test
 // The hunting-order test: on each runtime it pins the order in which one
 // task-scheduling wait step (TC.WaitStep, which asks the engine's TryRunTask
 // for one task) visits the places a runnable task can sit, and the steal
-// accounting and StealTour trace events each stage emits:
+// accounting and StealTour trace events it emits. Every step ends in omp's
+// TC.Hunt, so a step reports at most one tour: the engine queues it probed
+// plus the ring directories it toured.
 //
 //   - gomp: own release slot → shared queue (FIFO) → the other ranks' release
 //     slots, swept upward from the hunter → overflow-ring raid;
 //   - iomp: own deque (LIFO) → steal tour in signed alternation (+1, -1, ...),
-//     oldest task first, one StealAttempt per probe → ring raid, reported as a
-//     tour of the whole team; a hunt that finds nothing reports a failed tour
-//     of size-1;
+//     oldest task first, one StealAttempt per probe → ring raid; a hunt that
+//     finds nothing with every ring empty reports a failed tour of size-1;
 //   - GLTO: ring raid only — its queued tasks are ULTs its streams run between
 //     yields.
 //
@@ -196,7 +197,7 @@ var huntRows = []struct {
 			{ran: "Q2", stolen: 1, tours: tours(hit1)},
 			{ran: "S2", stolen: 1, tours: tours(hit1)},
 			{ran: "S0", stolen: 1, tours: tours(hit1)},
-			{ran: "R1", stolen: 1, fromBuffer: 1, tours: tours(hit3, hit1)},
+			{ran: "R1", stolen: 1, fromBuffer: 1, tours: tours(hit3)},
 			{},
 		},
 	},
@@ -214,7 +215,7 @@ var huntRows = []struct {
 			{ran: "B1", stolen: 1, attempts: 1, tours: tours(hit1)},
 			{ran: "B2", stolen: 1, attempts: 1, tours: tours(hit1)},
 			{ran: "C1", stolen: 1, attempts: 2, tours: tours(hit2)},
-			{ran: "R1", stolen: 1, fromBuffer: 1, attempts: 2, tours: tours(hit3, hit3)},
+			{ran: "R1", stolen: 1, fromBuffer: 1, attempts: 2, tours: tours(huntTour{5, true})},
 			{attempts: 2, tours: tours(huntTour{2, false})},
 		},
 	},
