@@ -629,11 +629,11 @@ func BenchmarkCancelStorm(b *testing.B) {
 // its overflow ring and then spins below any scheduling point, so the burst
 // can only drain through the other N-1 members raiding the ring concurrently
 // from the single's implicit barrier (plus, on GLTO, idle execution streams
-// through the engine drain hook). Every claimed task crosses
-// Team.StealBufferedTask, which makes this the benchmark for the raid
-// registry's synchronization: with the mutex ringSet all raiders serialized
-// on one team lock; with the per-rank ring directories the steady-state raid
-// performs no mutex acquisition at all. steals/op counts the tasks that
+// through the engine drain hook). Every claimed task crosses the ring raid
+// (TC.Hunt or Team.StealBufferedTaskFrom), which makes this the benchmark
+// for the raid registry's synchronization: with the mutex ringSet all
+// raiders serialized on one team lock; with the per-rank ring directories
+// the steady-state raid performs no mutex acquisition at all. steals/op counts the tasks that
 // moved through the raid path per region (== tasks/op when nothing leaked to
 // a flush). The harness's `contention` experiment runs the same shape as a
 // thread sweep; BENCH_consumer_contention.json records the before/after

@@ -333,7 +333,7 @@ func init() {
 			labels := variantLabels(variants)
 			tbl := NewTable(fmt.Sprintf("Raid-path drain time per %d-task burst (1 producer, N-1 raiders), %d reps", tasks, reps),
 				"threads", labels)
-			steals := NewTable("Ring raids per burst (tasks claimed through Team.StealBufferedTask)",
+			steals := NewTable("Ring raids per burst (tasks claimed from the overflow rings)",
 				"threads", labels)
 			for _, n := range cfg.Threads {
 				if n < 2 {

@@ -228,7 +228,7 @@ func TestRegionDeadlineCancels(t *testing.T) {
 			defer close(done)
 			rt.Parallel(omp.WithDeadline(time.Millisecond, func(tc *omp.TC) {
 				tc.Master(func() {
-					for i := 0; i < 1 << 14; i++ {
+					for i := 0; i < 1<<14; i++ {
 						tc.Task(func(*omp.TC) {
 							executed.Add(1)
 							time.Sleep(10 * time.Microsecond)
