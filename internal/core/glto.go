@@ -309,12 +309,16 @@ func (rt *Runtime) GLT() *glt.Runtime { return rt.g }
 func (rt *Runtime) RunRegion(t *omp.Team) {
 	n := t.Size
 	rt.Counters.ULTsCreated.Add(int64(n))
-	// Rank 0 lands on stream 0 (SpawnTeam places rank i on stream i mod
-	// streams), so the team is published under stream 0's directory.
-	h := rt.enlist(t, 0)
 	slot := rt.slots.Get().(*regionSlot)
 	slot.team = t
 	units := rt.g.SpawnTeam(n, slot.fn, slot.units)
+	// Publish the team to idle streams only now that every member is queued
+	// on its stream: a stream pops before it drains, so it runs its own
+	// member before it can raid the team's rings, and a stream still
+	// waiting for its member cannot rescue a burst its member would run.
+	// Rank 0 lands on stream 0 (SpawnTeam places rank i on stream i mod
+	// streams), so the team is published under stream 0's directory.
+	h := rt.enlist(t, 0)
 	for _, u := range units {
 		u.Join()
 	}
