@@ -622,12 +622,11 @@ func (p *policy) StealHalf(self int) *glt.Unit {
 // rank in a pseudo-random direction, drawn from the stream's own tour
 // stream, so N idle thieves fan out over victims instead of stampeding the
 // same one, and alternates outward from the start, visiting near ranks
-// before far ones. The
-// victim's oldest unit is returned for immediate execution and, when half
-// is set, the ceiling half of the observed run moves into self's deque with
-// it. With half unset this is the single-unit progress probe of Pop, cheap
-// enough to run while the prober still has local work. The probe reads each
-// victim's pop count first. If it moved since self last probed that victim,
+// before far ones. The victim's oldest unit is returned for immediate
+// execution and, when half is set, the ceiling half of the observed run
+// moves into self's deque with it. With half unset this is the single-unit
+// progress probe of Pop, cheap enough to run while the prober still has
+// local work. The probe reads each victim's pop count first. If it moved since self last probed that victim,
 // the victim is making progress and will reach its own work: the probe
 // takes its oldest deque unit only if that unit is fresh, and leaves its
 // inbox alone, because a started unit there is a polling waiter and moving

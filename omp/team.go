@@ -532,12 +532,13 @@ func (t *Team) StealBufferedTaskFrom(start int) *TaskNode {
 // spinners do not flood the tracer with zero-length tours. Lock-free on the
 // steady-state path; the spill list's mutex is touched only when a
 // directory overflowed this region.
-func (t *Team) stealBuffered(start int) (node *TaskNode, at, visited int) {
+func (t *Team) stealBuffered(start int) (*TaskNode, int, int) {
 	rs := &t.rings
 	if rs.resident.Load() <= 0 {
 		return nil, start, 0 // nothing ring-resident anywhere: one atomic load
 	}
 	chaosRaid()
+	visited := 0
 	if dp := rs.dirs.Load(); dp != nil {
 		n := len(*dp)
 		if start < 0 {
