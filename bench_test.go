@@ -504,8 +504,7 @@ func BenchmarkTaskSpawn(b *testing.B) {
 // the ordinary queue/ring/steal fabric. The problem shape is fixed (4000
 // rows, 50-row chunks) so the series tracks subsystem overhead, not kernel
 // FLOPS; releases/op confirms the DAG actually parked (≈ chunks-1 when the
-// producer outruns the consumers). BENCH_dep_wavefront.json records the
-// trajectory via the bench-diff harness.
+// producer outruns the consumers).
 func BenchmarkDepWavefront(b *testing.B) {
 	w := dataflow.NewWavefront(4000, 50, 7)
 	variants := []harness.Variant{
@@ -541,8 +540,7 @@ func BenchmarkDepWavefront(b *testing.B) {
 // chain this DAG has wide fan-out (one POTRF releases a panel of TRSMs) and
 // fan-in (each GEMM joins two inputs), so it exercises the best-successor
 // selection and the hot/chained dispatch split rather than pure chain
-// latency. BENCH_dep_cholesky.json records the trajectory via the bench-diff
-// harness.
+// latency.
 func BenchmarkDepCholesky(b *testing.B) {
 	c := dataflow.NewCholesky(8, 24, 1)
 	variants := []harness.Variant{
@@ -580,8 +578,7 @@ func BenchmarkDepCholesky(b *testing.B) {
 // spawn-time drains. ns/op is therefore the cost of unwinding ~2k tasks
 // through rings, deques and dep cascades without running them; drained/op
 // confirms the storm actually cancelled (≈ half the graph when the producer
-// outruns the consumers). BENCH_cancel_storm.json records the trajectory via
-// the bench-diff harness.
+// outruns the consumers).
 func BenchmarkCancelStorm(b *testing.B) {
 	tasks := shortN(4096, 512)
 	variants := []harness.Variant{
@@ -636,8 +633,7 @@ func BenchmarkCancelStorm(b *testing.B) {
 // the steady-state raid performs no mutex acquisition at all. steals/op counts the tasks that
 // moved through the raid path per region (== tasks/op when nothing leaked to
 // a flush). The harness's `contention` experiment runs the same shape as a
-// thread sweep; BENCH_consumer_contention.json records the before/after
-// baseline.
+// thread sweep.
 func BenchmarkConsumerContention(b *testing.B) {
 	// Full size stays below the 256-slot ring, so no flush can rescue the
 	// burst; the -short size keeps the same property while letting the CI
@@ -730,8 +726,7 @@ func runBarrierBench(b *testing.B, v harness.Variant, width, barriers int) {
 // flat epoch barrier (2, 8) and the combining tree (32), on both pthread
 // engines and two GLT backends. The w32-flat variants pin the tree's
 // counterfactual by forcing the flat topology through
-// omp.SetBarrierTreeThreshold; the harness's bench-diff mode records both
-// in BENCH_barrier.json so the tree-vs-flat delta is tracked per commit.
+// omp.SetBarrierTreeThreshold, so one run shows the tree-vs-flat delta.
 func BenchmarkBarrier(b *testing.B) {
 	const barriers = 64
 	widths := []int{2, 8, 32}
@@ -770,8 +765,7 @@ func BenchmarkBarrier(b *testing.B) {
 // with tracing fully off (the hooks' one-atomic-load fast path) and with
 // the whole stack live (FlightTracer feeding a flight recorder and the
 // latency histograms). The enabled/disabled ratio is the number the
-// flight-recorder design is accountable to; BENCH_trace_overhead.json
-// records both series per commit via the bench-diff harness.
+// flight-recorder design is accountable to.
 func BenchmarkTraceOverhead(b *testing.B) {
 	const tasks = 32
 	variants := []harness.Variant{

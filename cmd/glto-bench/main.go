@@ -8,8 +8,8 @@
 //	glto-bench -exp all -threads 1,2,4,8 -reps 3 -scale 0.5
 //
 // Each experiment prints a threads-by-series table in the layout of the
-// corresponding paper figure; EXPERIMENTS.md records a reference run and the
-// comparison against the paper's curves.
+// corresponding paper figure. End-to-end numbers for the paper's workloads
+// come from `go run ./benchmark` instead.
 package main
 
 import (

@@ -117,16 +117,17 @@ type Config struct {
 }
 
 // FromEnv fills unset fields of c from the GLT_* environment variables and
-// returns the result.
+// returns the result. Values are case-insensitive and may carry surrounding
+// whitespace, as in omp.Config.FromEnv.
 func (c Config) FromEnv() Config {
 	if c.Backend == "" {
-		c.Backend = os.Getenv("GLT_IMPL")
+		c.Backend = strings.ToLower(strings.TrimSpace(os.Getenv("GLT_IMPL")))
 	}
 	if c.Backend == "" {
-		c.Backend = os.Getenv("GLT_BACKEND")
+		c.Backend = strings.ToLower(strings.TrimSpace(os.Getenv("GLT_BACKEND")))
 	}
 	if c.NumThreads == 0 {
-		if v, err := strconv.Atoi(os.Getenv("GLT_NUM_THREADS")); err == nil && v > 0 {
+		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("GLT_NUM_THREADS"))); err == nil && v > 0 {
 			c.NumThreads = v
 		}
 	}
@@ -142,7 +143,7 @@ func (c Config) FromEnv() Config {
 // envBool interprets the common truthy spellings, matching the omp layer's
 // environment handling so GLT_* and GLTO_* switches accept the same values.
 func envBool(name string) bool {
-	switch strings.ToLower(os.Getenv(name)) {
+	switch strings.ToLower(strings.TrimSpace(os.Getenv(name))) {
 	case "1", "true", "yes", "on":
 		return true
 	}

@@ -342,13 +342,19 @@ func TestStatsAccounting(t *testing.T) {
 }
 
 func TestConfigFromEnv(t *testing.T) {
-	t.Setenv("GLT_IMPL", "qth")
-	t.Setenv("GLT_NUM_THREADS", "3")
-	t.Setenv("GLT_SHARED_QUEUES", "1")
-	c := glt.Config{}.FromEnv()
-	if c.Backend != "qth" || c.NumThreads != 3 || !c.SharedQueues {
-		t.Errorf("FromEnv = %+v", c)
+	// Values are case-insensitive and may carry surrounding whitespace, as
+	// in the omp layer; the second row spells them so.
+	for _, env := range [][4]string{{"qth", "3", "1", "true"}, {" QTH ", " 3", " On ", "TRUE "}} {
+		t.Setenv("GLT_IMPL", env[0])
+		t.Setenv("GLT_NUM_THREADS", env[1])
+		t.Setenv("GLT_SHARED_QUEUES", env[2])
+		t.Setenv("GLT_PER_UNIT_DISPATCH", env[3])
+		c := glt.Config{}.FromEnv()
+		if c.Backend != "qth" || c.NumThreads != 3 || !c.SharedQueues || !c.PerUnitDispatch {
+			t.Errorf("FromEnv(%q) = %+v", env, c)
+		}
 	}
+	t.Setenv("GLT_PER_UNIT_DISPATCH", "")
 	// Explicit settings win over the environment.
 	c2 := glt.Config{Backend: "abt", NumThreads: 7}.FromEnv()
 	if c2.Backend != "abt" || c2.NumThreads != 7 {

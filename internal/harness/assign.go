@@ -28,6 +28,26 @@ func init() {
 	})
 }
 
+// assignVariants are the runtimes the assign experiment compares: both
+// pthread engines and the bracketing GLT backends (abt as the mutex-pool
+// representative, ws as the lock-free one).
+var assignVariants = []Variant{
+	{"GCC", "gomp", ""},
+	{"Intel", "iomp", ""},
+	{"GLTO(ABT)", "glto", "abt"},
+	{"GLTO(WS)", "glto", "ws"},
+}
+
+// scaledIters shrinks an iteration count by cfg.Scale with a floor, so the
+// smoke scale (-scale 0.05) still crosses every code path.
+func scaledIters(cfg Config, full, min int) int {
+	n := int(float64(full) * cfg.Scale)
+	if n < min {
+		n = min
+	}
+	return n
+}
+
 // assignSpin is the fixed busy-work member body: large enough that the
 // execution side is non-trivial at every thread count, small enough that
 // the dispatch side stays visible in the fraction.
@@ -46,7 +66,7 @@ var assignSink atomic.Int64
 func runAssign(cfg Config) error {
 	cfg = cfg.withDefaults()
 	regions := scaledIters(cfg, 200, 20)
-	labels := variantLabels(benchDiffVariants)
+	labels := variantLabels(assignVariants)
 	frac := NewTable(fmt.Sprintf("Assignment fraction %% of (assign+exec), %d regions, busy-work body", regions),
 		"threads", labels)
 	p99 := NewTable("Assignment latency p99 (dispatch→member start)", "threads", labels)
@@ -58,7 +78,7 @@ func runAssign(cfg Config) error {
 	defer omp.SetTracer(prev)
 
 	for _, n := range cfg.Threads {
-		for _, v := range benchDiffVariants {
+		for _, v := range assignVariants {
 			rt, err := v.New(n, func(c *omp.Config) { c.WaitPolicy = omp.ActiveWait })
 			if err != nil {
 				return err
@@ -108,7 +128,7 @@ func runAssignCancellation(cfg Config) error {
 	const threads, tasks = 4, 256
 	tbl := NewTable(fmt.Sprintf("Cancellation drain: %d-task group cancelled before its wait, single producer", tasks),
 		"variant", []string{"CancelEvents", "TasksCancelled", "GroupsCancelled"})
-	for _, v := range benchDiffVariants {
+	for _, v := range assignVariants {
 		rt, err := v.New(threads, nil)
 		if err != nil {
 			return err
@@ -164,7 +184,7 @@ func runAssignDataflow(cfg Config, met *trace.Metrics) error {
 		{"chain", omp.DefaultDepChain},
 		{"off", -1},
 	}
-	for _, v := range benchDiffVariants {
+	for _, v := range assignVariants {
 		for _, m := range modes {
 			rt, err := v.New(threads, func(c *omp.Config) { c.DepChain = m.depth })
 			if err != nil {

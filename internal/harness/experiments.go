@@ -585,13 +585,13 @@ func allocsPerTask(rt omp.Runtime, n int) float64 {
 }
 
 // ContentionBurst is one round of the consumer-contention shape shared by
-// the `contention` experiment and BenchmarkConsumerContention (and recorded
-// in BENCH_consumer_contention.json): the producer, inside a single
-// construct, bursts tasks into its overflow ring and then spins below any
-// scheduling point, so the burst can drain only through the other members
-// raiding the ring from the single's implicit barrier (plus, on GLTO, idle
-// streams through the engine drain hook). Every task therefore crosses the
-// raid path, whose synchronization is what gets measured.
+// the `contention` experiment and BenchmarkConsumerContention: the
+// producer, inside a single construct, bursts tasks into its overflow ring
+// and then spins below any scheduling point, so the burst can drain only
+// through the other members raiding the ring from the single's implicit
+// barrier (plus, on GLTO, idle streams through the engine drain hook).
+// Every task therefore crosses the raid path, whose synchronization is what
+// gets measured.
 //
 // On a raid-path regression the producer gives up after a generous deadline
 // rather than wedging the caller: returning reaches the single's implicit

@@ -114,7 +114,6 @@ func TestExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke skipped in -short")
 	}
-	t.Setenv("GLTO_BENCH_DIR", t.TempDir()) // keep bench-diff's BENCH_*.json out of the source tree
 	for _, e := range Experiments() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

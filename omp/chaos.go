@@ -5,7 +5,7 @@ import "repro/internal/chaos"
 // This file bridges the omp construct layer to the internal/chaos
 // fault-injection harness. Each wrapper is one atomic load when chaos is
 // off, so the hooks may sit directly on spawn/barrier/dep-release hot paths
-// without disturbing the 0 allocs/op guards or the bench-diff gate.
+// without disturbing the 0 allocs/op guards.
 //
 // Site/flavour pairing is deliberate (see the chaos package comment):
 // panics fire only at spawn entry — before a descriptor is acquired, inside

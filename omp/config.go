@@ -220,10 +220,11 @@ func (c Config) EffectiveCutoff() int {
 }
 
 // FromEnv fills unset fields from the OMP_* (and GLT_*/KMP_*) environment
-// variables and returns the result.
+// variables and returns the result. As the OpenMP specification requires,
+// values are case-insensitive and may carry surrounding whitespace.
 func (c Config) FromEnv() Config {
 	if c.NumThreads == 0 {
-		if v, err := strconv.Atoi(os.Getenv("OMP_NUM_THREADS")); err == nil && v > 0 {
+		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("OMP_NUM_THREADS"))); err == nil && v > 0 {
 			c.NumThreads = v
 		}
 	}
@@ -231,11 +232,11 @@ func (c Config) FromEnv() Config {
 		c.Nested = true
 	}
 	if c.MaxActiveLevels == 0 {
-		if v, err := strconv.Atoi(os.Getenv("OMP_MAX_ACTIVE_LEVELS")); err == nil && v > 0 {
+		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("OMP_MAX_ACTIVE_LEVELS"))); err == nil && v > 0 {
 			c.MaxActiveLevels = v
 		}
 	}
-	if os.Getenv("OMP_WAIT_POLICY") == "active" {
+	if strings.EqualFold(strings.TrimSpace(os.Getenv("OMP_WAIT_POLICY")), "active") {
 		c.WaitPolicy = ActiveWait
 	}
 	if s := os.Getenv("OMP_SCHEDULE"); s != "" {
@@ -249,17 +250,16 @@ func (c Config) FromEnv() Config {
 		c.BindProc = true
 	}
 	if c.TaskCutoff == 0 {
-		if v, err := strconv.Atoi(os.Getenv("KMP_TASK_CUTOFF")); err == nil && v != 0 {
+		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("KMP_TASK_CUTOFF"))); err == nil && v != 0 {
 			c.TaskCutoff = v
 		}
 	}
 	if c.Backend == "" {
-		if v := os.Getenv("GLTO_BACKEND"); v != "" {
-			c.Backend = v
-		} else if v := os.Getenv("GLT_IMPL"); v != "" {
-			c.Backend = v
-		} else if v := os.Getenv("GLT_BACKEND"); v != "" {
-			c.Backend = v
+		for _, v := range []string{os.Getenv("GLTO_BACKEND"), os.Getenv("GLT_IMPL"), os.Getenv("GLT_BACKEND")} {
+			if v = strings.ToLower(strings.TrimSpace(v)); v != "" {
+				c.Backend = v
+				break
+			}
 		}
 	}
 	if !c.SharedQueues && envBool("GLT_SHARED_QUEUES") {
@@ -272,7 +272,7 @@ func (c Config) FromEnv() Config {
 		c.PerUnitDispatch = true
 	}
 	if c.TaskBuffer == 0 {
-		if v, err := strconv.Atoi(os.Getenv("OMP_TASK_BUFFER")); err == nil && v != 0 {
+		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("OMP_TASK_BUFFER"))); err == nil && v != 0 {
 			c.TaskBuffer = v
 		}
 	}
@@ -280,12 +280,12 @@ func (c Config) FromEnv() Config {
 		c.DepChain = DepChainFromEnv()
 	}
 	if c.MaxInflightTasks == 0 {
-		if v, err := strconv.Atoi(os.Getenv("OMP_MAX_INFLIGHT_TASKS")); err == nil && v > 0 {
+		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("OMP_MAX_INFLIGHT_TASKS"))); err == nil && v > 0 {
 			c.MaxInflightTasks = v
 		}
 	}
 	if c.RegionDeadline == 0 {
-		if d, err := time.ParseDuration(os.Getenv("OMP_REGION_DEADLINE")); err == nil && d > 0 {
+		if d, err := time.ParseDuration(strings.ToLower(strings.TrimSpace(os.Getenv("OMP_REGION_DEADLINE")))); err == nil && d > 0 {
 			c.RegionDeadline = d
 		}
 	}
@@ -326,7 +326,7 @@ func PerUnitDispatchFromEnv() bool {
 }
 
 func envBool(name string) bool {
-	switch strings.ToLower(os.Getenv(name)) {
+	switch strings.ToLower(strings.TrimSpace(os.Getenv(name))) {
 	case "1", "true", "yes", "on":
 		return true
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleString(t *testing.T) {
@@ -47,26 +48,38 @@ func TestEffectiveCutoff(t *testing.T) {
 }
 
 func TestConfigFromEnv(t *testing.T) {
-	t.Setenv("OMP_NUM_THREADS", "5")
-	t.Setenv("OMP_NESTED", "true")
-	t.Setenv("OMP_WAIT_POLICY", "active")
-	t.Setenv("OMP_SCHEDULE", "dynamic,8")
-	t.Setenv("OMP_MAX_ACTIVE_LEVELS", "3")
-	t.Setenv("KMP_TASK_CUTOFF", "64")
-	t.Setenv("GLT_IMPL", "qth")
-	t.Setenv("GLT_SHARED_QUEUES", "1")
-	c := Config{}.FromEnv()
-	if c.NumThreads != 5 || !c.Nested || c.WaitPolicy != ActiveWait {
-		t.Errorf("basic env parsing: %+v", c)
-	}
-	if c.Schedule != Dynamic || c.Chunk != 8 {
-		t.Errorf("OMP_SCHEDULE parsing: %+v", c)
-	}
-	if c.MaxActiveLevels != 3 || c.TaskCutoff != 64 {
-		t.Errorf("levels/cutoff parsing: %+v", c)
-	}
-	if c.Backend != "qth" || !c.SharedQueues {
-		t.Errorf("GLT env parsing: %+v", c)
+	// The second spelling is the OpenMP specification's: values are
+	// case-insensitive and may carry surrounding whitespace.
+	for _, env := range []map[string]string{{
+		"OMP_NUM_THREADS": "5", "OMP_NESTED": "true", "OMP_WAIT_POLICY": "active",
+		"OMP_SCHEDULE": "dynamic,8", "OMP_MAX_ACTIVE_LEVELS": "3", "OMP_PROC_BIND": "true",
+		"KMP_TASK_CUTOFF": "64", "GLT_IMPL": "qth", "GLT_SHARED_QUEUES": "1",
+		"OMP_TASK_BUFFER": "32", "OMP_MAX_INFLIGHT_TASKS": "16", "OMP_REGION_DEADLINE": "150ms",
+	}, {
+		"OMP_NUM_THREADS": " 5 ", "OMP_NESTED": " TRUE", "OMP_WAIT_POLICY": "ACTIVE",
+		"OMP_SCHEDULE": " Dynamic, 8 ", "OMP_MAX_ACTIVE_LEVELS": "3\t", "OMP_PROC_BIND": "True ",
+		"KMP_TASK_CUTOFF": " 64", "GLT_IMPL": " QTH ", "GLT_SHARED_QUEUES": " On ",
+		"OMP_TASK_BUFFER": " 32", "OMP_MAX_INFLIGHT_TASKS": "16 ", "OMP_REGION_DEADLINE": " 150MS ",
+	}} {
+		for k, v := range env {
+			t.Setenv(k, v)
+		}
+		c := Config{}.FromEnv()
+		if c.NumThreads != 5 || !c.Nested || c.WaitPolicy != ActiveWait || !c.BindProc {
+			t.Errorf("basic env parsing of %q: %+v", env, c)
+		}
+		if c.Schedule != Dynamic || c.Chunk != 8 {
+			t.Errorf("OMP_SCHEDULE parsing of %q: %+v", env, c)
+		}
+		if c.MaxActiveLevels != 3 || c.TaskCutoff != 64 {
+			t.Errorf("levels/cutoff parsing of %q: %+v", env, c)
+		}
+		if c.Backend != "qth" || !c.SharedQueues {
+			t.Errorf("GLT env parsing of %q: %+v", env, c)
+		}
+		if c.TaskBuffer != 32 || c.MaxInflightTasks != 16 || c.RegionDeadline != 150*time.Millisecond {
+			t.Errorf("buffer/budget/deadline parsing of %q: %+v", env, c)
+		}
 	}
 }
 

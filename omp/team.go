@@ -812,8 +812,9 @@ func barrierTreeThreshold() int {
 // SetBarrierTreeThreshold overrides the team width above which the barrier
 // uses the combining tree instead of the flat epoch word; n <= 0 restores
 // the default (barrierGroupArity). It exists for benchmarks and tests that
-// compare the two shapes (the bench-diff width sweep forces the flat path at
-// width 32 with a huge threshold); call it only while no region is running.
+// compare the two shapes (BenchmarkBarrier's w32-flat series forces the flat
+// path at width 32 with a huge threshold); call it only while no region is
+// running.
 func SetBarrierTreeThreshold(n int) {
 	if n <= 0 {
 		n = 0

@@ -7,6 +7,7 @@ package openmp_test
 // (drain, record, release, resurface), never a hang and never a leak.
 
 import (
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -272,18 +273,28 @@ func TestDeadlineFromEnv(t *testing.T) {
 // TestBackpressureInlineFallback pins the task budget: with
 // MaxInflightTasks set, a spawn burst past the budget degrades to
 // undeferred inline execution — every task still runs exactly once, and the
-// fallbacks are visible in the stats.
+// fallbacks are visible in the stats. A task that runs off the master's
+// rank holds its consumer until the burst is spawned, so three consumers
+// cannot drain the burst as fast as the master creates it and the in-flight
+// count must pass the budget.
 func TestBackpressureInlineFallback(t *testing.T) {
 	const tasks = 600
 	forEachRuntimeN(t, 4, omp.Config{MaxInflightTasks: 8}, func(t *testing.T, rt omp.Runtime) {
 		rt.ResetStats()
 		var executed atomic.Int64
+		var spawned atomic.Bool
 		rt.Parallel(func(tc *omp.TC) {
 			tc.Master(func() {
 				tc.Taskgroup(func() {
 					for i := 0; i < tasks; i++ {
-						tc.Task(func(*omp.TC) { executed.Add(1) })
+						tc.Task(func(tc *omp.TC) {
+							for tc.ThreadNum() != 0 && !spawned.Load() {
+								runtime.Gosched()
+							}
+							executed.Add(1)
+						})
 					}
+					spawned.Store(true)
 				})
 			})
 			tc.Barrier()
