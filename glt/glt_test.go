@@ -354,7 +354,6 @@ func TestConfigFromEnv(t *testing.T) {
 			t.Errorf("FromEnv(%q) = %+v", env, c)
 		}
 	}
-	t.Setenv("GLT_PER_UNIT_DISPATCH", "")
 	// Explicit settings win over the environment.
 	c2 := glt.Config{Backend: "abt", NumThreads: 7}.FromEnv()
 	if c2.Backend != "abt" || c2.NumThreads != 7 {
