@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -19,9 +20,13 @@ import (
 // passed to each os.Getenv, os.LookupEnv and envBool call, then fails on any
 // variable the code reads but the table omits, any row the code does not
 // read, and any row whose "Read in" column names the wrong files. Only the
-// envBool helpers may read a variable whose name is not a literal.
+// envBool helpers may read a variable whose name is not a literal. Test files
+// and the NAME= prefixes of the CI workflow's go commands must also name only
+// rows of the table, so a dropped variable cannot linger in a test or a CI
+// line; they do not count toward the "Read in" column.
 func TestEnvLedger(t *testing.T) {
 	read := map[string]map[string]bool{} // variable -> files that read it
+	used := map[string]map[string]bool{} // variable -> test files and CI lines that name it
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -33,7 +38,7 @@ func TestEnvLedger(t *testing.T) {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, 0)
@@ -41,6 +46,10 @@ func TestEnvLedger(t *testing.T) {
 			return err
 		}
 		file := filepath.ToSlash(path)
+		into := read
+		if strings.HasSuffix(path, "_test.go") {
+			into = used
+		}
 		for _, decl := range f.Decls {
 			fn, _ := decl.(*ast.FuncDecl)
 			ast.Inspect(decl, func(n ast.Node) bool {
@@ -56,10 +65,7 @@ func TestEnvLedger(t *testing.T) {
 					return true
 				}
 				name, _ := strconv.Unquote(lit.Value)
-				if read[name] == nil {
-					read[name] = map[string]bool{}
-				}
-				read[name][file] = true
+				note(into, name, file)
 				return true
 			})
 		}
@@ -68,6 +74,7 @@ func TestEnvLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ciEnvPrefixes(t, used)
 
 	listed := readmeEnvTable(t)
 	for name, files := range read {
@@ -80,9 +87,56 @@ func TestEnvLedger(t *testing.T) {
 			t.Errorf("README.md says %s is read in %s; the code reads it in %s", name, got, exp)
 		}
 	}
+	for name, where := range used {
+		if _, ok := listed[name]; !ok {
+			t.Errorf("%s is named in %s but has no row in README.md's environment table", name, strings.Join(keys(where), ", "))
+		}
+	}
 	for name := range listed {
 		if _, ok := read[name]; !ok {
 			t.Errorf("README.md's environment table lists %s, which no code reads", name)
+		}
+	}
+}
+
+func note(m map[string]map[string]bool, name, where string) {
+	if m[name] == nil {
+		m[name] = map[string]bool{}
+	}
+	m[name][where] = true
+}
+
+const ciWorkflow = ".github/workflows/ci.yml"
+
+var envAssign = regexp.MustCompile(`^([A-Z][A-Z0-9_]*)=`)
+
+// ciEnvPrefixes notes in used the NAME of every NAME=value prefix of a go
+// command in the CI workflow, as "ci.yml:<line>".
+func ciEnvPrefixes(t *testing.T, used map[string]map[string]bool) {
+	t.Helper()
+	src, err := os.ReadFile(ciWorkflow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(src), "\n") {
+		line = strings.TrimPrefix(strings.TrimSpace(line), "run:")
+		for _, cmd := range strings.Split(line, "&&") {
+			var names []string
+			fields := strings.Fields(cmd)
+			for len(fields) > 0 {
+				m := envAssign.FindStringSubmatch(fields[0])
+				if m == nil {
+					break
+				}
+				names = append(names, m[1])
+				fields = fields[1:]
+			}
+			if len(fields) == 0 || fields[0] != "go" {
+				continue
+			}
+			for _, name := range names {
+				note(used, name, fmt.Sprintf("ci.yml:%d", i+1))
+			}
 		}
 	}
 }
