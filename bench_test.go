@@ -1,8 +1,9 @@
 // Package repro_test holds the top-level benchmark suite: one testing.B
-// benchmark per table and figure of the paper's evaluation section (see
-// DESIGN.md's per-experiment index — cmd/glto-bench runs the full sweeps;
+// benchmark per table and figure of the paper's evaluation section (`go run
+// ./cmd/glto-bench -list` indexes the experiments and runs the full sweeps;
 // these benches are the fixed-size, go-test-runnable versions), plus
-// ablation benches for the design decisions DESIGN.md calls out.
+// ablation benches for the design decisions the README's "Scheduling
+// architecture" section describes.
 package repro_test
 
 import (
@@ -276,7 +277,7 @@ func BenchmarkTable3QueuedTasks(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches (README.md, "Scheduling architecture") ---
 
 // BenchmarkAblationULTvsGoroutine: a ULT (spawned onto a stream, run inline
 // there, joined) against a bare goroutine-per-work-unit, isolating the cost
@@ -420,34 +421,6 @@ func BenchmarkAblationFEBStripes(b *testing.B) {
 					i++
 				}
 			})
-		})
-	}
-}
-
-// BenchmarkAblationGLTOTaskletTasks: GLTO's per-task work unit — ULT
-// (paper's design) versus GLT tasklet (the lighter unit the paper notes
-// Argobots offers natively) — on the CG leaf-task workload. Leaf tasks never
-// yield, so as ULTs they run to completion inline and are never promoted:
-// the two rows measure the same path, and the ablation guards that equality.
-func BenchmarkAblationGLTOTaskletTasks(b *testing.B) {
-	for _, tasklets := range []bool{false, true} {
-		tasklets := tasklets
-		name := "ult"
-		if tasklets {
-			name = "tasklet"
-		}
-		b.Run(name, func(b *testing.B) {
-			rt, err := openmp.New("glto", omp.Config{
-				NumThreads: benchThreads, Backend: "abt", Tasklets: tasklets, Nested: true,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer rt.Shutdown()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				benchProblem().SolveTasks(rt, benchThreads, cg.Opts{MaxIter: 5, Granularity: 20})
-			}
 		})
 	}
 }

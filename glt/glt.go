@@ -64,23 +64,12 @@
 //
 // Backends register themselves via Register, typically from an init function;
 // import package glt/backends for the full set.
-//
-// # Environment
-//
-// NewFromEnv honours the GLT environment variables used in the paper:
-// GLT_IMPL selects the backend (GLT_BACKEND is accepted as a synonym),
-// GLT_NUM_THREADS the number of execution streams, and GLT_SHARED_QUEUES
-// collapses all pools into a single shared queue to neutralize load
-// imbalance (paper §IV-F).
 package glt
 
 import (
 	"fmt"
-	"os"
 	"runtime"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -102,52 +91,19 @@ type Config struct {
 	// NumThreads is the number of execution streams (GLT_threads).
 	// Zero means runtime.NumCPU().
 	NumThreads int
-	// SharedQueues collapses every pool into one shared queue
-	// (GLT_SHARED_QUEUES), enforcing work-sharing behaviour under load
-	// imbalance at the price of a contended queue.
+	// SharedQueues collapses every pool into one shared queue, enforcing
+	// work-sharing behaviour under load imbalance at the price of a
+	// contended queue (paper §IV-F; omp.Config.SharedQueues sets it from
+	// GLT_SHARED_QUEUES).
 	SharedQueues bool
-	// PerUnitDispatch restores the paper-faithful per-unit hot path
-	// (GLT_PER_UNIT_DISPATCH): every spawn allocates a fresh descriptor and
-	// performs its own Policy.Push — one synchronization episode per unit —
-	// and Release becomes a no-op. By default the engine batches team spawns
-	// through Policy.PushBatch and recycles descriptors through a free list;
-	// the deliberate per-unit work-assignment cost of Fig. 7 is only
-	// measurable with this set.
+	// PerUnitDispatch restores the paper-faithful per-unit hot path: every
+	// spawn allocates a fresh descriptor and performs its own Policy.Push —
+	// one synchronization episode per unit — and Release becomes a no-op. By
+	// default the engine batches team spawns through Policy.PushBatch and
+	// recycles descriptors through a free list; the deliberate per-unit
+	// work-assignment cost of Fig. 7 is only measurable with this set
+	// (omp.Config.PerUnitDispatch sets it from GLTO_PER_UNIT_DISPATCH).
 	PerUnitDispatch bool
-}
-
-// FromEnv fills unset fields of c from the GLT_* environment variables and
-// returns the result. Values are case-insensitive and may carry surrounding
-// whitespace, as in omp.Config.FromEnv.
-func (c Config) FromEnv() Config {
-	if c.Backend == "" {
-		c.Backend = strings.ToLower(strings.TrimSpace(os.Getenv("GLT_IMPL")))
-	}
-	if c.Backend == "" {
-		c.Backend = strings.ToLower(strings.TrimSpace(os.Getenv("GLT_BACKEND")))
-	}
-	if c.NumThreads == 0 {
-		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("GLT_NUM_THREADS"))); err == nil && v > 0 {
-			c.NumThreads = v
-		}
-	}
-	if !c.SharedQueues && envBool("GLT_SHARED_QUEUES") {
-		c.SharedQueues = true
-	}
-	if !c.PerUnitDispatch && envBool("GLT_PER_UNIT_DISPATCH") {
-		c.PerUnitDispatch = true
-	}
-	return c
-}
-
-// envBool interprets the common truthy spellings, matching the omp layer's
-// environment handling so GLT_* and GLTO_* switches accept the same values.
-func envBool(name string) bool {
-	switch strings.ToLower(strings.TrimSpace(os.Getenv(name))) {
-	case "1", "true", "yes", "on":
-		return true
-	}
-	return false
 }
 
 func (c Config) withDefaults() Config {
@@ -227,9 +183,6 @@ func New(cfg Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// NewFromEnv is New(Config{}.FromEnv()).
-func NewFromEnv() (*Runtime, error) { return New(Config{}.FromEnv()) }
-
 // MustNew is New but panics on error; convenient for tests and examples where
 // the backend name is a compile-time constant.
 func MustNew(cfg Config) *Runtime {
@@ -301,12 +254,6 @@ func (rt *Runtime) SpawnTaskletCtx(target int, fn Func) *Unit {
 // Shutdown like any other.
 func (rt *Runtime) SpawnDetached(target int, fn Func) {
 	rt.spawnDetached(-1, target, fn, false)
-}
-
-// SpawnDetachedTasklet is SpawnDetached for a stackless tasklet; fn receives
-// its Ctx but must not yield.
-func (rt *Runtime) SpawnDetachedTasklet(target int, fn Func) {
-	rt.spawnDetached(-1, target, fn, true)
 }
 
 // SpawnDetachedArg is SpawnDetached with a payload (recovered in the body via

@@ -341,36 +341,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestConfigFromEnv(t *testing.T) {
-	// Values are case-insensitive and may carry surrounding whitespace, as
-	// in the omp layer; the second row spells them so.
-	for _, env := range [][4]string{{"qth", "3", "1", "true"}, {" QTH ", " 3", " On ", "TRUE "}} {
-		t.Setenv("GLT_IMPL", env[0])
-		t.Setenv("GLT_NUM_THREADS", env[1])
-		t.Setenv("GLT_SHARED_QUEUES", env[2])
-		t.Setenv("GLT_PER_UNIT_DISPATCH", env[3])
-		c := glt.Config{}.FromEnv()
-		if c.Backend != "qth" || c.NumThreads != 3 || !c.SharedQueues || !c.PerUnitDispatch {
-			t.Errorf("FromEnv(%q) = %+v", env, c)
-		}
-	}
-	// Explicit settings win over the environment.
-	c2 := glt.Config{Backend: "abt", NumThreads: 7}.FromEnv()
-	if c2.Backend != "abt" || c2.NumThreads != 7 {
-		t.Errorf("FromEnv override = %+v", c2)
-	}
-	// GLT_BACKEND is a synonym for GLT_IMPL, which wins when both are set.
-	t.Setenv("GLT_IMPL", "")
-	t.Setenv("GLT_BACKEND", "ws")
-	if c3 := (glt.Config{}).FromEnv(); c3.Backend != "ws" {
-		t.Errorf("GLT_BACKEND not honoured: %+v", c3)
-	}
-	t.Setenv("GLT_IMPL", "mth")
-	if c4 := (glt.Config{}).FromEnv(); c4.Backend != "mth" {
-		t.Errorf("GLT_IMPL should win over GLT_BACKEND: %+v", c4)
-	}
-}
-
 // TestStealingMovesWorkWS mirrors the mth stealing check on the lock-free
 // backend: children spawned on a busy stream must be executed elsewhere.
 func TestStealingMovesWorkWS(t *testing.T) {

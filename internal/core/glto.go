@@ -36,7 +36,6 @@
 package core
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -284,7 +283,7 @@ func (rt *Runtime) drainBufferedTask(rank int) bool {
 	// omp-level StealTour; this is the glt-side view of the same event.)
 	trace.Emit(rank, trace.KindRaid, uint64(node.CreatedBy))
 	rt.Counters.ULTsCreated.Add(1)
-	rt.g.SpawnDetachedFrom(rank, rank, rt.taskBody, node, rt.cfg.Tasklets)
+	rt.g.SpawnDetachedFrom(rank, rank, rt.taskBody, node, false)
 	return true
 }
 
@@ -358,12 +357,6 @@ func (e *engine) idle(c *glt.Ctx) {
 	if c == nil {
 		return
 	}
-	if c.Unit().IsTasklet() {
-		// Tasklets cannot suspend; a waiting tasklet spins while its
-		// children run on other streams.
-		runtime.Gosched()
-		return
-	}
 	c.Yield()
 }
 
@@ -434,15 +427,6 @@ func (e *engine) dispatchTask(tc *omp.TC, node *omp.TaskNode) {
 	// detached spawn paths exploit that — the descriptor recycles on the
 	// worker that ran the task, so per-task dispatch is allocation-free in
 	// steady state (modulo the task closure itself).
-	if e.rt.cfg.Tasklets {
-		// GLT_tasklet execution (paper §III-B): stackless, run to
-		// completion, no suspension. The body still receives its Ctx for
-		// identity, but must not yield — Idle detects tasklet contexts and
-		// spins instead. Dispatched with no originating rank so the
-		// requested target wins even under work-first policies.
-		e.rt.g.SpawnDetachedTasklet(target, body)
-		return
-	}
 	if c != nil {
 		c.SpawnDetached(target, body, false)
 		return
@@ -468,13 +452,9 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 		targets = append(targets, e.taskTarget(c, node))
 		args = append(args, node)
 	}
-	switch {
-	case e.rt.cfg.Tasklets:
-		// As in dispatchTask: no originating rank, so targets win.
-		e.rt.g.SpawnDetachedBatch(e.rt.taskBody, targets, args, true)
-	case c != nil:
+	if c != nil {
 		c.SpawnDetachedBatch(e.rt.taskBody, targets, args, false)
-	default:
+	} else {
 		e.rt.g.SpawnDetachedBatch(e.rt.taskBody, targets, args, false)
 	}
 	// Dispatch is complete: drop the task-node pointers from both scratch
@@ -518,21 +498,21 @@ func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx a
 			if node.FanOut() {
 				target = e.taskTarget(c, node)
 			}
-			e.rt.g.SpawnDetachedOn(s, target, e.rt.taskBody, node, e.rt.cfg.Tasklets)
+			e.rt.g.SpawnDetachedOn(s, target, e.rt.taskBody, node, false)
 			return
 		}
 		// Hot rank but no stream context (an implicit task run without a ULT,
 		// e.g. the no-ctx nested path): target the releaser's nominal stream
 		// through the shared free list — still a locality hint, minus the
 		// cache-local descriptor.
-		e.rt.g.SpawnDetachedArg(hot%streams, e.rt.taskBody, node, e.rt.cfg.Tasklets)
+		e.rt.g.SpawnDetachedArg(hot%streams, e.rt.taskBody, node, false)
 		return
 	}
 	target := node.CreatedBy % streams
 	if node.InSingleMaster {
 		target = e.rt.nextStream()
 	}
-	e.rt.g.SpawnDetachedArg(target, e.rt.taskBody, node, e.rt.cfg.Tasklets)
+	e.rt.g.SpawnDetachedArg(target, e.rt.taskBody, node, false)
 }
 
 // TryRunTask is the wait step's hunt: tc.Hunt raids the team's producer-side
@@ -560,7 +540,7 @@ func (e *engine) Taskwait(tc *omp.TC) {
 // taskyield validation test checks).
 func (e *engine) Taskyield(tc *omp.TC) {
 	c := ctxOf(tc)
-	if c == nil || c.Unit().IsTasklet() {
+	if c == nil {
 		return
 	}
 	c.Yield()

@@ -235,54 +235,6 @@ func TestSerializedRegionStillRunsTasks(t *testing.T) {
 	}
 }
 
-func TestTaskletModeRunsTasks(t *testing.T) {
-	// GLTO over GLT tasklets (paper §III-B): leaf tasks execute as
-	// stackless work units.
-	rt, err := New(omp.Config{NumThreads: 4, Backend: "abt", Tasklets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	var ran atomic.Int64
-	var flushed atomic.Bool
-	rt.Parallel(func(tc *omp.TC) {
-		singleOnRank0(tc, &flushed, func() {
-			for i := 0; i < 100; i++ {
-				tc.Task(func(*omp.TC) { ran.Add(1) })
-			}
-		})
-	})
-	if ran.Load() != 100 {
-		t.Errorf("tasklet tasks ran %d of 100", ran.Load())
-	}
-	if s := rt.GLT().Stats(); s.TaskletsRun != 100 {
-		t.Errorf("GLT executed %d tasklets, want 100", s.TaskletsRun)
-	}
-}
-
-func TestTaskletModeTaskwaitFromMaster(t *testing.T) {
-	// The master is a ULT even in tasklet mode, so taskwait there yields
-	// normally and the leaf-task contract holds.
-	rt, err := New(omp.Config{NumThreads: 2, Backend: "abt", Tasklets: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	var ran atomic.Int64
-	rt.ParallelN(2, func(tc *omp.TC) {
-		for i := 0; i < 20; i++ {
-			tc.Task(func(*omp.TC) { ran.Add(1) })
-		}
-		tc.Taskwait()
-		if ran.Load() < 20 {
-			ran.Add(1000)
-		}
-	})
-	if ran.Load() != 40 {
-		t.Errorf("taskwait over tasklets: ran=%d, want 40", ran.Load())
-	}
-}
-
 // TestDrainTableSpill puts more regions in flight on one stream than its
 // drain directory has slots, so the surplus regions enlist on the spill list.
 // A top-level team of one runs on stream 0 and its rank 0 opens nested teams

@@ -294,7 +294,7 @@ func init() {
 		Run: func(cfg Config) error {
 			cfg = cfg.withDefaults()
 			labels := variantLabels(PaperVariants)
-			tbl := NewTable("Allocs per region respawn (pooled front end; set GLT_PER_UNIT_DISPATCH=1 for the paper-faithful mode)",
+			tbl := NewTable("Allocs per region respawn (pooled front end; set GLTO_PER_UNIT_DISPATCH=1 for the paper-faithful mode)",
 				"threads", labels)
 			taskTbl := NewTable("Allocs per deferred task spawn (pooled task descriptors + overflow ring; 64-task single-producer storm)",
 				"threads", labels)

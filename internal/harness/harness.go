@@ -1,8 +1,8 @@
 // Package harness runs the paper's experiments: parameter sweeps over
 // runtime variants and thread counts, with repetition, averaging and
 // paper-style table output. Every figure and table of the evaluation section
-// (Figs. 4-14, Tables I-III) has a generator here, indexed by the experiment
-// IDs of DESIGN.md and invoked by cmd/glto-bench.
+// (Figs. 4-14, Tables I-III) has a generator here, indexed by experiment ID
+// and invoked by cmd/glto-bench (`go run ./cmd/glto-bench -list`).
 package harness
 
 import (
@@ -251,7 +251,8 @@ func pad(s string, w int) string {
 
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
-	// ID is the DESIGN.md experiment id: "fig4" ... "fig14", "table1"-"table3".
+	// ID is the experiment id cmd/glto-bench -list prints: "fig4" ... "fig14",
+	// "table1"-"table3".
 	ID string
 	// Title describes the artifact.
 	Title string

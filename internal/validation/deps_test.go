@@ -2,6 +2,7 @@ package validation
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"repro/omp"
@@ -18,7 +19,7 @@ import (
 func TestDependenceSuite(t *testing.T) {
 	shared := os.Getenv("GLT_SHARED_QUEUES") == "1"
 	var policy omp.WaitPolicy
-	if env := os.Getenv("OMP_WAIT_POLICY"); env == "active" {
+	if env := strings.TrimSpace(os.Getenv("OMP_WAIT_POLICY")); strings.EqualFold(env, "active") {
 		policy = omp.ActiveWait
 	} else if env != "" {
 		policy = omp.PassiveWait

@@ -2,6 +2,7 @@ package validation
 
 import (
 	"os"
+	"strings"
 	"testing"
 
 	"repro/omp"
@@ -168,13 +169,12 @@ func TestEnvBackendSuite(t *testing.T) {
 // barrier waiters fall back to task execution or a scheduler yield — so
 // construct outcomes must be policy-invariant: the same 123 tests run and
 // each runtime meets its Table I floor in both modes. OMP_WAIT_POLICY in the
-// environment narrows the sweep to the named policy, so CI's
-// OMP_WAIT_POLICY=passive job certifies that mode end to end without
-// re-running the other.
+// environment (read as omp.Config.FromEnv reads it: case-insensitive,
+// surrounding whitespace ignored) narrows the sweep to the named policy.
 func TestWaitPolicySuite(t *testing.T) {
 	policies := []omp.WaitPolicy{omp.PassiveWait, omp.ActiveWait}
-	if env := os.Getenv("OMP_WAIT_POLICY"); env != "" {
-		if env == "active" {
+	if env := strings.TrimSpace(os.Getenv("OMP_WAIT_POLICY")); env != "" {
+		if strings.EqualFold(env, "active") {
 			policies = []omp.WaitPolicy{omp.ActiveWait}
 		} else {
 			policies = []omp.WaitPolicy{omp.PassiveWait}

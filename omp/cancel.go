@@ -22,7 +22,7 @@ package omp
 //     member body is recovered in Team.runMember; the rank still arrives at
 //     the region-end rendezvous. The first recorded panic resurfaces from
 //     the region entry point (Runtime.Parallel/ParallelN, tc.Parallel).
-//   - Deadlines. WithDeadline (or OMP_REGION_DEADLINE) arms a region
+//   - Deadlines. WithDeadline (or Config.RegionDeadline) arms a region
 //     deadline; once exceeded, Team.Cancelled starts reporting true and the
 //     task graph drains cooperatively.
 //

@@ -106,19 +106,10 @@ type Config struct {
 	TaskBuffer int
 
 	// Backend selects the GLT backend for the glto runtime: "abt", "qth",
-	// "mth" or the lock-free work-stealing "ws"
-	// (GLTO_BACKEND / GLT_IMPL / GLT_BACKEND).
+	// "mth" or the lock-free work-stealing "ws" (GLT_BACKEND).
 	Backend string
 	// SharedQueues is GLT_SHARED_QUEUES (glto runtime only).
 	SharedQueues bool
-	// Tasklets makes the glto runtime execute explicit tasks as GLT
-	// tasklets — stackless, run-to-completion work units — instead of ULTs
-	// (GLTO_TASKLETS). Tasklets are the lighter work unit the GLT API
-	// offers beyond what OpenMP needs (paper §III-B); the trade is that a
-	// task must not suspend: taskyield becomes a no-op and a taskwait
-	// inside a task spins instead of yielding. Safe for leaf-task
-	// workloads like the paper's CG.
-	Tasklets bool
 	// PerUnitDispatch makes the glto runtime dispatch region and task work
 	// units one at a time with freshly allocated descriptors
 	// (GLTO_PER_UNIT_DISPATCH), restoring the paper-faithful per-unit
@@ -140,15 +131,15 @@ type Config struct {
 	// outstanding explicit tasks (Team.Tasks — queued, buffered, parked and
 	// running alike) exceed it, new deferred spawns degrade gracefully to
 	// undeferred inline execution, bounding queue and descriptor-pool growth
-	// under saturation. Zero disables the budget; counted per region
-	// (OMP_MAX_INFLIGHT_TASKS).
+	// under saturation. Zero disables the budget; counted per region. It
+	// has no environment form.
 	MaxInflightTasks int
 
 	// RegionDeadline arms a cooperative deadline on every top-level region:
 	// once exceeded, the region cancels — queued tasks drain without
 	// executing and the region completes through its normal rendezvous.
-	// Zero means no deadline (OMP_REGION_DEADLINE, a Go duration such as
-	// "250ms"); omp.WithDeadline arms a deadline per call site instead.
+	// Zero means no deadline. It has no environment form; omp.WithDeadline
+	// arms a deadline per call site instead.
 	RegionDeadline time.Duration
 }
 
@@ -255,20 +246,12 @@ func (c Config) FromEnv() Config {
 		}
 	}
 	if c.Backend == "" {
-		for _, v := range []string{os.Getenv("GLTO_BACKEND"), os.Getenv("GLT_IMPL"), os.Getenv("GLT_BACKEND")} {
-			if v = strings.ToLower(strings.TrimSpace(v)); v != "" {
-				c.Backend = v
-				break
-			}
-		}
+		c.Backend = strings.ToLower(strings.TrimSpace(os.Getenv("GLT_BACKEND")))
 	}
 	if !c.SharedQueues && envBool("GLT_SHARED_QUEUES") {
 		c.SharedQueues = true
 	}
-	if !c.Tasklets && envBool("GLTO_TASKLETS") {
-		c.Tasklets = true
-	}
-	if !c.PerUnitDispatch && (envBool("GLTO_PER_UNIT_DISPATCH") || envBool("GLT_PER_UNIT_DISPATCH")) {
+	if !c.PerUnitDispatch && PerUnitDispatchFromEnv() {
 		c.PerUnitDispatch = true
 	}
 	if c.TaskBuffer == 0 {
@@ -278,16 +261,6 @@ func (c Config) FromEnv() Config {
 	}
 	if c.DepChain == 0 {
 		c.DepChain = DepChainFromEnv()
-	}
-	if c.MaxInflightTasks == 0 {
-		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("OMP_MAX_INFLIGHT_TASKS"))); err == nil && v > 0 {
-			c.MaxInflightTasks = v
-		}
-	}
-	if c.RegionDeadline == 0 {
-		if d, err := time.ParseDuration(strings.ToLower(strings.TrimSpace(os.Getenv("OMP_REGION_DEADLINE")))); err == nil && d > 0 {
-			c.RegionDeadline = d
-		}
 	}
 	return c
 }
@@ -316,13 +289,12 @@ func DepChainFromEnv() int {
 	return 0
 }
 
-// PerUnitDispatchFromEnv reports whether GLTO_PER_UNIT_DISPATCH (or the
-// GLT-level GLT_PER_UNIT_DISPATCH) requests the paper-faithful per-unit
-// dispatch mode. It exists for callers like the figure harness that pin
+// PerUnitDispatchFromEnv reports whether GLTO_PER_UNIT_DISPATCH requests the
+// paper-faithful per-unit dispatch mode. It exists for callers like the figure harness that pin
 // every other ICV deliberately and must not consult the wider OMP_*
 // environment through Config.FromEnv.
 func PerUnitDispatchFromEnv() bool {
-	return envBool("GLTO_PER_UNIT_DISPATCH") || envBool("GLT_PER_UNIT_DISPATCH")
+	return envBool("GLTO_PER_UNIT_DISPATCH")
 }
 
 func envBool(name string) bool {

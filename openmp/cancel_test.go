@@ -257,19 +257,6 @@ func TestRegionDeadlineCancels(t *testing.T) {
 	})
 }
 
-// TestDeadlineFromEnv pins OMP_REGION_DEADLINE parsing into the config.
-func TestDeadlineFromEnv(t *testing.T) {
-	t.Setenv("OMP_REGION_DEADLINE", "150ms")
-	t.Setenv("OMP_MAX_INFLIGHT_TASKS", "64")
-	c := omp.Config{}.FromEnv()
-	if c.RegionDeadline != 150*time.Millisecond {
-		t.Errorf("RegionDeadline = %v", c.RegionDeadline)
-	}
-	if c.MaxInflightTasks != 64 {
-		t.Errorf("MaxInflightTasks = %d", c.MaxInflightTasks)
-	}
-}
-
 // TestBackpressureInlineFallback pins the task budget: with
 // MaxInflightTasks set, a spawn burst past the budget degrades to
 // undeferred inline execution — every task still runs exactly once, and the

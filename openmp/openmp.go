@@ -25,8 +25,8 @@
 // against omp.Runtime and omp.TC needs no migration. New knobs:
 // omp.Config.TaskBuffer (OMP_TASK_BUFFER) sizes or disables batched task
 // submission, and omp.Stats.TaskFlushes counts its flush episodes;
-// GLT_PER_UNIT_DISPATCH / GLTO_PER_UNIT_DISPATCH still restore the paper's
-// fully per-unit dispatch.
+// GLTO_PER_UNIT_DISPATCH still restores the paper's fully per-unit
+// dispatch.
 package openmp
 
 import (
