@@ -106,15 +106,13 @@ func note(m map[string]map[string]bool, name, where string) {
 	m[name][where] = true
 }
 
-const ciWorkflow = ".github/workflows/ci.yml"
-
 var envAssign = regexp.MustCompile(`^([A-Z][A-Z0-9_]*)=`)
 
 // ciEnvPrefixes notes in used the NAME of every NAME=value prefix of a go
 // command in the CI workflow, as "ci.yml:<line>".
 func ciEnvPrefixes(t *testing.T, used map[string]map[string]bool) {
 	t.Helper()
-	src, err := os.ReadFile(ciWorkflow)
+	src, err := os.ReadFile(".github/workflows/ci.yml")
 	if err != nil {
 		t.Fatal(err)
 	}

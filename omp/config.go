@@ -131,15 +131,14 @@ type Config struct {
 	// outstanding explicit tasks (Team.Tasks — queued, buffered, parked and
 	// running alike) exceed it, new deferred spawns degrade gracefully to
 	// undeferred inline execution, bounding queue and descriptor-pool growth
-	// under saturation. Zero disables the budget; counted per region. It
-	// has no environment form.
+	// under saturation. Zero disables the budget; counted per region.
 	MaxInflightTasks int
 
 	// RegionDeadline arms a cooperative deadline on every top-level region:
 	// once exceeded, the region cancels — queued tasks drain without
 	// executing and the region completes through its normal rendezvous.
-	// Zero means no deadline. It has no environment form; omp.WithDeadline
-	// arms a deadline per call site instead.
+	// Zero means no deadline; omp.WithDeadline arms a deadline per call
+	// site instead.
 	RegionDeadline time.Duration
 }
 
