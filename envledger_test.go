@@ -3,6 +3,7 @@ package repro_test
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -197,4 +198,173 @@ func keys(m map[string]bool) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// docName matches a backticked dotted Go name: pkg.Name, Type.Member or
+// pkg.Type.Member, with an optional call suffix.
+var docName = regexp.MustCompile(`^([A-Za-z_][A-Za-z0-9_]*)((?:\.[A-Z][A-Za-z0-9_]*)+)(?:\(\))?$`)
+
+// TestDocNames keeps the READMEs' cited Go names resolvable: every
+// backticked dotted name in README.md and benchmark/README.md whose
+// segments after the first are exported must name a declaration of the
+// module. The first segment is a module package (omp.Config.FromEnv, or
+// uts.CountGLT for a method of one of the package's types), a type
+// (TC.Hunt) or a receiver spelled as its type in lower case (tc.Barrier for
+// TC.Barrier). Names led by a standard-library package (runtime.Gosched,
+// sync.Mutex) are skipped, and so are file names and metric names, whose
+// segments are not exported.
+func TestDocNames(t *testing.T) {
+	decls := moduleDecls(t)
+	for _, doc := range []string{"README.md", "benchmark/README.md"} {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, m := range backticked.FindAllStringSubmatch(line, -1) {
+				name := docName.FindStringSubmatch(m[1])
+				if name == nil {
+					continue
+				}
+				if !decls.resolves(name[1], strings.Split(name[2][1:], ".")) {
+					t.Errorf("%s:%d: `%s` names no declaration in the module", doc, i+1, m[1])
+				}
+			}
+		}
+	}
+}
+
+// declIndex is the module's non-test declarations: top-level names and
+// methods by package name, and members (methods, struct fields, interface
+// methods) by type name, each under "pkg.Type" and under the bare "Type".
+type declIndex struct {
+	top     map[string]map[string]bool
+	methods map[string]map[string]bool
+	members map[string]map[string]bool
+	types   map[string]string // lower-cased type name -> type name
+}
+
+func (d declIndex) resolves(first string, rest []string) bool {
+	if top, ok := d.top[first]; ok {
+		switch len(rest) {
+		case 1:
+			return top[rest[0]] || d.methods[first][rest[0]]
+		case 2:
+			return d.members[first+"."+rest[0]][rest[1]]
+		}
+		return false
+	}
+	typ := first
+	if first[0] >= 'a' && first[0] <= 'z' {
+		if _, err := os.Stat(filepath.Join(build.Default.GOROOT, "src", first)); err == nil {
+			return true // a standard-library package
+		}
+		if typ = d.types[first]; typ == "" {
+			return true // a package outside the module
+		}
+	}
+	return len(rest) == 1 && d.members[typ][rest[0]]
+}
+
+// moduleDecls parses every non-test Go file of the module into a declIndex.
+func moduleDecls(t *testing.T) declIndex {
+	t.Helper()
+	d := declIndex{
+		top:     map[string]map[string]bool{},
+		methods: map[string]map[string]bool{},
+		members: map[string]map[string]bool{},
+		types:   map[string]string{},
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if path != "." && strings.HasPrefix(e.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkg := f.Name.Name
+		if d.top[pkg] == nil {
+			d.top[pkg] = map[string]bool{}
+		}
+		member := func(typ, name string) {
+			note(d.members, pkg+"."+typ, name)
+			note(d.members, typ, name)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				if decl.Recv == nil {
+					d.top[pkg][decl.Name.Name] = true
+					continue
+				}
+				member(recvType(decl.Recv.List[0].Type), decl.Name.Name)
+				note(d.methods, pkg, decl.Name.Name)
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					switch spec := spec.(type) {
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							d.top[pkg][n.Name] = true
+						}
+					case *ast.TypeSpec:
+						typ := spec.Name.Name
+						d.top[pkg][typ] = true
+						d.types[strings.ToLower(typ)] = typ
+						var fields *ast.FieldList
+						switch st := spec.Type.(type) {
+						case *ast.StructType:
+							fields = st.Fields
+						case *ast.InterfaceType:
+							fields = st.Methods
+						}
+						if fields == nil {
+							continue
+						}
+						for _, fld := range fields.List {
+							for _, n := range fld.Names {
+								member(typ, n.Name)
+							}
+							if len(fld.Names) == 0 {
+								member(typ, recvType(fld.Type)) // embedded
+							}
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// recvType is the type name of a receiver or embedded field expression:
+// T, *T, T[P], pkg.T.
+func recvType(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.StarExpr:
+		return recvType(x.X)
+	case *ast.IndexExpr:
+		return recvType(x.X)
+	case *ast.IndexListExpr:
+		return recvType(x.X)
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
+	}
+	return ""
 }
