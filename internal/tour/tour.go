@@ -1,11 +1,14 @@
-// Package tour is the near-first victim tour every raider in the runtime
-// walks: the omp overflow-ring raid, GLTO's idle-drain table tour, iomp's
-// deque steal and the ws backend's stream steal. A tour of n places starts
-// somewhere and alternates outward from there — start, start±1, start∓1,
-// start±2, ... — so a thief reaches near victims before far ones and
-// thieves with different starts (or directions) diverge at once instead of
-// converging on one victim. Rand draws randomized starts from a one-owner
-// splitmix64 stream, with no math/rand and no shared state.
+// Package tour holds the two pieces every raider in the runtime shares: the
+// near-first victim tour and the published-slot directory (Dir) that raiders
+// scan. The omp overflow-ring raid, GLTO's idle-drain tour, iomp's deque
+// steal and the ws backend's stream steal all walk the tour; the omp ring
+// raid and GLTO's idle drain both scan Dirs, one per team rank and one per
+// stream. A tour of n places starts somewhere and alternates outward from
+// there — start, start±1, start∓1, start±2, ... — so a thief reaches near
+// victims before far ones and thieves with different starts (or directions)
+// diverge at once instead of converging on one victim. Rand draws randomized
+// starts from a one-owner splitmix64 stream, with no math/rand and no shared
+// state.
 package tour
 
 // Mix64 is the splitmix64 finalizer: a bijective avalanche over uint64, so
