@@ -77,52 +77,31 @@ type Runtime struct {
 	// flushBufs recycles the target/arg scratch slices of FlushTasks.
 	flushBufs sync.Pool
 
-	// drainTab tracks the teams whose regions are currently in flight,
-	// indexed by execution stream, so the engine's idle drain hook knows
-	// which producer-side overflow rings exist to be raided without taking
-	// any lock: each stream owns a fixed array of atomically published
-	// (team, epoch) entries. Top-level regions enlist under the stream of
-	// their rank-0 member, nested regions under their encountering stream;
-	// an idle stream tours the table starting at its own index, so a
-	// many-teams workload (nested regions in flight on every stream) finds
-	// its local teams first and never scans a global list under a mutex
-	// (the previous design: one activeMu over a flat team slice). Entries
-	// are published by RunRegion/Nested and retired before the team
-	// descriptor returns to the front end's pool; the epoch stamp lets a
-	// raider holding a just-retired entry detect descriptor recycling (see
-	// omp.Team.Epoch — and note the raid itself is recycle-safe, the stamp
-	// only spares stale work). A stream whose array is full spills to the
-	// mutex-guarded overflow list, touched only when a single stream hosts
-	// more than drainSlots regions at once.
-	drainTab []drainDir
-	spillMu  sync.Mutex
-	spill    []*omp.Team
-	spillN   atomic.Int32
+	// drainTab is the idle-drain registry: the teams whose regions are in
+	// flight, one tour.Dir per execution stream, so the engine's idle drain
+	// hook finds the producer-side overflow rings to raid without a lock.
+	// Top-level regions list under the stream of their rank-0 member, nested
+	// regions under their encountering stream; an idle stream tours the
+	// table near-first, so a many-teams workload (nested regions in flight on
+	// every stream) finds its local teams first. RunRegion and Nested publish
+	// a team and retire it before the descriptor returns to the front end's
+	// pool. A stream already listing tour.DirSlots regions lists no more: the
+	// surplus region's members still raid its rings at their wait steps, and
+	// its producers flush at their scheduling points. A drain that loaded a
+	// team just before its retire may raid the descriptor's next region,
+	// which is safe (see omp's ringSet).
+	drainTab []streamDrain
 }
 
-// drainSlots is the per-stream capacity of the idle-drain registry: how many
-// in-flight regions one stream can have published before enlists spill to
-// the mutex-guarded fallback.
-const drainSlots = 4
-
-// drainEntry is one published (team, epoch) pair. The team pointer is
-// claimed/retired with CAS/store; the epoch is written by the publisher
-// after winning the slot, so a raider that reads a team with a mismatched
-// epoch simply skips it (the entry is mid-publish or the team recycled).
-type drainEntry struct {
-	team  atomic.Pointer[omp.Team]
-	epoch atomic.Uint64
-}
-
-// drainDir is one stream's slice of the idle-drain registry, padded so
+// streamDrain is one stream's part of the idle-drain registry, padded so
 // neighbouring streams' publishes do not false-share.
-type drainDir struct {
-	slot [drainSlots]drainEntry
+type streamDrain struct {
+	dir tour.Dir[omp.Team]
 	// rng is the owning stream's tour stream. stealBufferedTask runs only
 	// on the owner's scheduler goroutine (the idle-drain hook and the
 	// owner's own scheduling points), so it needs no synchronization.
 	rng tour.Rand
-	_   [64]byte
+	_   [56]byte
 }
 
 // regionSlot is the pooled dispatch state of one in-flight region.
@@ -153,7 +132,7 @@ func New(cfg omp.Config) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg, g: g, taskBuf: cfg.EffectiveTaskBuffer()}
 	rt.Frontend = omp.NewFrontend(rt, cfg)
-	rt.drainTab = make([]drainDir, g.NumThreads())
+	rt.drainTab = make([]streamDrain, g.NumThreads())
 	rt.eng.rt = rt
 	rt.taskBody = func(tcx *glt.Ctx) {
 		node := tcx.Arg().(*omp.TaskNode)
@@ -183,85 +162,32 @@ func New(cfg omp.Config) (*Runtime, error) {
 	return rt, nil
 }
 
-// enlist publishes t in stream's directory of the idle-drain registry and
-// returns the slot index claimed, or -1 when the directory was full and the
-// team went to the spill list. The steady-state path is one CAS plus one
-// store; only the spill takes a mutex.
-func (rt *Runtime) enlist(t *omp.Team, stream int) int {
-	d := &rt.drainTab[stream%len(rt.drainTab)]
-	for j := range d.slot {
-		e := &d.slot[j]
-		if e.team.Load() == nil && e.team.CompareAndSwap(nil, t) {
-			e.epoch.Store(t.Epoch())
-			return j
-		}
-	}
-	rt.spillMu.Lock()
-	rt.spill = append(rt.spill, t)
-	rt.spillN.Add(1)
-	rt.spillMu.Unlock()
-	return -1
+// streamDir is stream's directory of the idle-drain registry.
+func (rt *Runtime) streamDir(stream int) *tour.Dir[omp.Team] {
+	return &rt.drainTab[stream%len(rt.drainTab)].dir
 }
 
-// delist retires the entry enlist published (h is enlist's return value).
-// Only the enlisting goroutine calls it, with the region over, so the CAS
-// can only race a raider's reads, never another delist of the same entry.
-func (rt *Runtime) delist(t *omp.Team, stream, h int) {
-	if h >= 0 {
-		rt.drainTab[stream%len(rt.drainTab)].slot[h].team.CompareAndSwap(t, nil)
-		return
-	}
-	rt.spillMu.Lock()
-	for i, a := range rt.spill {
-		if a == t {
-			last := len(rt.spill) - 1
-			rt.spill[i] = rt.spill[last]
-			rt.spill[last] = nil
-			rt.spill = rt.spill[:last]
-			rt.spillN.Add(-1)
-			break
-		}
-	}
-	rt.spillMu.Unlock()
-}
-
-// stealBufferedTask claims one task from any active team's overflow rings,
-// touring the stream-indexed registry — lock-free end to end: atomic entry
+// stealBufferedTask claims one task from any listed team's overflow rings,
+// touring the stream-indexed registry — lock-free end to end: atomic slot
 // loads here, and the per-rank ring-directory raid inside
 // StealBufferedTaskFrom. The tour is convoy-aware: it starts at a
 // pseudo-random directory in a pseudo-random direction, drawn from the idle
 // stream's own tour stream (so N streams going idle on the same burst fan
 // out over producers instead of stampeding one), and alternates outward
 // from the start, visiting near directories before far ones (see
-// internal/tour). A team whose epoch no longer matches its entry is
-// mid-publish or recycled and is skipped; the claim itself is recycle-safe
-// regardless (see omp's ringSet), the stamp just spares raiding a
-// descriptor that has moved on.
+// internal/tour).
 func (rt *Runtime) stealBufferedTask(rank int) *omp.TaskNode {
 	n := len(rt.drainTab)
 	start, dir := rt.drainTab[rank%n].rng.Start(n)
 	for k := 0; k < n; k++ {
-		d := &rt.drainTab[tour.At(start, dir, k, n)]
-		for j := range d.slot {
-			e := &d.slot[j]
-			t := e.team.Load()
-			if t == nil || e.epoch.Load() != t.Epoch() {
-				continue // retires punch holes, so no dense-prefix cutoff here
-			}
-			if node := t.StealBufferedTaskFrom(rank); node != nil {
-				return node
+		d := &rt.drainTab[tour.At(start, dir, k, n)].dir
+		for j, m := 0, d.Len(); j < m; j++ {
+			if t := d.At(j); t != nil {
+				if node := t.StealBufferedTaskFrom(rank); node != nil {
+					return node
+				}
 			}
 		}
-	}
-	if rt.spillN.Load() > 0 {
-		rt.spillMu.Lock()
-		for _, t := range rt.spill {
-			if node := t.StealBufferedTaskFrom(rank); node != nil {
-				rt.spillMu.Unlock()
-				return node
-			}
-		}
-		rt.spillMu.Unlock()
 	}
 	return nil
 }
@@ -317,11 +243,12 @@ func (rt *Runtime) RunRegion(t *omp.Team) {
 	// waiting for its member cannot rescue a burst its member would run.
 	// Rank 0 lands on stream 0 (SpawnTeam places rank i on stream i mod
 	// streams), so the team is published under stream 0's directory.
-	h := rt.enlist(t, 0)
+	d := rt.streamDir(0)
+	h := d.Publish(t)
 	for _, u := range units {
 		u.Join()
 	}
-	rt.delist(t, 0, h)
+	d.Retire(h, t)
 	rt.g.ReleaseAll(units)
 	slot.units = units[:0]
 	slot.team = nil
@@ -558,15 +485,16 @@ func (e *engine) Taskyield(tc *omp.TC) {
 func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	n := team.Size
 	c := ctxOf(tc)
-	// Nested teams enlist under their encountering stream: the inner ULTs
+	// Nested teams list under their encountering stream: the inner ULTs
 	// spawn there (§IV-E), so that is where an idle tour should find them
 	// first.
 	stream := 0
 	if c != nil {
 		stream = c.Rank()
 	}
-	h := e.rt.enlist(team, stream)
-	defer e.rt.delist(team, stream, h)
+	d := e.rt.streamDir(stream)
+	h := d.Publish(team)
+	defer d.Retire(h, team)
 	e.rt.Counters.ULTsCreated.Add(int64(n - 1))
 	slot := e.rt.slots.Get().(*regionSlot)
 	slot.team = team

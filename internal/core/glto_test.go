@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/tour"
 	"repro/omp"
 )
 
@@ -235,20 +236,20 @@ func TestSerializedRegionStillRunsTasks(t *testing.T) {
 	}
 }
 
-// TestDrainTableSpill puts more regions in flight on one stream than its
-// drain directory has slots, so the surplus regions enlist on the spill list.
-// A top-level team of one runs on stream 0 and its rank 0 opens nested teams
-// of two, level inside level; §IV-E spawns every inner team on the
-// encountering stream, so all the regions enlist under stream 0 and stream 1
-// hosts no unit at all. Every member of every level buffers tasks in its
-// overflow ring. The innermost producer then spins without a scheduling
-// point, so its tasks — owned by a spilled team — can run only if idle
-// stream 1's drain hook tours the directory and then the spill list. Every
-// task must run exactly once, and the directory and spill list must be empty
-// once the regions are over.
-func TestDrainTableSpill(t *testing.T) {
+// TestDrainTableSurplus puts more regions in flight on one stream's nesting
+// chain than a directory has slots. A top-level team of one runs on stream 0
+// and its rank 0 opens nested teams of two, level inside level; each nested
+// team lists under its encountering stream (§IV-E), which the test records
+// rather than assumes, and the top-level team lists under stream 0 from the
+// master, racing the chain. Once every region has tried to list, the
+// directories of all streams together hold one team per free slot and the
+// surplus regions are listed nowhere. Every member of every level buffers
+// tasks; each must run exactly once, the unlisted teams' tasks through
+// their producers' flushes and their members' raids, and every directory
+// must be empty once the regions are over.
+func TestDrainTableSurplus(t *testing.T) {
 	const (
-		regions = drainSlots + 2
+		regions = tour.DirSlots + 2
 		tasks   = 3 // per member per level
 	)
 	for _, backend := range []string{"abt", "qth"} {
@@ -259,35 +260,42 @@ func TestDrainTableSpill(t *testing.T) {
 			}
 			defer rt.Shutdown()
 			var hits [regions][2][tasks]atomic.Int32
-			var spilled atomic.Int32
+			var stream [regions]int // the stream region d lists under
+			var listed, want int
 			var level func(d int) func(*omp.TC)
 			level = func(d int) func(*omp.TC) {
 				return func(tc *omp.TC) {
 					me := tc.ThreadNum()
-					var ran atomic.Int32
 					for i := range hits[d][me] {
 						h := &hits[d][me][i]
-						tc.Task(func(*omp.TC) { h.Add(1); ran.Add(1) })
+						tc.Task(func(*omp.TC) { h.Add(1) })
 					}
 					switch {
 					case me != 0:
 					case d+1 < regions:
+						stream[d+1] = ctxOf(tc).Rank()
 						tc.Parallel(2, level(d+1))
 					default:
-						spilled.Store(rt.spillN.Load())
-						deadline := time.Now().Add(10 * time.Second)
-						for ran.Load() < tasks && time.Now().Before(deadline) {
-							runtime.Gosched()
+						perStream := make([]int, len(rt.drainTab))
+						for _, s := range stream {
+							perStream[s]++
 						}
-						if ran.Load() < tasks {
-							t.Errorf("idle stream ran %d of the spilled team's %d buffered tasks", ran.Load(), tasks)
+						for _, n := range perStream {
+							want += min(n, tour.DirSlots)
+						}
+						deadline := time.Now().Add(10 * time.Second)
+						for listed = drainListed(rt); listed != want && time.Now().Before(deadline); listed = drainListed(rt) {
+							runtime.Gosched()
 						}
 					}
 				}
 			}
 			rt.ParallelN(1, level(0))
-			if got := spilled.Load(); got != regions-drainSlots {
-				t.Errorf("%d regions on the spill list with %d in flight, want %d", got, regions, regions-drainSlots)
+			if listed != want {
+				t.Errorf("%d regions listed with %d in flight, want %d", listed, regions, want)
+			}
+			if want == regions {
+				t.Errorf("all %d regions found a slot; the chain left no surplus to test", regions)
 			}
 			for d := range hits {
 				size := 2
@@ -306,19 +314,23 @@ func TestDrainTableSpill(t *testing.T) {
 					}
 				}
 			}
-			for s := range rt.drainTab {
-				for j := range rt.drainTab[s].slot {
-					if rt.drainTab[s].slot[j].team.Load() != nil {
-						t.Errorf("drain directory %d slot %d still holds a team", s, j)
-					}
-				}
-			}
-			rt.spillMu.Lock()
-			left := len(rt.spill)
-			rt.spillMu.Unlock()
-			if left != 0 || rt.spillN.Load() != 0 {
-				t.Errorf("spill list holds %d teams (count %d) after the regions ended", left, rt.spillN.Load())
+			if n := drainListed(rt); n != 0 {
+				t.Errorf("the drain directories list %d teams after the regions ended", n)
 			}
 		})
 	}
+}
+
+// drainListed counts the teams listed in every stream's drain directory.
+func drainListed(rt *Runtime) int {
+	n := 0
+	for s := range rt.drainTab {
+		d := &rt.drainTab[s].dir
+		for j := 0; j < d.Len(); j++ {
+			if d.At(j) != nil {
+				n++
+			}
+		}
+	}
+	return n
 }

@@ -15,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/tour"
 )
 
 // raidTeam builds a quiescent team of the given size with engineless TCs:
@@ -95,51 +97,146 @@ func TestRingDirectoryTwoProducersOneRaider(t *testing.T) {
 	}
 }
 
-// TestRingDirectorySpill drives one rank past its directory capacity: more
-// simultaneously-published rings than ringDirSlots must spill to the
-// registry's fallback list and still be claimable, and a region reset must
-// retire directory and spill entries alike (the rings' listed flags clear,
-// so the next region re-enlists from scratch).
-func TestRingDirectorySpill(t *testing.T) {
-	const producers = ringDirSlots + 4
+// TestRingDirectorySurplusUnlisted drives one rank past its directory's
+// capacity: of more than tour.DirSlots simultaneously buffering producers on
+// one rank, the surplus stays unlisted, so a raid finds only the listed
+// rings' tasks, and the surplus tasks run exactly once through their
+// producers' own flush at a scheduling point. A listed producer's
+// scheduling point retires its slot, even though a raider already emptied
+// its ring, and the next push of a surplus producer takes the slot it
+// freed. A region reset unlists whatever is still listed.
+func TestRingDirectorySurplusUnlisted(t *testing.T) {
+	const producers = tour.DirSlots + 4
 	team, _ := raidTeam(2)
+	e := &recycleEngine{}
 	tcs := make([]*TC, producers)
+	var ran [producers + 1]atomic.Int32
 	for i := range tcs {
-		// All producers sit on rank 0, so every ring lands in (or spills
-		// from) the same directory.
-		tcs[i] = NewTC(team, 0, nil, nil, nil)
+		// All producers sit on rank 0, so every ring competes for the same
+		// directory.
+		tcs[i] = NewTC(team, 0, e, nil, nil)
+		node := PrepareTask(tcs[i], func(*TC) { ran[i].Add(1) })
+		tcs[i].BufferTask(node, 8)
 	}
-	var ran atomic.Int32
-	for _, tc := range tcs {
-		node := PrepareTask(tc, func(*TC) { ran.Add(1) })
-		tc.BufferTask(node, 8)
+	for i, tc := range tcs {
+		if listed := tc.ring.slot >= 0; listed != (i < tour.DirSlots) {
+			t.Fatalf("producer %d listed = %v with %d slots per rank", i, listed, tour.DirSlots)
+		}
 	}
-	if got := team.BufferedTaskCount(); got != producers {
-		t.Fatalf("BufferedTaskCount = %d, want %d (spilled rings must be visible)", got, producers)
+	if got := team.BufferedTaskCount(); got != tour.DirSlots {
+		t.Fatalf("BufferedTaskCount = %d, want %d (the listed rings only)", got, tour.DirSlots)
 	}
-	consumer := NewTC(team, 1, nil, nil, nil)
-	for i := 0; i < producers; i++ {
+	consumer := NewTC(team, 1, e, nil, nil)
+	for i := 0; i < tour.DirSlots; i++ {
 		node, _ := consumer.raid()
 		if node == nil {
-			t.Fatalf("claimed %d of %d rings' tasks (spill entries unreachable?)", i, producers)
+			t.Fatalf("raided %d of %d listed rings' tasks", i, tour.DirSlots)
 		}
 		ExecTask(consumer, node)
 	}
 	if node, _ := consumer.raid(); node != nil {
-		t.Fatal("claim after drain returned a task")
+		t.Fatal("a raid reached an unlisted ring's task")
 	}
-	if got := ran.Load(); got != producers {
-		t.Fatalf("%d of %d tasks ran", got, producers)
+	for _, tc := range tcs[tour.DirSlots:] {
+		tc.flushPending() // the surplus producers' scheduling points
 	}
-	// Recycle the descriptor: every ring (slotted and spilled) must retire.
-	team.prepare(2, 0, Config{}, func(*TC) {})
-	for _, tc := range tcs {
-		if tc.ring.listed.Load() {
-			t.Fatal("ring still listed after region reset")
+	for e.TryRunTask(consumer) {
+	}
+	for i := 0; i < producers; i++ {
+		if got := ran[i].Load(); got != 1 {
+			t.Fatalf("producer %d's task ran %d times, want exactly once", i, got)
 		}
 	}
-	if got := team.BufferedTaskCount(); got != 0 {
-		t.Fatalf("BufferedTaskCount = %d after reset, want 0", got)
+
+	// tcs[0]'s ring was emptied by the raid; its scheduling point still
+	// retires the slot, and the next surplus push takes it.
+	dir := &(*team.rings.dirs.Load())[0]
+	tcs[0].flushPending()
+	if tcs[0].ring.slot >= 0 || dir.At(0) != nil {
+		t.Fatal("a scheduling point left its producer's slot listed")
+	}
+	late := tcs[tour.DirSlots]
+	late.BufferTask(PrepareTask(late, func(*TC) { ran[producers].Add(1) }), 8)
+	if late.ring.slot != 0 || dir.At(0) != late.ring {
+		t.Fatalf("a surplus push listed at slot %d, want the retired slot 0", late.ring.slot)
+	}
+	if node, _ := consumer.raid(); node == nil {
+		t.Fatal("the newly listed ring's task is not raidable")
+	} else {
+		ExecTask(consumer, node)
+	}
+	if got := ran[producers].Load(); got != 1 {
+		t.Fatalf("the newly listed task ran %d times, want exactly once", got)
+	}
+
+	team.prepare(2, 0, Config{}, func(*TC) {})
+	for i, tc := range tcs {
+		if tc.ring.slot >= 0 {
+			t.Fatalf("producer %d still listed after a region reset", i)
+		}
+	}
+	dirs := *team.rings.dirs.Load()
+	for rank := range dirs {
+		if d := &dirs[rank]; d.Len() != 0 {
+			t.Fatalf("rank %d's directory holds a mark of %d after a reset", rank, d.Len())
+		}
+	}
+}
+
+// TestRingDirectoryOccupancy pins where rings retire: at their producer's
+// scheduling point, not at region reset. In TestTaskDescriptorRecycling's
+// shape — every task buffers one child and waits for it — a rank's
+// directory holds at most its implicit task's ring and the ring of the task
+// it runs, so no directory's high-water mark passes 2 in any region. If
+// rings retired only at region reset, every task that ever buffered on a
+// rank would keep its slot and fill the directory.
+func TestRingDirectoryOccupancy(t *testing.T) {
+	const (
+		regions = 25
+		ranks   = 4
+		perRank = 12
+	)
+	e := &recycleEngine{}
+	var ran atomic.Int64
+	body := func(tc *TC) {
+		for i := 0; i < perRank; i++ {
+			tc.Task(func(ttc *TC) {
+				ttc.Task(func(*TC) { ran.Add(1) })
+				ttc.Taskwait()
+				ran.Add(1)
+			})
+		}
+		tc.Taskwait()
+	}
+	team := NewTeam(ranks, 0, Config{NumThreads: ranks, TaskBuffer: 8}.WithDefaults(), body)
+	for r := 0; r < regions; r++ {
+		if r > 0 {
+			team.prepare(ranks, 0, team.Cfg, body)
+		}
+		var wg sync.WaitGroup
+		for rank := 0; rank < ranks; rank++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				team.Run(rank, e, nil)
+			}()
+		}
+		wg.Wait()
+		dirs := *team.rings.dirs.Load()
+		for rank := range dirs {
+			d := &dirs[rank]
+			if d.Len() > 2 {
+				t.Fatalf("region %d: rank %d's directory held %d rings at once, want at most 2", r, rank, d.Len())
+			}
+			for j := 0; j < d.Len(); j++ {
+				if d.At(j) != nil {
+					t.Fatalf("region %d: rank %d's slot %d still listed after the region", r, rank, j)
+				}
+			}
+		}
+	}
+	if got, want := ran.Load(), int64(regions*ranks*perRank*2); got != want {
+		t.Fatalf("%d of %d tasks ran", got, want)
 	}
 }
 

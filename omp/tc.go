@@ -64,7 +64,7 @@ type TC struct {
 	// task scheduling points (barriers, taskwait, taskyield, taskgroup end)
 	// or when the buffer reaches the engine's limit. Unlike the private
 	// slice it replaced, the ring is single-producer/multi-consumer and
-	// enlisted in the team's raid registry, so idle workers can claim
+	// listed in the team's raid registry, so idle workers can claim
 	// buffered tasks *between* the producer's scheduling points instead of
 	// waiting for its next flush. Allocated on first use and retained across
 	// rearms and descriptor recycles.
@@ -216,14 +216,16 @@ func (tc *TC) InSingleMaster() bool { return tc.inSM }
 type taskRing struct {
 	head atomic.Int64
 	tail atomic.Int64
-	// listed marks the ring as enlisted in its team's raid registry; set by
-	// the producer on the empty→non-empty transition, cleared when the team
-	// descriptor is prepared for its next region.
-	listed atomic.Bool
+	// rank and slot locate the ring in its team's raid registry: slot is
+	// the index in rank's directory, or -1 while the ring is unlisted.
+	// Producer-only: BufferTask lists the ring on a push that finds it
+	// unlisted, flushPending retires it at the producer's scheduling
+	// points, and ringSet.reset unlists what is left between regions.
+	rank, slot int
 	// resident points at the owning team's count of ring-resident tasks
 	// (ringSet.resident): push increments it, every successful claim
 	// decrements it, and the raid fast path reads it alone — so spinning
-	// waiters skip the registry mutex whenever the rings are drained, not
+	// waiters skip the directory tour whenever the rings are drained, not
 	// just in regions that never buffered.
 	resident *atomic.Int64
 	mask     int64
@@ -236,6 +238,7 @@ func newTaskRing(capacity int, resident *atomic.Int64) *taskRing {
 		n <<= 1
 	}
 	return &taskRing{
+		slot:     -1,
 		resident: resident,
 		mask:     int64(n - 1),
 		slots:    make([]atomic.Pointer[TaskNode], n),
@@ -288,7 +291,7 @@ func (r *taskRing) size() int64 {
 // code guarantees a FlushTasks at every task scheduling point, so a buffered
 // task is dispatched no later than the next barrier/taskwait/taskyield — and
 // may be claimed earlier by an idle consumer through the team's raid
-// registry.
+// registry, which lists the ring if its rank's directory has room.
 func (tc *TC) BufferTask(node *TaskNode, limit int) bool {
 	r := tc.ring
 	if r == nil {
@@ -301,8 +304,8 @@ func (tc *TC) BufferTask(node *TaskNode, limit int) bool {
 		panic("omp: BufferTask on a full ring — the engine ignored the flush signal or raised its limit past the ring's first-use capacity")
 	}
 	r.push(node)
-	if !r.listed.Load() && r.listed.CompareAndSwap(false, true) {
-		tc.team.enlistRing(r, tc.num)
+	if r.slot < 0 {
+		tc.team.rings.list(r, tc.num)
 	}
 	return r.size() >= int64(limit)
 }
@@ -404,11 +407,21 @@ func (tc *TC) TakeBuffered() []*TaskNode {
 	return buf
 }
 
-// flushPending hands any buffered tasks to the engine. Called at every task
-// scheduling point before the wait they imply.
+// flushPending hands any buffered tasks to the engine and retires the ring
+// from the raid registry, even when raiders already emptied it; its next
+// push lists it again. Called at every task scheduling point before the
+// wait it implies, and at task end. The engines' flush at the buffer limit
+// does not retire, since the producer keeps pushing after it.
 func (tc *TC) flushPending() {
-	if tc.ring != nil && tc.ring.size() > 0 {
+	r := tc.ring
+	if r == nil {
+		return
+	}
+	if r.size() > 0 {
 		tc.ops.FlushTasks(tc)
+	}
+	if r.slot >= 0 {
+		tc.team.rings.retire(r)
 	}
 }
 

@@ -39,13 +39,6 @@ type Team struct {
 	// implicit barrier; the member that decrements it to zero — the last one
 	// out — fires Tracer.RegionEnd, pairing every RegionBegin exactly once.
 	ends atomic.Int32
-	// epoch counts descriptor incarnations: prepare bumps it before a reused
-	// descriptor serves its next region. Registries that publish Team
-	// pointers outside the region's own lifetime (GLTO's stream-indexed
-	// idle-drain table) stamp their entries with it, so a raider holding a
-	// stale pointer can detect — with one atomic load — that the descriptor
-	// has moved on.
-	epoch atomic.Uint64
 
 	// cancelled is the region's sticky cancel flag (see cancel.go): checked
 	// (one load, never a CAS) at every task scheduling point, set by
@@ -78,8 +71,9 @@ type Team struct {
 	// thousands of regions of the CloverLeaf and CG experiments.
 	taskPools []taskShard
 
-	// rings is the raid registry: every producer-side overflow ring that has
-	// held a task this region, enlisted by the producer on its first push.
+	// rings is the raid registry: the producer-side overflow rings holding
+	// tasks between their producers' scheduling points, each listed by its
+	// producer on a push and retired at the producer's next scheduling point.
 	// Idle consumers walk it through the wait step's hunt (TC.Hunt) and the
 	// glt idle-drain hook's StealBufferedTaskFrom, which is what makes
 	// the producer-side buffer visible between the producer's scheduling
@@ -134,7 +128,6 @@ func (t *Team) prepare(size, level int, cfg Config, body func(*TC)) {
 	if size < 1 {
 		size = 1
 	}
-	t.epoch.Add(1)
 	t.Size, t.Level, t.Cfg, t.body = size, level, cfg, body
 	t.Tasks.Store(0)
 	t.ends.Store(int32(size))
@@ -242,12 +235,6 @@ func (t *Team) memberEnd(tc *TC) {
 // route execution through Run (none in this repository) may invoke it
 // directly against hand-built TCs.
 func (t *Team) Body() func(*TC) { return t.body }
-
-// Epoch reports the descriptor's incarnation stamp (bumped on every region
-// prepare). Holders of a Team pointer that may outlive the region — GLTO's
-// idle-drain registry — compare it against the value they captured at
-// publish time to detect recycling.
-func (t *Team) Epoch() uint64 { return t.epoch.Load() }
 
 // EngineData returns per-team engine state, initializing it with init on
 // first use. Engines use it to attach region-local structures (task queues,
@@ -386,122 +373,86 @@ func putTaskSlot(s *taskSlot) {
 	}
 }
 
-// ringDirSlots is the per-rank capacity of the raid directory: how many
-// overflow rings one rank can have published simultaneously before enlists
-// spill to the registry's mutex-guarded fallback. A rank's implicit task
-// plus a handful of in-flight explicit tasks buffering their own children
-// fit comfortably; only a pathological depth of simultaneously-buffering
-// task bodies on one rank ever reaches the spill.
-const ringDirSlots = 8
-
-// ringDir is one rank's directory of published overflow rings: a fixed slot
-// array written with atomic stores, so raiders read it with no lock at all.
-// Slots fill densely from index 0 (publishers CAS the first nil slot) and
-// are only cleared wholesale at region reset, so a raider may stop scanning
-// at the first nil slot. Padded so one rank's publishes do not false-share
-// with its neighbour's.
-type ringDir struct {
-	slot [ringDirSlots]atomic.Pointer[taskRing]
-	_    [64]byte
-}
-
-// ringSet is the team's raid registry of producer-side overflow rings.
-// Producers enlist once per region (on the ring's first push, guarded by the
-// ring's listed flag) into their own rank's directory; raiders tour the
-// per-rank directories starting from a per-consumer rotor (see
-// TC.raidRotor), so the steady-state raid path performs no mutex
-// acquisition: one atomic load on the resident gate, atomic slot loads along
-// the tour, one CAS to claim. The registry's only mutex guards the spill
-// list, reachable solely when a rank published more than ringDirSlots rings
-// in one region.
+// ringSet is the team's raid registry of producer-side overflow rings: one
+// tour.Dir per rank. A producer lists its ring in its rank's directory on a
+// push that finds the ring unlisted and retires it at its next scheduling
+// point (TC.flushPending), so a rank's directory holds only the rings whose
+// producers are between scheduling points: the rank's implicit task and the
+// explicit task it runs. A ring its full directory refuses stays unlisted
+// and retries at its producer's next push; its tasks still run, through the
+// producer's flush at its next scheduling point, or a raid once listed.
+// Raiders tour the per-rank directories starting from a per-consumer rotor
+// (see TC.raidRotor), so the raid path takes no lock: one atomic load on the
+// resident gate, atomic slot loads along the tour, one CAS to claim.
 //
 // The directory slice is published through an atomic pointer because a
 // raider may hold the Team across a descriptor recycle (GLTO's idle-drain
-// hook keeps a stream-indexed table of teams; its entries are epoch-checked
-// but a recycle can still race the check). Every field a raider touches —
-// the gate, the directory header, the slots, the rings' cursors — is
-// therefore atomic, and a stale raid can only miss or claim a task of the
+// hook scans a stream-indexed table of teams, and a team retired from it may
+// still be raided by a drain that loaded it first). Every field a raider
+// touches — the gate, the directory header, the slots, the rings' cursors —
+// is therefore atomic, and a stale raid can only miss or claim a task of the
 // team's next region, which executes exactly once either way (the claim CAS
 // arbitrates, and execution routes through the node's own Team pointer).
 type ringSet struct {
-	// resident counts tasks currently sitting in enlisted rings: pushes
-	// increment, successful claims decrement (see taskRing.resident). The
-	// raid fast path reads it alone — barrier waiters spin through the
-	// wait step's hunt on every iteration, so both a region that never
-	// buffers (the CloverLeaf/CG region-respawn hot path) and a region whose
-	// bursts have drained must cost one atomic load, not a shared lock.
+	// resident counts tasks currently sitting in rings: pushes increment,
+	// successful claims decrement (see taskRing.resident). The raid fast
+	// path reads it alone — barrier waiters spin through the wait step's
+	// hunt on every iteration, so both a region that never buffers (the
+	// CloverLeaf/CG region-respawn hot path) and a region whose bursts have
+	// drained must cost one atomic load. Tasks in an unlisted ring count
+	// too, so a raid may tour the directories and find nothing.
 	resident atomic.Int64
 	_        [56]byte
 	// dirs is the per-rank directory array, one entry per team rank,
 	// replaced (atomically) only when a recycle changes the team size.
-	dirs atomic.Pointer[[]ringDir]
-	// spillCount gates the spill path; raiders take spillMu only when it is
-	// non-zero.
-	spillCount atomic.Int32
-	spillMu    sync.Mutex
-	spill      []*taskRing
+	dirs atomic.Pointer[[]tour.Dir[taskRing]]
 }
 
-func (rs *ringSet) add(r *taskRing, rank int) {
-	if dp := rs.dirs.Load(); dp != nil && len(*dp) > 0 {
-		d := &(*dp)[rank%len(*dp)]
-		for i := range d.slot {
-			if d.slot[i].Load() == nil && d.slot[i].CompareAndSwap(nil, r) {
-				return
-			}
-		}
-	}
-	rs.spillMu.Lock()
-	rs.spill = append(rs.spill, r)
-	rs.spillCount.Add(1)
-	rs.spillMu.Unlock()
+// list publishes r in rank's directory and records where; a full directory
+// leaves r unlisted (slot -1). Producer-only.
+func (rs *ringSet) list(r *taskRing, rank int) {
+	dirs := *rs.dirs.Load()
+	r.rank = rank % len(dirs)
+	r.slot = dirs[r.rank].Publish(r)
 }
 
-// reset retires the registry between regions: the enlisted rings (all empty
-// by now — the region's end barrier drained every task) have their listed
-// flags cleared so next region's first push re-enlists them, the directory
-// slots are nilled, and the directory array is resized for the next team
-// shape. size is the next region's rank count.
+// retire empties r's directory slot. Producer-only.
+func (rs *ringSet) retire(r *taskRing) {
+	(*rs.dirs.Load())[r.rank].Retire(r.slot, r)
+	r.slot = -1
+}
+
+// reset retires the registry between regions: the rings still listed (a
+// producer that pushed and never reached a scheduling point, as TCs driven
+// by hand do) are unlisted so their next push lists them again, the
+// directories are cleared, and the directory array is resized for the next
+// team shape. size is the next region's rank count.
 func (rs *ringSet) reset(size int) {
 	rs.resident.Store(0)
 	dp := rs.dirs.Load()
 	if dp != nil {
 		for i := range *dp {
 			d := &(*dp)[i]
-			for j := range d.slot {
-				if r := d.slot[j].Load(); r != nil {
-					r.listed.Store(false)
-					d.slot[j].Store(nil)
+			for j, n := 0, d.Len(); j < n; j++ {
+				if r := d.At(j); r != nil {
+					r.slot = -1
 				}
 			}
+			d.Clear()
 		}
 	}
 	if dp == nil || cap(*dp) < size {
-		fresh := make([]ringDir, size)
+		fresh := make([]tour.Dir[taskRing], size)
 		rs.dirs.Store(&fresh)
 	} else if len(*dp) != size {
 		resized := (*dp)[:size]
 		rs.dirs.Store(&resized)
 	}
-	if rs.spillCount.Load() > 0 {
-		rs.spillMu.Lock()
-		for i, r := range rs.spill {
-			r.listed.Store(false)
-			rs.spill[i] = nil
-		}
-		rs.spill = rs.spill[:0]
-		rs.spillCount.Store(0)
-		rs.spillMu.Unlock()
-	}
 }
-
-// enlistRing registers a ring whose producer (team rank `rank`) just made it
-// non-empty.
-func (t *Team) enlistRing(r *taskRing, rank int) { t.rings.add(r, rank) }
 
 // StealBufferedTaskFrom claims one task from some member's producer-side
 // overflow ring, touring the per-rank ring directories from rank start (mod
-// the team size), or returns nil when every enlisted ring is empty. It is
+// the team size), or returns nil when every listed ring is empty. It is
 // the raid of consumers with no thread context on the team — the glt
 // idle-drain hook seeds it with the idle stream's rank — so it credits
 // TasksStolenFromBuffer and reports its own StealTour; team members raid
@@ -529,9 +480,7 @@ func (t *Team) StealBufferedTaskFrom(start int) *TaskNode {
 // producers before far ones and concurrent raiders with different starts
 // diverge immediately instead of converging on one victim. A tour that
 // never starts (the one-load empty fast path) probes nothing, so idle
-// spinners do not flood the tracer with zero-length tours. Lock-free on the
-// steady-state path; the spill list's mutex is touched only when a
-// directory overflowed this region.
+// spinners do not flood the tracer with zero-length tours.
 func (t *Team) stealBuffered(start int) (*TaskNode, int, int) {
 	rs := &t.rings
 	if rs.resident.Load() <= 0 {
@@ -546,34 +495,22 @@ func (t *Team) stealBuffered(start int) (*TaskNode, int, int) {
 		}
 		for k := 0; k < n; k++ {
 			at := tour.At(start, 1, k, n)
-			dir := &(*dp)[at]
+			d := &(*dp)[at]
 			visited++
-			for j := range dir.slot {
-				r := dir.slot[j].Load()
-				if r == nil {
-					break // slots fill densely; nil ends the published prefix
-				}
-				if node := r.claim(); node != nil {
-					return node, at, visited
+			for j, m := 0, d.Len(); j < m; j++ {
+				if r := d.At(j); r != nil {
+					if node := r.claim(); node != nil {
+						return node, at, visited
+					}
 				}
 			}
 		}
-	}
-	if rs.spillCount.Load() > 0 {
-		rs.spillMu.Lock()
-		for _, r := range rs.spill {
-			if node := r.claim(); node != nil {
-				rs.spillMu.Unlock()
-				return node, start, visited + 1
-			}
-		}
-		rs.spillMu.Unlock()
 	}
 	return nil, start, visited
 }
 
 // BufferedTaskCount reports how many tasks currently sit in the team's
-// enlisted overflow rings (racy; for tests and tooling).
+// listed overflow rings (racy; for tests and tooling).
 func (t *Team) BufferedTaskCount() int {
 	rs := &t.rings
 	if rs.resident.Load() <= 0 {
@@ -583,21 +520,12 @@ func (t *Team) BufferedTaskCount() int {
 	if dp := rs.dirs.Load(); dp != nil {
 		for i := range *dp {
 			d := &(*dp)[i]
-			for j := range d.slot {
-				r := d.slot[j].Load()
-				if r == nil {
-					break
+			for j, m := 0, d.Len(); j < m; j++ {
+				if r := d.At(j); r != nil {
+					n += int(r.size())
 				}
-				n += int(r.size())
 			}
 		}
-	}
-	if rs.spillCount.Load() > 0 {
-		rs.spillMu.Lock()
-		for _, r := range rs.spill {
-			n += int(r.size())
-		}
-		rs.spillMu.Unlock()
 	}
 	return n
 }
