@@ -11,15 +11,13 @@
 // GLTO paper blames for the nested-parallelism collapse of the pthread-based
 // OpenMP runtimes (Figs. 8 and 9, Table II).
 //
-// The package also provides the synchronization objects those runtimes are
-// built from (mutexes, condition variables, sense-reversing barriers with
-// active/passive wait) and global creation counters, which the experiment
-// harness reads to regenerate Table II.
+// The package also keeps the global creation counters, which the experiment
+// harness reads to regenerate Table II, and the WaitMode under which the
+// thread pools of internal/ptpool wait for work.
 package pthread
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -90,97 +88,14 @@ func updatePeak(alive int64) {
 // Join blocks until the thread's function has returned, as pthread_join.
 func (t *Thread) Join() { <-t.done }
 
-// Mutex is a pthread_mutex_t analogue.
-type Mutex = sync.Mutex
-
-// Cond is a pthread_cond_t analogue.
-type Cond = sync.Cond
-
-// WaitMode selects how a thread waits at a Barrier, mirroring
+// WaitMode selects how a pool thread waits for work, mirroring
 // OMP_WAIT_POLICY: active waiting spins (low wake-up latency, burns the
-// core), passive waiting blocks on a condition variable (frees the core,
-// pays a kernel wake-up).
+// core), passive waiting blocks (frees the core, pays a kernel wake-up).
 type WaitMode int
 
 const (
 	// ActiveWait spins with periodic scheduler yields.
 	ActiveWait WaitMode = iota
-	// PassiveWait blocks on a condition variable.
+	// PassiveWait blocks until the pool wakes the thread.
 	PassiveWait
 )
-
-// Barrier is a reusable sense-reversing barrier for a fixed number of
-// participants, the building block of the fork-join and work-sharing
-// constructs in the pthread-based runtimes.
-type Barrier struct {
-	n       int
-	mode    WaitMode
-	arrived atomic.Int64
-	sense   atomic.Uint64
-
-	mu   sync.Mutex
-	cond *sync.Cond
-}
-
-// NewBarrier creates a barrier for n participants with the given wait mode.
-func NewBarrier(n int, mode WaitMode) *Barrier {
-	b := &Barrier{n: n, mode: mode}
-	b.cond = sync.NewCond(&b.mu)
-	return b
-}
-
-// Wait blocks until all n participants have called Wait. The barrier then
-// resets for reuse.
-func (b *Barrier) Wait() {
-	epoch := b.sense.Load()
-	if b.arrived.Add(1) == int64(b.n) {
-		b.arrived.Store(0)
-		b.mu.Lock()
-		b.sense.Add(1)
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	switch b.mode {
-	case ActiveWait:
-		spins := 0
-		for b.sense.Load() == epoch {
-			spins++
-			if spins%64 == 0 {
-				runtime.Gosched()
-			}
-		}
-	case PassiveWait:
-		b.mu.Lock()
-		for b.sense.Load() == epoch {
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-	}
-}
-
-// WaitWhile spins (active) or naps (passive) until cond returns false. It is
-// the generic wait primitive used by the runtimes' idle loops; tryWork, if
-// non-nil, is attempted between checks so waiting threads can execute tasks
-// (the OpenMP task-scheduling-point semantics at barriers).
-func WaitWhile(mode WaitMode, cond func() bool, tryWork func() bool) {
-	spins := 0
-	for cond() {
-		if tryWork != nil && tryWork() {
-			spins = 0
-			continue
-		}
-		spins++
-		if mode == ActiveWait {
-			if spins%64 == 0 {
-				runtime.Gosched()
-			}
-			continue
-		}
-		// Passive: back off to the OS scheduler. A condition variable needs
-		// a broadcast on every state change, which the shared counters used
-		// by callers do not emit, so the passive mode naps via Gosched —
-		// cheap, and it releases the core like the native passive policy.
-		runtime.Gosched()
-	}
-}

@@ -40,51 +40,3 @@ func TestCountersTrackLifecycle(t *testing.T) {
 		t.Errorf("Alive after join = %d, want %d", got, base)
 	}
 }
-
-func TestBarrierSynchronizesBothModes(t *testing.T) {
-	for _, mode := range []WaitMode{ActiveWait, PassiveWait} {
-		const n = 6
-		b := NewBarrier(n, mode)
-		var phase atomic.Int64
-		var bad atomic.Int64
-		ths := make([]*Thread, n)
-		for i := range ths {
-			ths[i] = Create(func() {
-				for round := 1; round <= 20; round++ {
-					phase.Add(1)
-					b.Wait()
-					if phase.Load() != int64(round*n) {
-						bad.Add(1)
-					}
-					b.Wait()
-				}
-			})
-		}
-		for _, th := range ths {
-			th.Join()
-		}
-		if bad.Load() != 0 {
-			t.Errorf("mode %v: %d barrier phase violations", mode, bad.Load())
-		}
-	}
-}
-
-func TestWaitWhileRunsWorkWhileWaiting(t *testing.T) {
-	var cond atomic.Bool
-	cond.Store(true)
-	var worked atomic.Int64
-	th := Create(func() {
-		WaitWhile(PassiveWait, func() bool { return cond.Load() }, func() bool {
-			if worked.Load() < 5 {
-				worked.Add(1)
-				return true
-			}
-			cond.Store(false) // release ourselves once work is done
-			return false
-		})
-	})
-	th.Join()
-	if worked.Load() != 5 {
-		t.Errorf("tryWork ran %d times, want 5", worked.Load())
-	}
-}
