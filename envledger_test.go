@@ -29,26 +29,9 @@ func TestEnvLedger(t *testing.T) {
 	read := map[string]map[string]bool{} // variable -> files that read it
 	used := map[string]map[string]bool{} // variable -> test files and CI lines that name it
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if path != "." && strings.HasPrefix(d.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		file := filepath.ToSlash(path)
+	parseModule(t, fset, func(file string, f *ast.File) {
 		into := read
-		if strings.HasSuffix(path, "_test.go") {
+		if strings.HasSuffix(file, "_test.go") {
 			into = used
 		}
 		for _, decl := range f.Decls {
@@ -70,11 +53,7 @@ func TestEnvLedger(t *testing.T) {
 				return true
 			})
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	ciEnvPrefixes(t, used)
 
 	listed := readmeEnvTable(t)
@@ -97,6 +76,35 @@ func TestEnvLedger(t *testing.T) {
 		if _, ok := read[name]; !ok {
 			t.Errorf("README.md's environment table lists %s, which no code reads", name)
 		}
+	}
+}
+
+// parseModule parses every Go file of the module, skipping dot directories,
+// and calls fn with each file's slash-separated path.
+func parseModule(t *testing.T, fset *token.FileSet, fn func(file string, f *ast.File)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -275,23 +283,9 @@ func moduleDecls(t *testing.T) declIndex {
 		members: map[string]map[string]bool{},
 		types:   map[string]string{},
 	}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if path != "." && strings.HasPrefix(e.Name(), ".") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
+	parseModule(t, token.NewFileSet(), func(file string, f *ast.File) {
+		if strings.HasSuffix(file, "_test.go") {
+			return
 		}
 		pkg := f.Name.Name
 		if d.top[pkg] == nil {
@@ -343,11 +337,7 @@ func moduleDecls(t *testing.T) declIndex {
 				}
 			}
 		}
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	return d
 }
 
