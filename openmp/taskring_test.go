@@ -9,6 +9,7 @@ package openmp_test
 // probabilistic, about the raid firing.
 
 import (
+	"fmt"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -38,6 +39,9 @@ func spinUntil(cond func() bool, d time.Duration) bool {
 // tasks reach no engine queue, so the only way they can execute is the
 // waiters at the single's implicit barrier claiming them from the overflow
 // ring — on every runtime, pthread and ULT alike (mode-invariant raids).
+// Both wait policies and a narrow and a wide team run it: whatever spin
+// budget the policy grants, a non-last barrier waiter must exhaust it and
+// fall through to the wait step, which is where the raid happens.
 func TestOverflowRingRaidedByWaiters(t *testing.T) {
 	const tasks = 24
 	for _, v := range []struct {
@@ -50,42 +54,55 @@ func TestOverflowRingRaidedByWaiters(t *testing.T) {
 	} {
 		v := v
 		t.Run(v.label, func(t *testing.T) {
-			rt, err := openmp.New(v.rt, omp.Config{
-				NumThreads: 4,
-				Backend:    v.backend,
-				TaskBuffer: 256, // burst stays well under the flush limit
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Shutdown()
-			var ran atomic.Int64
-			rt.ParallelN(4, func(tc *omp.TC) {
-				tc.Single(func() {
-					for i := 0; i < tasks; i++ {
-						tc.Task(func(*omp.TC) { ran.Add(1) })
-					}
-					// No scheduling point from here on: if the burst runs,
-					// consumers raided the ring.
-					if !spinUntil(func() bool { return ran.Load() == tasks }, 10*time.Second) {
-						t.Errorf("consumers claimed %d of %d buffered tasks before the producer's next scheduling point",
-							ran.Load(), tasks)
-					}
-				})
-			})
-			if got := ran.Load(); got != tasks {
-				t.Fatalf("%d of %d tasks ran", got, tasks)
-			}
-			s := rt.Stats()
-			if s.TasksStolenFromBuffer != tasks {
-				t.Errorf("TasksStolenFromBuffer = %d, want %d (every task was ring-resident until claimed)",
-					s.TasksStolenFromBuffer, tasks)
-			}
-			if s.TaskFlushes != 0 {
-				t.Errorf("TaskFlushes = %d, want 0 (consumers drained the ring before any scheduling point)",
-					s.TaskFlushes)
+			for _, policy := range []omp.WaitPolicy{omp.PassiveWait, omp.ActiveWait} {
+				for _, width := range []int{4, 16} {
+					t.Run(fmt.Sprintf("%s/w%d", policy, width), func(t *testing.T) {
+						raidedByWaiters(t, v.rt, v.backend, policy, width, tasks)
+					})
+				}
 			}
 		})
+	}
+}
+
+// raidedByWaiters runs one TestOverflowRingRaidedByWaiters case: a width-wide
+// team whose single-construct producer buffers tasks and spins.
+func raidedByWaiters(t *testing.T, name, backend string, policy omp.WaitPolicy, width, tasks int) {
+	rt, err := openmp.New(name, omp.Config{
+		NumThreads: width,
+		Backend:    backend,
+		WaitPolicy: policy,
+		TaskBuffer: 256, // burst stays well under the flush limit
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown()
+	var ran atomic.Int64
+	rt.ParallelN(width, func(tc *omp.TC) {
+		tc.Single(func() {
+			for i := 0; i < tasks; i++ {
+				tc.Task(func(*omp.TC) { ran.Add(1) })
+			}
+			// No scheduling point from here on: if the burst runs,
+			// consumers raided the ring.
+			if !spinUntil(func() bool { return ran.Load() == int64(tasks) }, 10*time.Second) {
+				t.Errorf("consumers claimed %d of %d buffered tasks before the producer's next scheduling point",
+					ran.Load(), tasks)
+			}
+		})
+	})
+	if got := ran.Load(); got != int64(tasks) {
+		t.Fatalf("%d of %d tasks ran", got, tasks)
+	}
+	s := rt.Stats()
+	if s.TasksStolenFromBuffer != int64(tasks) {
+		t.Errorf("TasksStolenFromBuffer = %d, want %d (every task was ring-resident until claimed)",
+			s.TasksStolenFromBuffer, tasks)
+	}
+	if s.TaskFlushes != 0 {
+		t.Errorf("TaskFlushes = %d, want 0 (consumers drained the ring before any scheduling point)",
+			s.TaskFlushes)
 	}
 }
 
