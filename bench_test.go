@@ -686,7 +686,7 @@ func runBarrierBench(b *testing.B, v harness.Variant, width, barriers int) {
 			tc.Barrier()
 		}
 	}
-	rt.ParallelN(width, body) // warm team pools and the barrier's EWMA
+	rt.ParallelN(width, body) // warm the team pools
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rt.ParallelN(width, body)
@@ -695,11 +695,8 @@ func runBarrierBench(b *testing.B, v harness.Variant, width, barriers int) {
 }
 
 // BenchmarkBarrier: the barrier hot path — one region per op with 64
-// explicit barriers inside — swept across team widths that exercise the
-// flat epoch barrier (2, 8) and the combining tree (32), on both pthread
-// engines and two GLT backends. The w32-flat variants pin the tree's
-// counterfactual by forcing the flat topology through
-// omp.SetBarrierTreeThreshold, so one run shows the tree-vs-flat delta.
+// explicit barriers inside — swept across team widths 2, 8 and 32, on both
+// pthread engines and two GLT backends.
 func BenchmarkBarrier(b *testing.B) {
 	const barriers = 64
 	widths := []int{2, 8, 32}
@@ -718,16 +715,6 @@ func BenchmarkBarrier(b *testing.B) {
 			width := width
 			b.Run(fmt.Sprintf("w%d/%s", width, v.Label), func(b *testing.B) {
 				runBarrierBench(b, v, width, barriers)
-			})
-		}
-	}
-	if !testing.Short() {
-		omp.SetBarrierTreeThreshold(64) // wider than any team below: flat everywhere
-		defer omp.SetBarrierTreeThreshold(0)
-		for _, v := range variants {
-			v := v
-			b.Run("w32-flat/"+v.Label, func(b *testing.B) {
-				runBarrierBench(b, v, 32, barriers)
 			})
 		}
 	}

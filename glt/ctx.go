@@ -124,14 +124,6 @@ func (c *Ctx) Spawn(fn Func) *Unit {
 	return u
 }
 
-// SpawnTo creates a ULT on the pool of the stream with the given rank
-// (or round-robin for AnyThread).
-func (c *Ctx) SpawnTo(rank int, fn Func) *Unit {
-	u := c.rt.newUnit(c.w.rank, fn, false)
-	c.rt.dispatchFrom(c.w.rank, rank, u)
-	return u
-}
-
 // SpawnTasklet creates a tasklet on the given stream's pool
 // (or round-robin for AnyThread).
 func (c *Ctx) SpawnTasklet(rank int, fn func()) *Unit {

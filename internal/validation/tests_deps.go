@@ -29,9 +29,6 @@ func addExt(name, construct string, fn func(e *Env) error, modes ...Mode) {
 	}
 }
 
-// ExtTests returns the extension suite in registration order.
-func ExtTests() []Test { return extRegistry }
-
 // RunExtSuite executes the dependence extension suite against rt.
 func RunExtSuite(rt omp.Runtime, threads int) Report {
 	rep := Report{Runtime: rt.Name(), Backend: rt.Config().Backend}

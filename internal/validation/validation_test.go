@@ -165,8 +165,8 @@ func TestEnvBackendSuite(t *testing.T) {
 
 // TestWaitPolicySuite runs the full Table I suite on all four runtimes under
 // both OMP_WAIT_POLICY settings. The wait policy only reshapes *how* threads
-// wait — the adaptive spin budget's clamp and, through it, how eagerly
-// barrier waiters fall back to task execution or a scheduler yield — so
+// wait — the constant spin budget and, through it, how eagerly barrier
+// waiters fall back to task execution or a scheduler yield — so
 // construct outcomes must be policy-invariant: the same 123 tests run and
 // each runtime meets its Table I floor in both modes. OMP_WAIT_POLICY in the
 // environment (read as omp.Config.FromEnv reads it: case-insensitive,

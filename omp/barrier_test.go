@@ -1,10 +1,9 @@
 package omp
 
-// White-box tests for the adaptive barrier: correctness of the flat and
-// combining-tree topologies across team widths, epoch continuity when a
-// team descriptor (and its BarrierState) is recycled into regions of
-// different widths, the OMP_WAIT_POLICY clamps on the adaptive spin budget,
-// and exactly-once claiming under the randomized near-first raid tour. Run
+// White-box tests for the team barrier: correctness across team widths
+// under both wait policies, epoch continuity when a team descriptor (and
+// its BarrierState) is recycled into regions of different widths, and
+// exactly-once claiming under the randomized near-first raid tour. Run
 // under -race, as CI does.
 
 import (
@@ -33,8 +32,7 @@ func (barrierOps) Idle(*TC)                               { runtime.Gosched() }
 
 // runBarrierRegion drives one region of the given width through phases
 // explicit barriers, asserting after every barrier that no member was
-// released before all width arrivals of that phase had been counted. Width
-// 2 and 8 exercise the flat path, anything wider the combining tree.
+// released before all width arrivals of that phase had been counted.
 func runBarrierRegion(t *testing.T, team *Team, width, phases int) {
 	t.Helper()
 	counts := make([]atomic.Int32, phases)
@@ -60,9 +58,8 @@ func runBarrierRegion(t *testing.T, team *Team, width, phases int) {
 	wg.Wait()
 }
 
-// TestBarrierWidths sweeps the flat (2, 8) and tree (32) topologies under
-// both wait policies, several regions each so the adaptive EWMA feeds back
-// into later epochs.
+// TestBarrierWidths sweeps widths 2, 8 and 32 under both wait policies,
+// several regions each so later regions start from a recycled epoch.
 func TestBarrierWidths(t *testing.T) {
 	for _, policy := range []WaitPolicy{PassiveWait, ActiveWait} {
 		for _, width := range []int{2, 8, 32} {
@@ -74,49 +71,14 @@ func TestBarrierWidths(t *testing.T) {
 	}
 }
 
-// TestBarrierTreeSurvivesRecycle recycles one descriptor through
-// tree-width and flat-width regions in alternation. The group epochs must
-// stay monotonic across prepare calls — a stale group counter or epoch
-// left over from a wider region must neither release a later region early
-// nor deadlock it — and groupsFor must regrow the group array when the
-// width comes back up.
-func TestBarrierTreeSurvivesRecycle(t *testing.T) {
+// TestBarrierRecycleAcrossWidths recycles one descriptor through wide and
+// narrow regions in alternation. The epoch must stay monotonic across
+// prepare calls: an arrival count or epoch left over from a region of
+// another width must neither release a later region early nor deadlock it.
+func TestBarrierRecycleAcrossWidths(t *testing.T) {
 	team := NewTeam(32, 0, Config{}, func(*TC) {})
 	for _, width := range []int{32, 8, 32, 2, 16, 32} {
 		runBarrierRegion(t, team, width, 3)
-	}
-}
-
-// TestBarrierSpinBudgetClamps pins the OMP_WAIT_POLICY clamp arithmetic:
-// whatever latency the EWMA has absorbed, a passive team's budget stays in
-// [barrierSpinMin, barrierSpinMaxPassive] and an active team's in
-// [barrierSpinMin, barrierSpinMaxActive], with the no-observation seed
-// doubling to 2*barrierSpinInit.
-func TestBarrierSpinBudgetClamps(t *testing.T) {
-	var b BarrierState
-	if got := b.spinBudget(false); got != 2*barrierSpinInit {
-		t.Errorf("unseeded passive budget = %d, want %d", got, 2*barrierSpinInit)
-	}
-	b.spinEWMA.Store(1 << 30)
-	if got := b.spinBudget(false); got != barrierSpinMaxPassive {
-		t.Errorf("saturated passive budget = %d, want %d", got, barrierSpinMaxPassive)
-	}
-	if got := b.spinBudget(true); got != barrierSpinMaxActive {
-		t.Errorf("saturated active budget = %d, want %d", got, barrierSpinMaxActive)
-	}
-	b.spinEWMA.Store(1)
-	for _, active := range []bool{false, true} {
-		if got := b.spinBudget(active); got != barrierSpinMin {
-			t.Errorf("tiny-EWMA budget (active=%v) = %d, want %d", active, got, barrierSpinMin)
-		}
-	}
-	// observeSpins caps one observation at the active ceiling, so a single
-	// pathological epoch cannot blow the EWMA past recovery.
-	b.spinEWMA.Store(barrierSpinInit)
-	b.observeSpins(1 << 40)
-	if got := b.spinEWMA.Load(); got > barrierSpinInit/4*3+barrierSpinMaxActive/4+1 {
-		t.Errorf("EWMA after capped observation = %d, want <= %d",
-			got, barrierSpinInit/4*3+barrierSpinMaxActive/4+1)
 	}
 }
 

@@ -458,14 +458,3 @@ func PrepareTask(tc *TC, fn func(*TC), opts ...TaskOpt) *TaskNode {
 	emitTrace(func(tr Tracer) { tr.TaskCreate(tc.team, node) })
 	return node
 }
-
-// TaskTC builds the task-scoped thread context used to run node on the
-// thread owning tc, without executing it. Engines that run task bodies in
-// their own work units use it together with FinishTask; ExecTask is the
-// packaged combination. Callers are responsible for flushing tasks the body
-// buffers (ExecTaskOn packages that too). For pooled nodes the returned TC is
-// the node's slot companion: build at most one per node, and drop it before
-// FinishTask releases the pair.
-func TaskTC(tc *TC, node *TaskNode) *TC {
-	return taskContext(node, tc.team, tc.num, tc.ops, tc.ectx)
-}

@@ -431,14 +431,13 @@ func (tc *TC) flushPending() {
 // loop's progress bound is stated — the event that ends it, and whether
 // cancellation abandons it:
 //
-//   - Barrier spinners (BarrierState.spin) loop until the barrier's last
-//     arriver bumps the epoch word they watch. They alone feed the adaptive
-//     spin budget (region end spins it but never feeds it), and they alone
-//     abandon on cancellation: a cancelled rank may never arrive.
-//   - The barrier's last arriver (drainTasks) loops until Team.Tasks is zero.
-//   - Region end (Team.memberEnd) loops until every rank has arrived and
-//     Team.Tasks is zero; each rank arrives exactly once, even after a
-//     panic or a cancellation.
+//   - Barrier waiters (BarrierState.wait) loop until the barrier's last
+//     arriver bumps the epoch word, one wait step per spinBudget loads. They
+//     alone abandon on cancellation: a cancelled rank may never arrive.
+//   - The barrier's last arriver loops until Team.Tasks is zero.
+//   - Region end (Team.memberEnd), at the same budget, loops until every
+//     rank has arrived and Team.Tasks is zero; each rank arrives exactly
+//     once, even after a panic or a cancellation.
 //   - Taskgroup end loops until the group's count is zero.
 //   - The undeferred-dependence spin (spawnWithDeps) loops until every
 //     predecessor has released the node.

@@ -218,8 +218,8 @@ func (t *Team) memberEnd(tc *TC) {
 	tc.flushPending()
 	emitTrace(func(tr Tracer) { tr.BarrierEnter(tc) })
 	t.endArrived.Add(1)
-	budget := t.Bar.spinBudget(t.Cfg.WaitPolicy == ActiveWait)
-	spins := int64(0)
+	budget := spinBudget(t.Cfg)
+	spins := 0
 	for t.endArrived.Load() < int32(t.Size) || t.Tasks.Load() > 0 {
 		if spins < budget {
 			spins++
@@ -230,11 +230,6 @@ func (t *Team) memberEnd(tc *TC) {
 	}
 	emitTrace(func(tr Tracer) { tr.BarrierExit(tc) })
 }
-
-// Body returns the region body the team was built with. Engines that cannot
-// route execution through Run (none in this repository) may invoke it
-// directly against hand-built TCs.
-func (t *Team) Body() func(*TC) { return t.body }
 
 // EngineData returns per-team engine state, initializing it with init on
 // first use. Engines use it to attach region-local structures (task queues,
@@ -651,278 +646,72 @@ func (ct *claimTable) reset() {
 //
 // The arrival and epoch words are padded apart: arrivals hammer arrived with
 // RMWs while every waiter spins loading epoch, and sharing a cache line
-// between them made each arrival invalidate every spinner. Two refinements
-// over the fixed-budget flat barrier the seed shipped:
-//
-//   - Adaptive spinning. The pure-spin budget a waiter burns between
-//     task-raid/idle rounds is no longer a constant: each waiter reports how
-//     many spin iterations its release actually took, an EWMA of those
-//     observations (spinEWMA) tracks the team's typical arrival-to-release
-//     window, and the next waiter budgets twice the EWMA — clamped by the
-//     team's OMP_WAIT_POLICY (see spinBudget). Short barriers converge to a
-//     handful of loads before the first task raid; long ones stop wasting
-//     the clamp's worth of spins and reach the engine's Idle (which yields,
-//     and on GLTO is what lets queued task ULTs run) promptly.
-//   - A combining tree for wide teams. Above barrierTreeThreshold ranks,
-//     the barrier goes two-level: ranks arrive at their group's
-//     counter (groups of barrierGroupArity, each on its own pair of padded
-//     cache lines), the last arriver of a group combines one arrival at the
-//     root, and the release fans out group by group — so at width w the
-//     spinners split across ⌈w/arity⌉ epoch words instead of all hammering
-//     one, and each release store invalidates at most arity spinners.
-//
-// Both the flat epoch word and the per-group epochs are monotonic and
-// self-rearming: counters are reset (before any epoch bump — see waitTree)
-// by each release, so the barrier needs no reset across descriptor recycles
-// and a recycled team of a different width simply reuses whatever group
-// prefix it needs.
+// between them made each arrival invalidate every spinner. The epoch word is
+// monotonic and the last arriver resets arrived before bumping it, so the
+// barrier is self-rearming and needs no reset across descriptor recycles,
+// whatever width the recycled team has.
 type BarrierState struct {
 	arrived atomic.Int64
 	_       [56]byte
 	epoch   atomic.Uint64
 	_       [56]byte
-	// spinEWMA is the adaptive spin state: a racy (atomic but unfenced
-	// read-modify-write) exponentially weighted moving average of observed
-	// arrival-to-release spin counts. Zero means "no observation yet", which
-	// spinBudget treats as barrierSpinInit. Lossy concurrent updates only
-	// make the average favour recent observations harder, which is fine.
-	spinEWMA atomic.Int64
-	_        [56]byte
-	// groups is the lazily built group array of the combining tree, sized to
-	// ⌈size/arity⌉ on first wide use and grown (never shrunk) by CAS. All
-	// members of one barrier agree on the group count, and growth only
-	// happens while no release is in flight, so every participant of a given
-	// barrier resolves the same array.
-	groups atomic.Pointer[[]barrierGroup]
 }
 
-// barrierGroup is one leaf of the combining tree: an arrival counter and an
-// epoch word for up to barrierGroupArity ranks, padded like the root pair so
-// one group's arrivals do not invalidate another group's spinners.
-type barrierGroup struct {
-	arrived atomic.Int64
-	_       [56]byte
-	epoch   atomic.Uint64
-	_       [56]byte
-}
-
-const (
-	// barrierGroupArity is the rank capacity of one tree-barrier group: at
-	// most this many waiters ever spin on one epoch word.
-	barrierGroupArity = 8
-	// barrierSpinInit seeds the adaptive budget before any observation: the
-	// seed's fixed budget, so unmeasured barriers behave exactly as before.
-	barrierSpinInit = 32
-	// barrierSpinMin floors the budget so a noisy EWMA cannot turn the
-	// barrier into a pure yield loop.
-	barrierSpinMin = 8
-	// barrierSpinMaxPassive caps the budget under OMP_WAIT_POLICY=passive:
-	// waiters should release the processor quickly (§VI-A: spinning
-	// consumers aggravate contention for task parallelism).
-	barrierSpinMaxPassive = 64
-	// barrierSpinMaxActive caps the budget under OMP_WAIT_POLICY=active,
-	// where the user asked waiters to burn cycles for wake-up latency.
-	barrierSpinMaxActive = 4096
-)
-
-// barrierTreeCfg overrides the width threshold above which the barrier uses
-// the combining tree (0 = the default, barrierGroupArity). Settable only
-// through SetBarrierTreeThreshold.
-var barrierTreeCfg atomic.Int32
-
-func barrierTreeThreshold() int {
-	if v := barrierTreeCfg.Load(); v > 0 {
-		return int(v)
+// spinBudget is the pure-spin budget a waiter burns between wait steps: a
+// constant per OMP_WAIT_POLICY, so every waiting round has a stated bound.
+// Passive waiters release the processor quickly (§VI-A: spinning consumers
+// aggravate contention for task parallelism); active waiters burn cycles
+// for wake-up latency, as the user asked.
+func spinBudget(cfg Config) int {
+	if cfg.WaitPolicy == ActiveWait {
+		return 4096
 	}
-	return barrierGroupArity
+	return 64
 }
 
-// SetBarrierTreeThreshold overrides the team width above which the barrier
-// uses the combining tree instead of the flat epoch word; n <= 0 restores
-// the default (barrierGroupArity). It exists for benchmarks and tests that
-// compare the two shapes (BenchmarkBarrier's w32-flat series forces the flat
-// path at width 32 with a huge threshold); call it only while no region is
-// running.
-func SetBarrierTreeThreshold(n int) {
-	if n <= 0 {
-		n = 0
-	}
-	barrierTreeCfg.Store(int32(n))
-}
-
-// resetCounters rearms the arrival counters (flat and tree) for a recycled
-// descriptor. Normally a no-op — every completed barrier resets its own
-// counters — but a cancelled region's abandoned waits leave arrivals behind
-// that would desynchronize the next region; prepare calls this while no
-// member is active, so there is nothing to race. Epochs stay monotonic.
+// resetCounters rearms the arrival counter for a recycled descriptor.
+// Normally a no-op — every completed barrier resets its own counter — but a
+// cancelled region's abandoned waits leave arrivals behind that would
+// desynchronize the next region; prepare calls this while no member is
+// active, so there is nothing to race. The epoch stays monotonic.
 func (b *BarrierState) resetCounters() {
 	b.arrived.Store(0)
-	if gp := b.groups.Load(); gp != nil {
-		for i := range *gp {
-			(*gp)[i].arrived.Store(0)
-		}
-	}
-}
-
-// spinBudget returns the pure-spin budget for one wait: twice the observed
-// EWMA (so typical jitter around the average still releases within the spin
-// phase), clamped to the wait policy's band.
-func (b *BarrierState) spinBudget(active bool) int64 {
-	e := b.spinEWMA.Load()
-	if e == 0 {
-		e = barrierSpinInit
-	}
-	budget := 2 * e
-	max := int64(barrierSpinMaxPassive)
-	if active {
-		max = barrierSpinMaxActive
-	}
-	if budget > max {
-		budget = max
-	}
-	if budget < barrierSpinMin {
-		budget = barrierSpinMin
-	}
-	return budget
-}
-
-// observeSpins folds one waiter's pure-spin count (task/idle time excluded —
-// the budget models the release latency, not the work done while waiting)
-// into the EWMA with weight 1/4.
-func (b *BarrierState) observeSpins(total int64) {
-	if total > barrierSpinMaxActive {
-		total = barrierSpinMaxActive
-	}
-	e := b.spinEWMA.Load()
-	if e == 0 {
-		e = barrierSpinInit
-	}
-	b.spinEWMA.Store((3*e + total) / 4)
-}
-
-// groupsFor returns a group array of at least n entries, installing or
-// growing it by CAS. Safe to race: losers reload the winner's array, and all
-// participants of one barrier call with the same n before any of them can
-// arrive, so a barrier never straddles two arrays. Epochs are carried over
-// on growth to stay monotonic across recycles.
-func (b *BarrierState) groupsFor(n int) []barrierGroup {
-	for {
-		gp := b.groups.Load()
-		if gp != nil && len(*gp) >= n {
-			return *gp
-		}
-		fresh := make([]barrierGroup, n)
-		if gp != nil {
-			for i := range *gp {
-				fresh[i].epoch.Store((*gp)[i].epoch.Load())
-			}
-		}
-		if b.groups.CompareAndSwap(gp, &fresh) {
-			return fresh
-		}
-	}
 }
 
 // wait is the team barrier behind tc.Barrier: it returns once every member
 // has arrived and the region's tasks have drained, or — for a waiter that is
-// not the last arriver — once the team is cancelled. Every waiting iteration
-// is the wait step (TC.WaitStep), so waiters execute queued tasks and raid
-// the overflow rings exactly as every other task-scheduling wait does.
+// not the last arriver — once the team is cancelled. The last arriver drains
+// the region's tasks, then resets the arrival counter and bumps the epoch;
+// every other waiter spins spinBudget loads of the epoch word between wait
+// steps (TC.WaitStep), so waiters execute queued tasks and raid the
+// overflow rings exactly as every other task-scheduling wait does.
 //
-// The spin budget adapts to the team's observed release latency under the
-// clamp of the team's OMP_WAIT_POLICY, and teams wider than the tree
-// threshold arrive through the combining tree (see BarrierState).
-//
-// A cancelled wait is abandoned (see spin): the arrival this waiter already
+// A cancelled wait is abandoned: the arrival this waiter already
 // contributed stands (so a concurrent normal release still balances), and
 // tc.Barrier raises the cancelBreak sentinel to skip forward to the
 // region-end rendezvous. The cancel check costs one atomic load per wait
 // step, never on the pure-spin fast path.
 func (b *BarrierState) wait(tc *TC) {
 	team := tc.team
-	if team.Size > barrierTreeThreshold() {
-		b.waitTree(tc)
-		return
-	}
 	epoch := b.epoch.Load()
 	if b.arrived.Add(1) == int64(team.Size) {
-		drainTasks(tc)
+		for team.Tasks.Load() > 0 {
+			tc.WaitStep()
+		}
 		b.arrived.Store(0)
 		b.epoch.Add(1)
 		return
 	}
-	b.spin(tc, &b.epoch, epoch)
-}
-
-// drainTasks is the last arriver's duty before any release: the region's
-// tasks must complete first.
-func drainTasks(tc *TC) {
-	for tc.team.Tasks.Load() > 0 {
-		tc.WaitStep()
-	}
-}
-
-// spin is a non-last arriver's wait: it returns once the epoch word it
-// watches moves past seen, burning the adaptive spin budget between wait
-// steps and feeding the pure-spin count back into the EWMA. It abandons the
-// wait when the team is cancelled; arrivals already contributed stand — in
-// the tree, combining happened at arrival time, so its invariants are
-// unaffected by leaving the spin.
-func (b *BarrierState) spin(tc *TC, epoch *atomic.Uint64, seen uint64) {
-	team := tc.team
-	budget := b.spinBudget(team.Cfg.WaitPolicy == ActiveWait)
-	spins, total := int64(0), int64(0)
-	for epoch.Load() == seen {
+	budget := spinBudget(team.Cfg)
+	for spins := 0; b.epoch.Load() == epoch; {
 		if spins < budget {
 			spins++
-			total++
 			continue
 		}
 		spins = 0
 		if team.Cancelled() {
-			break
+			return
 		}
 		tc.WaitStep()
 	}
-	b.observeSpins(total)
-}
-
-// waitTree is the wide-team arrival path: rank-assigned groups combine
-// arrivals toward the root counter, and every waiter spins on its own
-// group's epoch word only.
-//
-// Release ordering is the one subtlety: the last arriver resets every
-// arrival counter BEFORE bumping any epoch. A released member can re-enter
-// the next barrier while slower members of other groups are still spinning
-// on the previous epoch value, and its arrival must land on a counter that
-// has already been reset; a spinner from the previous epoch that misses an
-// intermediate value simply observes epoch != snapshot one bump later
-// (epochs only move forward, and waiters compare for inequality).
-func (b *BarrierState) waitTree(tc *TC) {
-	size := tc.team.Size
-	ngroups := (size + barrierGroupArity - 1) / barrierGroupArity
-	groups := b.groupsFor(ngroups)
-	gi := tc.num / barrierGroupArity
-	g := &groups[gi]
-	gsize := size - gi*barrierGroupArity
-	if gsize > barrierGroupArity {
-		gsize = barrierGroupArity
-	}
-	epoch := g.epoch.Load()
-	// The last of a group combines one arrival at the root; the last arriver
-	// of the whole team drains the region's tasks, then resets all counters
-	// and fans the release out over the groups.
-	if g.arrived.Add(1) == int64(gsize) && b.arrived.Add(1) == int64(ngroups) {
-		drainTasks(tc)
-		b.arrived.Store(0)
-		for i := 0; i < ngroups; i++ {
-			groups[i].arrived.Store(0)
-		}
-		b.epoch.Add(1) // keep the flat word monotonic alongside the tree
-		for i := 0; i < ngroups; i++ {
-			groups[i].epoch.Add(1)
-		}
-		return
-	}
-	b.spin(tc, &g.epoch, epoch)
 }

@@ -2,10 +2,9 @@ package openmp_test
 
 // Barrier correctness through the real runtimes: every variant (both
 // pthread engines and all four GLT backends) runs multi-phase barrier
-// regions at widths that exercise the flat epoch barrier (2, 8) and the
-// combining tree (32), under both OMP_WAIT_POLICY settings, with regions
-// repeated so the team descriptor — and its BarrierState, adaptive EWMA and
-// tree group epochs included — is recycled between regions.
+// regions at widths 2, 8 and 32, under both OMP_WAIT_POLICY settings, with
+// regions repeated so the team descriptor — its BarrierState included — is
+// recycled between regions.
 
 import (
 	"sync/atomic"

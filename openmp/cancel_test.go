@@ -189,12 +189,12 @@ func TestPanicInMemberResurfaces(t *testing.T) {
 	})
 }
 
-// TestPanickingRankReleasesTreeBarrier32 is the width-32 arity-8 combining
-// tree case: rank 13 panics while all 31 other ranks are committed to a
-// construct barrier. The cancellation must reach the waiters through the
-// spin-budget check and the region-end rendezvous must still count all 32
-// ranks. Run with -race in CI.
-func TestPanickingRankReleasesTreeBarrier32(t *testing.T) {
+// TestPanickingRankReleasesBarrier32 is the wide-team case: rank 13 panics
+// while all 31 other ranks are committed to a construct barrier. The
+// cancellation must reach the waiters through the check each wait step
+// makes and the region-end rendezvous must still count all 32 ranks. Run
+// with -race in CI.
+func TestPanickingRankReleasesBarrier32(t *testing.T) {
 	forEachRuntimeN(t, 32, omp.Config{}, func(t *testing.T, rt omp.Runtime) {
 		for round := 0; round < 3; round++ {
 			var recovered any

@@ -30,8 +30,6 @@
 package openmp
 
 import (
-	"os"
-
 	_ "repro/internal/core"
 	_ "repro/internal/gomp"
 	_ "repro/internal/iomp"
@@ -52,17 +50,6 @@ func MustNew(name string, cfg omp.Config) omp.Runtime {
 		panic(err)
 	}
 	return rt
-}
-
-// FromEnv builds a runtime entirely from the environment: OMP_RUNTIME
-// selects the implementation ("glto" if unset) and the OMP_*/GLT_*/KMP_*
-// variables fill the configuration, as in the paper's experimental setup.
-func FromEnv() (omp.Runtime, error) {
-	name := os.Getenv("OMP_RUNTIME")
-	if name == "" {
-		name = "glto"
-	}
-	return New(name, omp.Config{}.FromEnv())
 }
 
 // Runtimes lists the registered runtime names.
