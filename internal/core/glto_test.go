@@ -115,6 +115,36 @@ func TestTaskBecomesULT(t *testing.T) {
 	}
 }
 
+// taskDispatchModes are the configurations whose task dispatch paths differ:
+// batched flushes of the producer-side buffer (the default), one spawn per
+// task with the buffer off, and the paper's per-unit mode, which turns the
+// buffer off too.
+var taskDispatchModes = []struct {
+	name string
+	cfg  omp.Config
+}{
+	{"batched", omp.Config{}},
+	{"unbuffered", omp.Config{TaskBuffer: -1}},
+	{"per-unit", omp.Config{PerUnitDispatch: true}},
+}
+
+// forEachDispatchMode runs f as one subtest per taskDispatchModes entry, on a
+// GLTO runtime of n streams over backend built with that mode.
+func forEachDispatchMode(t *testing.T, backend string, n int, f func(t *testing.T, rt *Runtime)) {
+	for _, m := range taskDispatchModes {
+		t.Run(m.name, func(t *testing.T) {
+			cfg := m.cfg
+			cfg.NumThreads, cfg.Backend, cfg.Nested = n, backend, true
+			rt, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			f(t, rt)
+		})
+	}
+}
+
 func TestRoundRobinDispatchFromSingle(t *testing.T) {
 	// Tasks created inside single are distributed round-robin over the
 	// streams: with 4 streams and enough tasks, several streams must
@@ -122,53 +152,55 @@ func TestRoundRobinDispatchFromSingle(t *testing.T) {
 	// flushed before any member reaches a barrier: a waiter there raids the
 	// producer's ring, and one or two early waiters can take the whole burst
 	// before it is dispatched.
-	rt := newGLTO(t, "abt", 4)
-	var perThread [4]atomic.Int64
-	var flushed atomic.Bool
-	rt.Parallel(func(tc *omp.TC) {
-		singleOnRank0(tc, &flushed, func() {
-			for i := 0; i < 64; i++ {
-				tc.Task(func(ttc *omp.TC) {
-					perThread[ttc.ThreadNum()].Add(1)
-					for k := 0; k < 500; k++ {
-						_ = k
-					}
-				})
-			}
+	forEachDispatchMode(t, "abt", 4, func(t *testing.T, rt *Runtime) {
+		var perThread [4]atomic.Int64
+		var flushed atomic.Bool
+		rt.Parallel(func(tc *omp.TC) {
+			singleOnRank0(tc, &flushed, func() {
+				for i := 0; i < 64; i++ {
+					tc.Task(func(ttc *omp.TC) {
+						perThread[ttc.ThreadNum()].Add(1)
+						for k := 0; k < 500; k++ {
+							_ = k
+						}
+					})
+				}
+			})
 		})
-	})
-	streams := 0
-	for i := range perThread {
-		if perThread[i].Load() > 0 {
-			streams++
+		streams := 0
+		for i := range perThread {
+			if perThread[i].Load() > 0 {
+				streams++
+			}
 		}
-	}
-	if streams < 3 {
-		t.Errorf("round-robin dispatch used only %d streams", streams)
-	}
+		if streams < 3 {
+			t.Errorf("round-robin dispatch used only %d streams", streams)
+		}
+	})
 }
 
 func TestThreadLocalDispatchOutsideSingle(t *testing.T) {
 	// Outside single/master each stream keeps its own tasks under abt:
 	// every task must execute on its creator.
-	rt := newGLTO(t, "abt", 4)
-	var crossed, started, flushed atomic.Int64
-	rt.Parallel(func(tc *omp.TC) {
-		me := tc.ThreadNum()
-		rendezvous(&started, 4) // no stream is idle while rings fill
-		for i := 0; i < 16; i++ {
-			tc.Task(func(ttc *omp.TC) {
-				if ttc.ThreadNum() != me {
-					crossed.Add(1)
-				}
-			})
+	forEachDispatchMode(t, "abt", 4, func(t *testing.T, rt *Runtime) {
+		var crossed, started, flushed atomic.Int64
+		rt.Parallel(func(tc *omp.TC) {
+			me := tc.ThreadNum()
+			rendezvous(&started, 4) // no stream is idle while rings fill
+			for i := 0; i < 16; i++ {
+				tc.Task(func(ttc *omp.TC) {
+					if ttc.ThreadNum() != me {
+						crossed.Add(1)
+					}
+				})
+			}
+			tc.Taskwait()
+			rendezvous(&flushed, 4) // no member waits at the barrier before then
+		})
+		if crossed.Load() != 0 {
+			t.Errorf("%d thread-local tasks executed on a different stream", crossed.Load())
 		}
-		tc.Taskwait()
-		rendezvous(&flushed, 4) // no member waits at the barrier before then
 	})
-	if crossed.Load() != 0 {
-		t.Errorf("%d thread-local tasks executed on a different stream", crossed.Load())
-	}
 }
 
 func TestBackendAccessors(t *testing.T) {
