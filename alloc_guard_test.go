@@ -90,7 +90,7 @@ func TestHandoffAllocFree(t *testing.T) {
 			defer g.Shutdown()
 			child := func(*glt.Ctx) {}
 			body := func(c *glt.Ctx) {
-				c.SpawnDetached(c.Rank(), child, false)
+				g.SpawnDetached(c.Rank(), c.Rank(), child, nil)
 				c.Yield()
 			}
 			cycle := func() {
@@ -125,21 +125,32 @@ const taskSpawnAllocCeiling = 1.0
 var emptyTaskBody = func(*omp.TC) {}
 
 // TestTaskSpawnAllocCeiling pins the allocation-free explicit-task
-// lifecycle: a steady-state deferred-task storm (single producer, batched
-// submission, consumers raiding and stealing) must not allocate per task on
-// any of the three runtimes. It replaces the looser ceiling-6 bound that
-// predated descriptor pooling.
+// lifecycle: a steady-state deferred-task storm (single producer, consumers
+// raiding and stealing) must not allocate per task on any runtime, whether
+// the producer submits in batches (the default) or, with the task buffer
+// off (TaskBuffer -1), hands each task to its engine on its own. It replaces
+// the looser ceiling-6 bound that predated descriptor pooling.
 func TestTaskSpawnAllocCeiling(t *testing.T) {
 	const tasks = 64
-	for _, v := range []harness.Variant{
-		{Label: "GCC", Runtime: "gomp"},
-		{Label: "Intel", Runtime: "iomp"},
-		{Label: "GLTO(ABT)", Runtime: "glto", Backend: "abt"},
-		{Label: "GLTO(WS)", Runtime: "glto", Backend: "ws"},
+	for _, row := range []struct {
+		v          harness.Variant
+		taskBuffer int
+	}{
+		{harness.Variant{Label: "GCC", Runtime: "gomp"}, 0},
+		{harness.Variant{Label: "Intel", Runtime: "iomp"}, 0},
+		{harness.Variant{Label: "GLTO(ABT)", Runtime: "glto", Backend: "abt"}, 0},
+		{harness.Variant{Label: "GLTO(WS)", Runtime: "glto", Backend: "ws"}, 0},
+		{harness.Variant{Label: "GCC unbuffered", Runtime: "gomp"}, -1},
+		{harness.Variant{Label: "Intel unbuffered", Runtime: "iomp"}, -1},
+		{harness.Variant{Label: "GLTO(ABT) unbuffered", Runtime: "glto", Backend: "abt"}, -1},
+		{harness.Variant{Label: "GLTO(WS) unbuffered", Runtime: "glto", Backend: "ws"}, -1},
 	} {
-		v := v
+		v, taskBuffer := row.v, row.taskBuffer
 		t.Run(v.Label, func(t *testing.T) {
-			rt, err := v.New(benchThreads, func(c *omp.Config) { c.WaitPolicy = omp.ActiveWait })
+			rt, err := v.New(benchThreads, func(c *omp.Config) {
+				c.WaitPolicy = omp.ActiveWait
+				c.TaskBuffer = taskBuffer
+			})
 			if err != nil {
 				t.Fatal(err)
 			}

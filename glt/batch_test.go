@@ -182,37 +182,52 @@ func TestBatchStatsCounters(t *testing.T) {
 	}
 }
 
+// TestSpawnDetachedRunsAndRecycles drives the one detached spawn from both
+// kinds of caller: a plain goroutine (from = -1, the shared free list) and a
+// unit on the spawning stream (from = its own rank, that stream's cache).
+// Every unit must run once and see its own payload, and the second wave must
+// draw on the descriptors the first wave's workers recycled.
 func TestSpawnDetachedRunsAndRecycles(t *testing.T) {
 	for _, b := range allBackends {
 		t.Run(b, func(t *testing.T) {
 			rt := newRT(t, b, 2, false)
 			const n = 64
-			var ran atomic.Int64
-			for i := 0; i < n; i++ {
-				rt.SpawnDetached(glt.AnyThread, func(*glt.Ctx) { ran.Add(1) })
+			var ran, sum atomic.Int64
+			body := func(c *glt.Ctx) {
+				sum.Add(int64(c.Arg().(int)))
+				ran.Add(1)
 			}
-			deadline := time.Now().Add(5 * time.Second)
-			for ran.Load() != n {
-				if time.Now().After(deadline) {
-					t.Fatalf("detached units ran %d of %d", ran.Load(), n)
+			want := func(wave int64) {
+				t.Helper()
+				deadline := time.Now().Add(5 * time.Second)
+				for ran.Load() != wave*n {
+					if time.Now().After(deadline) {
+						t.Fatalf("detached units ran %d of %d", ran.Load(), wave*n)
+					}
+					runtime.Gosched()
 				}
-				runtime.Gosched()
+				if got, exp := sum.Load(), wave*n*(n+1)/2; got != exp {
+					t.Fatalf("payload sum = %d after wave %d, want %d", got, wave, exp)
+				}
 			}
+			for i := 1; i <= n; i++ {
+				rt.SpawnDetached(-1, glt.AnyThread, body, i)
+			}
+			want(1)
 			// The workers recycle detached descriptors into their streams'
 			// free-list caches; a second wave spawned *from* the streams
 			// (the GLTO task path) must draw on those caches.
 			for rank := 0; rank < rt.NumThreads(); rank++ {
 				rank := rank
 				parent := rt.Spawn(rank, func(c *glt.Ctx) {
-					for i := 0; i < n/2; i++ {
-						c.SpawnDetached(rank, func(*glt.Ctx) { ran.Add(1) }, false)
+					for i := rank + 1; i <= n; i += rt.NumThreads() {
+						rt.SpawnDetached(c.Rank(), rank, body, i)
 					}
 				})
 				parent.Join()
+				parent.Release()
 			}
-			for ran.Load() != 2*n && !time.Now().After(deadline) {
-				runtime.Gosched()
-			}
+			want(2)
 			if s := rt.Stats(); s.UnitsReused == 0 {
 				t.Error("UnitsReused = 0 after two waves of detached spawns")
 			}

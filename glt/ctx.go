@@ -132,25 +132,18 @@ func (c *Ctx) SpawnTasklet(rank int, fn func()) *Unit {
 	return u
 }
 
-// SpawnDetached creates a fire-and-forget work unit on the given stream's
-// pool (AnyThread for round-robin); see Runtime.SpawnDetached. tasklet
-// selects the stackless kind. This is GLTO's task-dispatch primitive: the
-// OpenMP layer tracks task completion through its own team counters, so no
-// handle is needed and the descriptor recycles the moment the task ends.
-func (c *Ctx) SpawnDetached(rank int, fn Func, tasklet bool) {
-	c.rt.spawnDetached(c.w.rank, rank, fn, tasklet)
+// SpawnDetachedBatch is Runtime.SpawnDetachedBatch of ULTs with the calling
+// stream as the originating rank, so the descriptors come from its unlocked
+// cache and work-first policies (mth) apply the same locality rule as a
+// sequence of Runtime.SpawnDetached calls from it. It is GLTO's batched
+// task-dispatch primitive: one scheduling synchronization episode makes a
+// whole producer-side task buffer runnable.
+func (c *Ctx) SpawnDetachedBatch(fn Func, targets []int, args []any) {
+	c.rt.spawnDetachedBatch(c.w.rank, fn, targets, args, false)
 }
 
-// SpawnDetachedBatch is Runtime.SpawnDetachedBatch with the calling stream
-// as the originating rank, so work-first policies (mth) apply the same
-// locality rule as a sequence of Ctx.SpawnDetached calls. It is GLTO's
-// batched task-dispatch primitive: one scheduling synchronization episode
-// makes a whole producer-side task buffer runnable.
-func (c *Ctx) SpawnDetachedBatch(fn Func, targets []int, args []any, tasklet bool) {
-	c.rt.spawnDetachedBatch(c.w.rank, fn, targets, args, tasklet)
-}
-
-// Arg reports the unit's batch payload (see Runtime.SpawnDetachedBatch).
+// Arg reports the unit's payload (see Runtime.SpawnDetached and
+// Runtime.SpawnDetachedBatch).
 func (c *Ctx) Arg() any { return c.u.arg }
 
 // SpawnBatch creates n ULTs sharing one body on the current stream's pool in

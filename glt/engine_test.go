@@ -95,7 +95,7 @@ func idleShells(rt *Runtime, min int) int {
 // fresh unit it queued first is what its scheduling step pops. (A lone
 // yielder pops itself and moves no token.)
 func yieldPastChild(c *Ctx) {
-	c.SpawnDetached(c.Rank(), func(*Ctx) {}, false)
+	c.rt.SpawnDetached(c.Rank(), c.Rank(), func(*Ctx) {}, nil)
 	c.Yield()
 }
 

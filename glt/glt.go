@@ -140,9 +140,9 @@ type Runtime struct {
 	shutdown flag
 	shells   shellPool
 	units    unitPool
-	// detachedBufs recycles the scratch unit slices of SpawnDetachedBatch:
-	// detached units return no handles, so the batch slice is internal and
-	// reusable the moment dispatch completes.
+	// detachedBufs recycles the scratch unit slices of the detached batch
+	// spawns: detached units return no handles, so the batch slice is
+	// internal and reusable the moment dispatch completes.
 	detachedBufs sync.Pool
 	// batchPushes counts batch dispatch episodes (Policy.PushBatch calls).
 	batchPushes counter
@@ -247,31 +247,23 @@ func (rt *Runtime) SpawnTaskletCtx(target int, fn Func) *Unit {
 	return u
 }
 
-// SpawnDetached is Spawn for fire-and-forget work: no handle is returned,
-// the unit cannot be joined, and its descriptor is recycled by the executing
-// worker the moment it completes. Completion must be observed out of band
-// (GLTO's team task counters do), and detached units must finish before
-// Shutdown like any other.
-func (rt *Runtime) SpawnDetached(target int, fn Func) {
-	rt.spawnDetached(-1, target, fn, false)
-}
-
-// SpawnDetachedArg is SpawnDetached with a payload (recovered in the body via
-// Ctx.Arg) and no originating stream: the descriptor comes from the shared
-// free list, so it is safe to call from any goroutine, including ones that
-// are not executing on a GLT stream at all (GLTO's dependence release fires
-// from whichever thread drops a task's last reference). tasklet selects the
-// stackless kind.
-func (rt *Runtime) SpawnDetachedArg(target int, fn Func, arg any, tasklet bool) {
-	rt.spawnDetachedArg(-1, target, fn, arg, tasklet)
-}
-
-func (rt *Runtime) spawnDetached(from, target int, fn Func, tasklet bool) {
-	rt.spawnDetachedArg(from, target, fn, nil, tasklet)
-}
-
-func (rt *Runtime) spawnDetachedArg(from, target int, fn Func, arg any, tasklet bool) {
-	u := rt.newUnit(from, fn, tasklet)
+// SpawnDetached is Spawn for fire-and-forget work carrying arg (recovered in
+// the body via Ctx.Arg): no handle is returned, the unit cannot be joined,
+// and the worker that runs it recycles its descriptor the moment it
+// completes. Completion must be observed out of band (GLTO's team task
+// counters do), and detached units must finish before Shutdown like any
+// other. This is GLTO's single-task dispatch primitive.
+//
+// from names the stream the caller is executing on — inside one of its units
+// or on its scheduler goroutine — whose unlocked descriptor cache supplies
+// the unit, so the spawn takes no shared lock; work-first policies (mth) also
+// read it as the spawn's origin. The token model makes the cache safe to
+// use: a unit running on a stream has exclusive use of its owner-side
+// structures until it yields. From any other goroutine pass -1, which takes
+// the descriptor from the shared free list. target is the destination stream,
+// or AnyThread for round-robin.
+func (rt *Runtime) SpawnDetached(from, target int, fn Func, arg any) {
+	u := rt.newUnit(from, fn, false)
 	u.arg = arg
 	u.detached = true
 	u.refs.Store(1) // only the executing worker may touch the descriptor
@@ -285,7 +277,7 @@ func (rt *Runtime) spawnDetachedArg(from, target int, fn Func, arg any, tasklet 
 // the stream, or ran it — in which case the stream re-enters its scheduling
 // loop instead of sleeping and Stats.BufferSteals counts the rescue. f runs
 // on the stream's scheduler goroutine, outside any unit, so it may perform
-// owner-side operations for that rank (e.g. SpawnDetachedFrom targeting
+// owner-side operations for that rank (e.g. SpawnDetached from and to
 // itself) but must not block or yield. Passing nil removes the hook.
 func (rt *Runtime) SetIdleDrain(f func(rank int) bool) {
 	if f == nil {
@@ -293,33 +285,6 @@ func (rt *Runtime) SetIdleDrain(f func(rank int) bool) {
 		return
 	}
 	rt.drain.Store(&f)
-}
-
-// SpawnDetachedFrom is the drain-hook spawn primitive: one fire-and-forget
-// unit carrying arg (recovered via Ctx.Arg), originating from stream from —
-// the caller must be executing on that stream's scheduler goroutine, as
-// idle-drain hooks are — and dispatched to target. tasklet selects the
-// stackless kind. The unit descriptor comes from from's unlocked free-list
-// cache, so rescuing a buffered task costs no allocation and no shared lock.
-func (rt *Runtime) SpawnDetachedFrom(from, target int, fn Func, arg any, tasklet bool) {
-	rt.spawnDetachedArg(from, target, fn, arg, tasklet)
-}
-
-// SpawnDetachedOn is the rank-targeted hot spawn: one fire-and-forget unit
-// carrying arg, created from stream from's unlocked descriptor cache and
-// dispatched to target. from == target places released work on the stream
-// whose caches its inputs are hot in; a different target spreads a release's
-// fan-out over the streams while the descriptor still comes from the
-// releaser's own cache, with no shared lock. The caller must be
-// executing ON stream from: inside one of its units or on its scheduler
-// goroutine. That contract holds for GLTO's dependence releases because the
-// token model gives a ULT running on stream from exclusive use of from's
-// owner-side structures until it yields, and the release fires inside the
-// finishing task's body extent. Counted in Stats.LocalSpawns.
-func (rt *Runtime) SpawnDetachedOn(from, target int, fn Func, arg any, tasklet bool) {
-	from %= len(rt.threads)
-	rt.threads[from].stats.localSpawns.Add(1)
-	rt.spawnDetachedArg(from, target, fn, arg, tasklet)
 }
 
 // SpawnDetachedBatch creates len(targets) fire-and-forget units sharing one

@@ -42,13 +42,6 @@ type Stats struct {
 	// of some producer's overflow ring of buffered OpenMP tasks. Always zero
 	// when no hook is registered.
 	BufferSteals int64
-	// LocalSpawns counts rank-targeted hot spawns (SpawnDetachedOn): units
-	// created through a stream's own descriptor cache and aimed at a chosen
-	// stream — for GLTO, every dependence-released task with a releasing
-	// stream: the kept successor aimed back at that stream, fan-out at the
-	// stream its creation rule picks (round-robin for tasks created inside
-	// single/master). The count is per creating stream, whatever the target.
-	LocalSpawns int64
 	// BatchPushes counts batch dispatch episodes: each SpawnTeam/SpawnBatch
 	// that reached Policy.PushBatch contributes one, however many units it
 	// carried. Zero under Config.PerUnitDispatch.
@@ -79,7 +72,6 @@ func (s *Stats) add(o Stats) {
 	s.Parks += o.Parks
 	s.IdleSteals += o.IdleSteals
 	s.BufferSteals += o.BufferSteals
-	s.LocalSpawns += o.LocalSpawns
 }
 
 // threadStats are the per-stream counters. Only the holder of the stream's
@@ -98,7 +90,6 @@ type threadStats struct {
 	parks         atomic.Int64
 	idleSteals    atomic.Int64
 	bufferSteals  atomic.Int64
-	localSpawns   atomic.Int64
 	_             [64]byte
 }
 
@@ -115,7 +106,6 @@ func (t *threadStats) snapshot() Stats {
 		Parks:         t.parks.Load(),
 		IdleSteals:    t.idleSteals.Load(),
 		BufferSteals:  t.bufferSteals.Load(),
-		LocalSpawns:   t.localSpawns.Load(),
 	}
 }
 
@@ -131,7 +121,6 @@ func (t *threadStats) reset() {
 	t.parks.Store(0)
 	t.idleSteals.Store(0)
 	t.bufferSteals.Store(0)
-	t.localSpawns.Store(0)
 }
 
 // counter is a shared monotonically increasing counter.

@@ -17,7 +17,7 @@ type Func func(*Ctx)
 // no goroutine at all, the token gate a suspended ULT waits on is embedded by
 // value with a lazily allocated park channel, and the Join rendezvous is
 // embedded too. Descriptors themselves are recycled through the runtime's free list
-// (see Release and the Spawn*Detached variants), so the steady-state spawn
+// (see Release and the detached spawns), so the steady-state spawn
 // path allocates nothing.
 type Unit struct {
 	rt *Runtime
@@ -31,9 +31,10 @@ type Unit struct {
 	detached bool
 
 	tag int // caller-assigned identity (the OpenMP team rank in GLTO)
-	// arg is an optional per-unit payload for batch spawns that share one
-	// body (SpawnDetachedBatch): the GLTO task path stores the task node
-	// here, so a batch of tasks needs no per-task closure.
+	// arg is an optional per-unit payload of the detached spawns
+	// (SpawnDetached, SpawnDetachedBatch): the GLTO task path stores the
+	// task node here, so its tasks share one body and need no per-task
+	// closure.
 	arg any
 
 	// sched hands a stream's token to the suspended ULT: the holder that pops
@@ -97,8 +98,8 @@ func (u *Unit) IsMain() bool { return u.main }
 // SpawnTeam/SpawnBatch (GLTO stores the OpenMP team rank here), 0 otherwise.
 func (u *Unit) Tag() int { return u.tag }
 
-// Arg reports the per-unit payload attached by SpawnDetachedBatch (the task
-// node in GLTO's batched task dispatch), or nil.
+// Arg reports the per-unit payload attached by SpawnDetached or
+// SpawnDetachedBatch (the task node in GLTO's task dispatch), or nil.
 func (u *Unit) Arg() any { return u.arg }
 
 // Home reports the rank the unit was last dispatched to — the `to` of the

@@ -13,13 +13,13 @@
 //     GLTO slower than the function-pointer handoff of the pthread runtimes
 //     in compute-bound for loops (Fig. 7) — and it is created here on every
 //     region, deliberately.
-//   - Task parallelism: every OMP task becomes a GLT_ult. Tasks created
-//     inside a single/master construct are dispatched round-robin over all
-//     streams; otherwise each stream keeps its own tasks (§IV-D). The rule
-//     also places the fan-out of a dependence release. Deferred
-//     tasks are submitted in producer-side batches through the engine's
-//     PushBatch by default; Config.PerUnitDispatch restores the paper's
-//     one-push-per-task cost.
+//   - Task parallelism: every OMP task becomes a GLT_ult, placed by omp's
+//     one rule, TaskNode.Place: tasks created inside a single/master
+//     construct are dispatched round-robin over all streams; otherwise each
+//     stream keeps its own tasks (§IV-D). The rule also places the fan-out
+//     of a dependence release. Deferred tasks are submitted in
+//     producer-side batches through the engine's PushBatch by default;
+//     Config.PerUnitDispatch restores the paper's one-push-per-task cost.
 //   - Nested parallelism: the encountering ULT spawns the inner team as
 //     ULTs on its own stream — no new OS threads, hence no oversubscription
 //     (§IV-E, Table II, Figs. 8/9).
@@ -37,7 +37,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/glt"
 	_ "repro/glt/backends"
@@ -59,14 +58,12 @@ type Runtime struct {
 
 	cfg omp.Config
 	g   *glt.Runtime
-	eng engine        // the one EngineOps instance; stateless beyond rt
-	rr  atomic.Uint64 // round-robin cursor for single/master task dispatch
+	eng engine // the one EngineOps instance; stateless beyond rt
 
 	// taskBuf is the producer-side task buffer capacity (0 = batching off).
 	taskBuf int
-	// taskBody is the shared body of every batched task ULT; the per-task
-	// state travels as the unit's Arg, so batched dispatch needs no per-task
-	// closure.
+	// taskBody is the shared body of every task ULT; the task node travels
+	// as the unit's Arg, so task dispatch needs no per-task closure.
 	taskBody glt.Func
 
 	// slots recycles the per-region dispatch state: the unit slice handed to
@@ -197,7 +194,9 @@ func (rt *Runtime) stealBufferedTask(rank int) *omp.TaskNode {
 // both came up empty. A claimed task is respawned as a detached work unit on
 // the idle stream itself — through the rank's unlocked descriptor cache, so
 // the rescue allocates nothing — giving it the full ULT semantics (yield,
-// migration) a normally dispatched task would have.
+// migration) a normally dispatched task would have. The drain runs outside
+// any unit, so it spawns with no context and the stream's rank as hot: a
+// buffered task was never released, so Place keeps it there.
 func (rt *Runtime) drainBufferedTask(rank int) bool {
 	node := rt.stealBufferedTask(rank)
 	if node == nil {
@@ -208,8 +207,7 @@ func (rt *Runtime) drainBufferedTask(rank int) bool {
 	// raid itself already credited TasksStolenFromBuffer and fired the
 	// omp-level StealTour; this is the glt-side view of the same event.)
 	trace.Emit(rank, trace.KindRaid, uint64(node.CreatedBy))
-	rt.Counters.ULTsCreated.Add(1)
-	rt.g.SpawnDetachedFrom(rank, rank, rt.taskBody, node, false)
+	rt.eng.spawn(nil, node, rank)
 	return true
 }
 
@@ -275,45 +273,48 @@ type engine struct {
 	rt *Runtime
 }
 
-func ctxOf(tc *omp.TC) *glt.Ctx {
-	c, _ := tc.Ectx().(*glt.Ctx)
-	return c
-}
+// ctxOf is the ULT context a TC runs under. Every GLTO TC runs inside a
+// unit: region members (RunRegion, Nested), tasks (taskBody) and serialized
+// regions, which inherit their encountering TC's context.
+func ctxOf(tc *omp.TC) *glt.Ctx { return tc.Ectx().(*glt.Ctx) }
 
-func (e *engine) idle(c *glt.Ctx) {
-	if c == nil {
-		return
-	}
-	c.Yield()
-}
-
-// nextStream advances the round-robin cursor of single/master task
-// dispatch (§IV-D) and returns the stream it points at.
-func (rt *Runtime) nextStream() int {
-	return int(rt.rr.Add(1)-1) % rt.g.NumThreads()
-}
-
-// taskTarget resolves the dispatch destination of a deferred task (§IV-D):
-// tasks created inside a single/master construct are distributed round-robin
-// over all streams, others stay on the creating stream. The decision reads
-// the placement snapshot PrepareTask took, so it is identical whether the
-// task is dispatched at creation, later from the producer-side buffer, or as
-// the fan-out of a dependence release.
-func (e *engine) taskTarget(c *glt.Ctx, node *omp.TaskNode) int {
-	if c == nil {
+// target maps node's placement (omp's TaskNode.Place, for the releasing rank
+// hot or -1) to a stream: round-robin if the rule spreads the task, else the
+// stream c runs on, else — a spawn with no context — the named rank's
+// stream.
+func (e *engine) target(c *glt.Ctx, node *omp.TaskNode, hot int) int {
+	rank, spread := node.Place(hot)
+	switch {
+	case spread:
 		return glt.AnyThread
+	case c != nil:
+		return c.Rank()
+	default:
+		return rank % e.rt.g.NumThreads()
 	}
-	if node.InSingleMaster {
-		return e.rt.nextStream()
+}
+
+// spawn is GLTO's one single-task dispatch path: node becomes a detached GLT
+// unit under the shared taskBody, aimed by target. Tasks are fire-and-forget
+// at the GLT level: completion is tracked by the team's task counters
+// (FinishTask), never by joining the unit, so the descriptor recycles on the
+// worker that ran the task. With a context c the descriptor comes from c's
+// stream's unlocked cache; with none, from the cache of stream hot (the idle
+// drain, on that stream's scheduler goroutine) or, for a cold release
+// (hot < 0), from the shared free list.
+func (e *engine) spawn(c *glt.Ctx, node *omp.TaskNode, hot int) {
+	from := hot
+	if c != nil {
+		from = c.Rank()
 	}
-	return c.Rank()
+	e.rt.Counters.ULTsCreated.Add(1)
+	e.rt.g.SpawnDetached(from, e.target(c, node, hot), e.rt.taskBody, node)
 }
 
 // SpawnTask converts the OMP task into a GLT work unit (§IV-D). Deferred
 // tasks accumulate in the creating thread's buffer and are dispatched in one
-// batch (FlushTasks) at scheduling points or when the buffer fills; under
-// Config.PerUnitDispatch every task is its own dispatch episode, as in the
-// paper.
+// batch (FlushTasks) at scheduling points or when the buffer fills; with the
+// buffer off every task is its own spawn, as in the paper.
 func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 	// GLTO inherits BOLT/LLVM's correct final semantics: descendants of a
 	// final task are themselves final, so the whole subtree executes
@@ -333,32 +334,7 @@ func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
 		}
 		return
 	}
-	e.dispatchTask(tc, node)
-}
-
-// dispatchTask is the per-unit task dispatch path (buffering disabled).
-func (e *engine) dispatchTask(tc *omp.TC, node *omp.TaskNode) {
-	team := tc.Team()
-	c := ctxOf(tc)
-	e.rt.Counters.ULTsCreated.Add(1)
-	body := func(tcx *glt.Ctx) {
-		num := tcx.Rank() % team.Size
-		if node.CreatedBy != num {
-			e.rt.Counters.TasksStolen.Add(1)
-		}
-		omp.ExecTaskOn(team, num, e, tcx, node)
-	}
-	target := e.taskTarget(c, node)
-	// Tasks are fire-and-forget at the GLT level: completion is tracked by
-	// the team's task counters (FinishTask), never by joining the unit. The
-	// detached spawn paths exploit that — the descriptor recycles on the
-	// worker that ran the task, so per-task dispatch is allocation-free in
-	// steady state (modulo the task closure itself).
-	if c != nil {
-		c.SpawnDetached(target, body, false)
-		return
-	}
-	e.rt.g.SpawnDetached(target, body)
+	e.spawn(ctxOf(tc), node, -1)
 }
 
 // FlushTasks dispatches the producer-side buffer as one detached batch: the
@@ -376,14 +352,10 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 	fb := e.rt.flushBufs.Get().(*flushBuf)
 	targets, args := fb.targets[:0], fb.args[:0]
 	for _, node := range nodes {
-		targets = append(targets, e.taskTarget(c, node))
+		targets = append(targets, e.target(c, node, -1))
 		args = append(args, node)
 	}
-	if c != nil {
-		c.SpawnDetachedBatch(e.rt.taskBody, targets, args, false)
-	} else {
-		e.rt.g.SpawnDetachedBatch(e.rt.taskBody, targets, args, false)
-	}
+	c.SpawnDetachedBatch(e.rt.taskBody, targets, args)
 	// Dispatch is complete: drop the task-node pointers from both scratch
 	// arrays so neither the pooled flushBuf nor the TC's pooled buffer pins
 	// finished tasks (and whatever their closures capture).
@@ -393,53 +365,18 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 	e.rt.flushBufs.Put(fb)
 }
 
-// ReleaseTask dispatches a task whose last dependence was just satisfied as
-// a detached GLT unit carrying the node as its payload (the shared taskBody
-// recovers it via Ctx.Arg). With a hot releaser its ectx is the ULT context
-// it is executing under, naming the true stream — the team rank alone would
-// not (stolen and nested tasks run off-rank) — so the spawn goes through
-// SpawnDetachedOn: the unit comes from the releasing stream's unlocked
-// descriptor cache. The token-handoff model makes that safe: a ULT running
-// on a stream has exclusive use of its owner-side caches until it yields,
-// and the release fires inside the finishing task's body extent. Where the
-// unit is aimed depends on which successor it is. The one the releaser kept
-// (the budget-exhausted link of a chain) goes back to the releasing stream,
-// where its inputs were just written. Fan-out (TaskNode.FanOut) is placed by
-// the creation rule, taskTarget: round-robin over the streams for
-// single/master-created tasks, the releasing stream otherwise — abt and qth
-// never steal, so a wave sent to the releaser would wait behind its chain
-// while the other streams idle. Without a hot context (hot < 0: the last
-// reference was dropped by a goroutine with no stream — a tracer's deferred
-// Release, glt's ReleaseAll) the spawn takes the no-origin path through the
-// shared descriptor free list and the unit targets the creator's stream
-// (round-robin for single/master spawners, mirroring taskTarget); either way
-// it obeys the policy's ordinary steal/migration rules from there.
+// ReleaseTask dispatches a task whose last dependence was just satisfied
+// through spawn, where Place sends it. A hot releaser's ectx is the ULT
+// context it executes under, naming the true stream (a stolen or nested
+// task's team rank need not), so the unit comes from that stream's unlocked
+// cache: the release fires inside the finishing task's body extent, while it
+// holds the stream's token. A cold release (hot < 0: a goroutine with no
+// stream dropped the last reference — a tracer's deferred Release, glt's
+// ReleaseAll) has no context and spawns from the shared free list.
 func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx any) {
 	e.rt.Counters.TasksQueued.Add(1)
-	e.rt.Counters.ULTsCreated.Add(1)
-	streams := e.rt.g.NumThreads()
-	if hot >= 0 {
-		if c, ok := ectx.(*glt.Ctx); ok && c != nil {
-			s := c.Rank()
-			target := s
-			if node.FanOut() {
-				target = e.taskTarget(c, node)
-			}
-			e.rt.g.SpawnDetachedOn(s, target, e.rt.taskBody, node, false)
-			return
-		}
-		// Hot rank but no stream context (an implicit task run without a ULT,
-		// e.g. the no-ctx nested path): target the releaser's nominal stream
-		// through the shared free list — still a locality hint, minus the
-		// cache-local descriptor.
-		e.rt.g.SpawnDetachedArg(hot%streams, e.rt.taskBody, node, false)
-		return
-	}
-	target := node.CreatedBy % streams
-	if node.InSingleMaster {
-		target = e.rt.nextStream()
-	}
-	e.rt.g.SpawnDetachedArg(target, e.rt.taskBody, node, false)
+	c, _ := ectx.(*glt.Ctx)
+	e.spawn(c, node, hot)
 }
 
 // TryRunTask is the wait step's hunt: tc.Hunt raids the team's producer-side
@@ -458,7 +395,7 @@ func (e *engine) Taskwait(tc *omp.TC) {
 	cur := tc.CurTask()
 	c := ctxOf(tc)
 	for cur.Children() > 0 {
-		e.idle(c)
+		c.Yield()
 	}
 }
 
@@ -467,9 +404,6 @@ func (e *engine) Taskwait(tc *omp.TC) {
 // taskyield validation test checks).
 func (e *engine) Taskyield(tc *omp.TC) {
 	c := ctxOf(tc)
-	if c == nil {
-		return
-	}
 	c.Yield()
 	tc.CurTask().ResumedBy.Store(int32(c.Rank() % tc.Team().Size))
 }
@@ -488,11 +422,7 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	// Nested teams list under their encountering stream: the inner ULTs
 	// spawn there (§IV-E), so that is where an idle tour should find them
 	// first.
-	stream := 0
-	if c != nil {
-		stream = c.Rank()
-	}
-	d := e.rt.streamDir(stream)
+	d := e.rt.streamDir(c.Rank())
 	h := d.Publish(team)
 	defer d.Retire(h, team)
 	e.rt.Counters.ULTsCreated.Add(int64(n - 1))
@@ -500,27 +430,11 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	slot.team = team
 	var units []*glt.Unit
 	if n > 1 {
-		if c != nil {
-			// Inner ranks are 1..n-1; rank 0 is the encountering ULT below.
-			units = c.SpawnBatch(n-1, 1, slot.fn, slot.units)
-		} else {
-			units = slot.units[:0]
-			for i := 1; i < n; i++ {
-				rank := i
-				units = append(units, e.rt.g.Spawn(glt.AnyThread, func(cc *glt.Ctx) {
-					team.Run(rank, e, cc)
-				}))
-			}
-		}
+		// Inner ranks are 1..n-1; rank 0 is the encountering ULT below.
+		units = c.SpawnBatch(n-1, 1, slot.fn, slot.units)
 	}
 	team.Run(0, e, c)
-	if c != nil {
-		c.JoinAll(units)
-	} else {
-		for _, u := range units {
-			u.Join()
-		}
-	}
+	c.JoinAll(units)
 	if units != nil {
 		e.rt.g.ReleaseAll(units)
 		slot.units = units[:0]
@@ -530,6 +444,4 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 }
 
 // Idle is the engine's wait primitive: a cooperative yield.
-func (e *engine) Idle(tc *omp.TC) {
-	e.idle(ctxOf(tc))
-}
+func (e *engine) Idle(tc *omp.TC) { ctxOf(tc).Yield() }

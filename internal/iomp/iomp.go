@@ -189,16 +189,14 @@ func (Queue) Push(team *omp.Team, rank int, nodes []*omp.TaskNode) {
 	dequesOf(team)[rank].append(nodes...)
 }
 
-// Place appends a released task to the releaser's deque — the append end is
-// the LIFO own-pop end, so the releasing thread picks the successor up next,
-// right where its inputs were just written — or, with no hot rank, to its
-// creator's deque, preserving the per-thread-queue discipline.
+// Place appends a task to the deque of the rank node.Place names: a hot
+// releaser's — the append end is the LIFO own-pop end, so the releasing
+// thread picks the successor up next, right where its inputs were just
+// written — or, with no hot rank, its creator's, preserving the
+// per-thread-queue discipline.
 func (Queue) Place(team *omp.Team, node *omp.TaskNode, hot int) {
-	at := node.CreatedBy
-	if hot >= 0 {
-		at = hot
-	}
-	dequesOf(team)[at%team.Size].append(node)
+	rank, _ := node.Place(hot)
+	dequesOf(team)[rank%team.Size].append(node)
 }
 
 // Pop takes the newest task from the caller's own deque.

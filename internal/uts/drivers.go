@@ -277,7 +277,7 @@ func (p Params) CountGLTTasks(g *glt.Runtime) Result {
 				copy(batch, local[len(local)-taskGrain:])
 				local = local[:len(local)-taskGrain]
 				outstanding.Add(1)
-				c.SpawnDetachedBatch(body, []int{c.Rank()}, []any{batch}, false)
+				c.SpawnDetachedBatch(body, []int{c.Rank()}, []any{batch})
 			}
 		}
 	}

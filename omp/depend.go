@@ -181,9 +181,9 @@ func addDepEdge(pred *TaskNode, predGen uint32, succ *TaskNode) bool {
 //
 // Dispatch is locality-first. The walk keeps a running best-priority ready
 // successor — the one the releaser keeps — and dispatches the rest as they
-// surface, marked as fan-out (TaskNode.FanOut) so an engine whose streams do
-// not steal can spread them over the team instead of queueing them all
-// behind the releaser. At the end, if the releaser has an execution context
+// surface, marked as fan-out so that TaskNode.Place lets an engine whose
+// streams do not steal spread them over the team instead of queueing them
+// all behind the releaser. At the end, if the releaser has an execution context
 // on the successor's team and chain budget left (rc.depth <
 // EffectiveDepChain), the kept successor runs INLINE on the releasing thread
 // — the data its predecessor just wrote is still hot, and the
@@ -258,15 +258,14 @@ func (n *TaskNode) retireSuccState(w uint64, sp *[]atomic.Pointer[TaskNode]) {
 }
 
 // dispatchReleased hands one released successor to its engine, marking it
-// as fan-out or as the kept successor (fanOut; see TaskNode.FanOut). With a
-// releaser context on the successor's team the hand-off is HOT: ReleaseTask
-// receives the releaser's team rank and routes the task to that rank's own
+// as fan-out or as the kept successor (fanOut). With a releaser context on
+// the successor's team the hand-off is HOT: ReleaseTask receives the
+// releaser's team rank and routes the task to that rank's own
 // deque/stream/release-slot, so the successor is consumed where its inputs
-// were just written. An engine may place fan-out by its task-creation rule
-// instead (GLTO does: its abt and qth streams never steal, so a wide release
-// sent to the releaser would queue behind it). Without a context (rc nil, or
-// a cross-team release) hot is -1 and the engine falls back to creator-side
-// placement.
+// were just written — unless TaskNode.Place spreads fan-out, which GLTO
+// honours (its abt and qth streams never steal, so a wide release sent to
+// the releaser would queue behind it). Without a context (rc nil, or a
+// cross-team release) hot is -1 and Place sends the task to its creator.
 func dispatchReleased(s *TaskNode, rc *relCtx, fanOut bool) {
 	chaosDepRelease()
 	s.fanOut = fanOut

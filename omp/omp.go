@@ -271,8 +271,8 @@ type Stats struct {
 	// LocalReleases counts released tasks handed to the engine hot, with the
 	// releasing thread's rank and context: routed to its own
 	// deque/stream/release-slot rather than the creator's — except fan-out
-	// on GLTO, which goes where the task-creation rule sends it (see
-	// TaskNode.FanOut). A subset of DepReleases, disjoint from TasksChained.
+	// that TaskNode.Place spreads, which GLTO deals round-robin over its
+	// streams. A subset of DepReleases, disjoint from TasksChained.
 	LocalReleases int64
 	// TasksCancelled counts tasks drained without executing because their
 	// taskgroup or region was cancelled (explicitly, by a recovered panic, or

@@ -30,14 +30,14 @@ type TaskNode struct {
 	// Undeferred forces immediate execution at the spawn site without the
 	// inheritance semantics of Final (the if(false) clause).
 	Undeferred bool
-	// InSingleMaster records whether the task was created lexically inside a
+	// inSingleMaster records whether the task was created lexically inside a
 	// single or master construct. PrepareTask snapshots it from the creating
-	// TC so that placement policies keyed on it (GLTO's round-robin
-	// distribution, paper §IV-D) stay correct when the task is dispatched
-	// later from a producer-side buffer, possibly after the construct ended.
-	InSingleMaster bool
-	// fanOut is set by the dependence release that readied the task (see
-	// FanOut).
+	// TC so that Place answers the same when the task is dispatched later
+	// from a producer-side buffer, possibly after the construct ended.
+	inSingleMaster bool
+	// fanOut is set by the dependence release that readied the task: true
+	// for a successor readied together with the one the releaser kept (see
+	// Place).
 	fanOut bool
 
 	// priority is the task's scheduling hint (the Priority option, clause
@@ -123,7 +123,7 @@ func (n *TaskNode) reset(createdBy int) {
 	n.Tied = true
 	n.Final = false
 	n.Undeferred = false
-	n.InSingleMaster = false
+	n.inSingleMaster = false
 	n.fanOut = false
 	n.priority = 0
 	n.parent = nil
@@ -166,14 +166,26 @@ func (n *TaskNode) Children() int64 { return int64(n.refs.Load() >> 32) }
 // from a buffer use it to rebuild the execution context (see ExecTaskOn).
 func (n *TaskNode) Team() *Team { return n.team }
 
-// FanOut reports whether a dependence release handed the task to its engine
-// as fan-out: a successor readied together with the one the releaser kept
-// (its best-priority ready successor, run inline or dispatched last). GLTO
-// places fan-out by its task-creation rule instead of on the releasing
-// stream, so one release cannot queue a whole wave behind the releaser's
-// chain on streams that never steal; the pthread engines ignore the mark. It
-// is false for the kept successor and for tasks never released.
-func (n *TaskNode) FanOut() bool { return n.fanOut }
+// Place is the task-placement rule (§IV-D), the one answer to where a task
+// handed to its engine goes. rank is the team rank whose structures should
+// take it; spread asks the engine to deal it round-robin over its streams
+// instead, where it can.
+//
+// A task the engine takes at creation or from a producer-side buffer, or one
+// released with no hot context (hot < 0), goes to its creator, CreatedBy, and
+// is spread if it was created inside single/master. A task released hot goes
+// to the releaser, hot, where its inputs were just written, and is spread
+// only if it is fan-out — a successor readied together with the one the
+// releaser kept — and was created inside single/master: abt and qth streams
+// never steal, so a wave sent to the releaser would queue behind its chain
+// while the other streams idle. GLTO honours spread; the pthread engines read
+// rank only and leave the wave to their thieves.
+func (n *TaskNode) Place(hot int) (rank int, spread bool) {
+	if hot < 0 {
+		return n.CreatedBy, n.inSingleMaster
+	}
+	return hot, n.inSingleMaster && n.fanOut
+}
 
 // Generation reports the descriptor's recycle stamp. A party holding a
 // reference (creator until dispatch, executor until FinishTask, a child's
@@ -443,7 +455,7 @@ func PrepareTask(tc *TC, fn func(*TC), opts ...TaskOpt) *TaskNode {
 	node.Fn = fn
 	node.parent = tc.cur
 	node.team = tc.team
-	node.InSingleMaster = tc.inSM
+	node.inSingleMaster = tc.inSM
 	for _, o := range opts {
 		o(node)
 	}

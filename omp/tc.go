@@ -108,19 +108,19 @@ type EngineOps interface {
 	// outstanding, and the last of them has now completed. It is called by
 	// whichever thread drops the predecessor's final reference — possibly
 	// with no thread context of its own — so engines must route the node
-	// into a structure reachable without a TC: the shared team queue, the
-	// creator's deque (node.CreatedBy), a detached work unit. When the
-	// releasing thread IS a team member, hot is its team rank — and ectx its
-	// engine execution context (TC.Ectx) — and engines should place the task
-	// where that thread consumes next (its own deque bottom, its own stream,
-	// a per-rank release slot): the successor's inputs were just written
+	// into a structure reachable without a TC: the shared team queue, a
+	// rank's deque, a detached work unit. node.Place(hot) names the rank:
+	// when the releasing thread IS a team member, hot is its team rank — and
+	// ectx its engine execution context (TC.Ectx) — and the task goes where
+	// that thread consumes next (its own deque bottom, its own stream, a
+	// per-rank release slot), since the successor's inputs were just written
 	// there. GLTO reads the true executing stream from ectx, since a stolen
 	// or nested task's team rank need not match its stream. hot is -1 (and
 	// ectx nil) when the releaser has no context on the team (a tracer's
-	// deferred Release, a cross-team drop) and placement falls back to the
-	// creator's structures. The released task then executes through the
-	// engine's normal dequeue paths (ExecTask/ExecTaskOn), which settle the
-	// same completion bookkeeping as any queued task.
+	// deferred Release, a cross-team drop) and Place names the creator. The
+	// released task then executes through the engine's normal dequeue paths
+	// (ExecTask/ExecTaskOn), which settle the same completion bookkeeping as
+	// any queued task.
 	ReleaseTask(team *Team, node *TaskNode, hot int, ectx any)
 	// TryRunTask is the wait step's hunt (TC.WaitStep is its one caller): it
 	// claims what the engine's own tasking structures hold, if anything,
