@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -24,7 +25,10 @@ import (
 // envBool helpers may read a variable whose name is not a literal. Test files
 // and the NAME= prefixes of the CI workflow's go commands must also name only
 // rows of the table, so a dropped variable cannot linger in a test or a CI
-// line; they do not count toward the "Read in" column.
+// line; they do not count toward the "Read in" column. Every alternative of
+// every -run pattern in the CI workflow must also select a test of that
+// command's packages (see ciRunPatterns), so a renamed test cannot drop out
+// of a CI step unnoticed.
 func TestEnvLedger(t *testing.T) {
 	read := map[string]map[string]bool{} // variable -> files that read it
 	used := map[string]map[string]bool{} // variable -> test files and CI lines that name it
@@ -55,6 +59,7 @@ func TestEnvLedger(t *testing.T) {
 		}
 	})
 	ciEnvPrefixes(t, used)
+	ciRunPatterns(t)
 
 	listed := readmeEnvTable(t)
 	for name, files := range read {
@@ -146,6 +151,125 @@ func ciEnvPrefixes(t *testing.T, used map[string]map[string]bool) {
 			}
 		}
 	}
+}
+
+// noTests is the -run sentinel a benchmark-only command passes to select no
+// test at all.
+const noTests = "XXX"
+
+// ciRunPatterns checks every go test command of the CI workflow that passes
+// -run: each |-alternative of the pattern's top level (the part before the
+// first /, which selects top-level functions) must match the name of at
+// least one Test, Benchmark, Fuzz or Example function declared in the test
+// files of the command's packages. A package argument is a relative path,
+// and a trailing /... takes in every directory below it.
+func ciRunPatterns(t *testing.T) {
+	t.Helper()
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcs := map[string][]string{} // directory -> its test functions
+	for i, line := range strings.Split(string(src), "\n") {
+		line = strings.TrimPrefix(strings.TrimSpace(line), "run:")
+		for _, cmd := range strings.Split(line, "&&") {
+			fields := strings.Fields(cmd)
+			for len(fields) > 0 && envAssign.MatchString(fields[0]) {
+				fields = fields[1:]
+			}
+			if len(fields) < 2 || fields[0] != "go" || fields[1] != "test" {
+				continue
+			}
+			var pattern string
+			var names []string
+			for j := 2; j < len(fields); j++ {
+				f := fields[j]
+				switch {
+				case f == "-run" && j+1 < len(fields):
+					j++
+					pattern = strings.Trim(fields[j], `'"`)
+				case strings.HasPrefix(f, "-run="):
+					pattern = strings.Trim(strings.TrimPrefix(f, "-run="), `'"`)
+				case f == "." || strings.HasPrefix(f, "./"):
+					for _, dir := range packageDirs(t, f) {
+						if _, ok := funcs[dir]; !ok {
+							funcs[dir] = testFuncs(t, dir)
+						}
+						names = append(names, funcs[dir]...)
+					}
+				}
+			}
+			if pattern == "" || pattern == noTests {
+				continue
+			}
+			top, _, _ := strings.Cut(pattern, "/")
+			for _, alt := range strings.Split(top, "|") {
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					t.Errorf("ci.yml:%d: -run alternative %q: %v", i+1, alt, err)
+					continue
+				}
+				if !slices.ContainsFunc(names, re.MatchString) {
+					t.Errorf("ci.yml:%d: -run alternative %q selects no test in the command's packages", i+1, alt)
+				}
+			}
+		}
+	}
+}
+
+// packageDirs resolves a go command's package argument to directories.
+func packageDirs(t *testing.T, arg string) []string {
+	t.Helper()
+	root, all := strings.CutSuffix(arg, "/...")
+	root = filepath.Clean(root)
+	if !all {
+		return []string{root}
+	}
+	var dirs []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			dirs = append(dirs, path)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dirs
+}
+
+// testFuncs lists the Test, Benchmark, Fuzz and Example functions declared
+// in dir's test files.
+func testFuncs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	fset := token.NewFileSet()
+	for _, file := range files {
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil {
+				continue
+			}
+			for _, prefix := range []string{"Test", "Benchmark", "Fuzz", "Example"} {
+				if strings.HasPrefix(fn.Name.Name, prefix) {
+					names = append(names, fn.Name.Name)
+					break
+				}
+			}
+		}
+	}
+	return names
 }
 
 // isEnvRead reports whether fun is os.Getenv, os.LookupEnv or envBool.
