@@ -472,7 +472,7 @@ func BenchmarkTaskSpawn(b *testing.B) {
 // BenchmarkDepWavefront: the dependence subsystem's end-to-end cost — one
 // sparse triangular solve per op, scheduled purely by depend clauses: a
 // single producer registers the chunk DAG (address-map lookups + lock-free
-// edge adds), parked tasks release through EngineOps.ReleaseTask as
+// edge adds), parked tasks release through EngineOps.Enqueue as
 // predecessors drop their last reference, and released tasks flow through
 // the ordinary queue/ring/steal fabric. The problem shape is fixed (4000
 // rows, 50-row chunks) so the series tracks subsystem overhead, not kernel

@@ -185,19 +185,19 @@ func (serialRT) ParallelN(n int, body func(*omp.TC)) {
 }
 
 // serialOps is the trivially correct single-thread engine. Tasks execute
-// inline at their spawn site, so the producer-side buffer is never used and
-// FlushTasks has nothing to do.
+// inline at their spawn site, so the producer-side buffer is never used.
 type serialOps struct{}
 
-func (serialOps) SpawnTask(tc *omp.TC, node *omp.TaskNode) { omp.ExecTask(tc, node) }
+func (serialOps) Inline(*omp.TC, *omp.TaskNode) bool { return true }
 
-// ReleaseTask can never fire under serial execution (every task completes at
-// its spawn site, so no dependence ever defers); run the task inline on the
+// Enqueue can never fire under serial execution (every task completes at its
+// spawn site, so no dependence ever defers); run the tasks inline on the
 // team's rank-0 context if it somehow does.
-func (serialOps) ReleaseTask(team *omp.Team, node *omp.TaskNode, _ int, _ any) {
-	omp.ExecTaskOn(team, 0, serialOps{}, nil, node)
+func (serialOps) Enqueue(team *omp.Team, nodes []*omp.TaskNode, _ int, _ any) {
+	for _, node := range nodes {
+		omp.ExecTaskOn(team, 0, serialOps{}, nil, node)
+	}
 }
-func (serialOps) FlushTasks(tc *omp.TC)      {}
 func (serialOps) Taskwait(tc *omp.TC)        {}
 func (serialOps) TryRunTask(tc *omp.TC) bool { return false }
 func (serialOps) Taskyield(tc *omp.TC)       {}

@@ -17,8 +17,8 @@
 //     one rule, TaskNode.Place: tasks created inside a single/master
 //     construct are dispatched round-robin over all streams; otherwise each
 //     stream keeps its own tasks (§IV-D). The rule also places the fan-out
-//     of a dependence release. Deferred tasks are submitted in
-//     producer-side batches through the engine's PushBatch by default;
+//     of a dependence release. omp hands deferred tasks over in
+//     producer-side bursts, which become one PushBatch each by default;
 //     Config.PerUnitDispatch restores the paper's one-push-per-task cost.
 //   - Nested parallelism: the encountering ULT spawns the inner team as
 //     ULTs on its own stream — no new OS threads, hence no oversubscription
@@ -60,8 +60,6 @@ type Runtime struct {
 	g   *glt.Runtime
 	eng engine // the one EngineOps instance; stateless beyond rt
 
-	// taskBuf is the producer-side task buffer capacity (0 = batching off).
-	taskBuf int
 	// taskBody is the shared body of every task ULT; the task node travels
 	// as the unit's Arg, so task dispatch needs no per-task closure.
 	taskBody glt.Func
@@ -71,7 +69,7 @@ type Runtime struct {
 	// region's team. Pooling the closure with the slice is what keeps the
 	// region path free of per-region allocations.
 	slots sync.Pool
-	// flushBufs recycles the target/arg scratch slices of FlushTasks.
+	// flushBufs recycles the target/arg scratch slices of a burst's Enqueue.
 	flushBufs sync.Pool
 
 	// drainTab is the idle-drain registry: the teams whose regions are in
@@ -108,7 +106,7 @@ type regionSlot struct {
 	fn    glt.Func // created once: runs slot.team.Run for the unit's tag
 }
 
-// flushBuf is the pooled scratch of one FlushTasks episode.
+// flushBuf is the pooled scratch of one burst's Enqueue.
 type flushBuf struct {
 	targets []int
 	args    []any
@@ -127,7 +125,7 @@ func New(cfg omp.Config) (*Runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &Runtime{cfg: cfg, g: g, taskBuf: cfg.EffectiveTaskBuffer()}
+	rt := &Runtime{cfg: cfg, g: g}
 	rt.Frontend = omp.NewFrontend(rt, cfg)
 	rt.drainTab = make([]streamDrain, g.NumThreads())
 	rt.eng.rt = rt
@@ -147,8 +145,8 @@ func New(cfg omp.Config) (*Runtime, error) {
 	}
 	rt.flushBufs.New = func() any {
 		return &flushBuf{
-			targets: make([]int, 0, rt.taskBuf),
-			args:    make([]any, 0, rt.taskBuf),
+			targets: make([]int, 0, cfg.EffectiveTaskBuffer()),
+			args:    make([]any, 0, cfg.EffectiveTaskBuffer()),
 		}
 	}
 	// The engine-level half of consumer-visible overflow: a stream that found
@@ -311,43 +309,37 @@ func (e *engine) spawn(c *glt.Ctx, node *omp.TaskNode, hot int) {
 	e.rt.g.SpawnDetached(from, e.target(c, node, hot), e.rt.taskBody, node)
 }
 
-// SpawnTask converts the OMP task into a GLT work unit (§IV-D). Deferred
-// tasks accumulate in the creating thread's buffer and are dispatched in one
-// batch (FlushTasks) at scheduling points or when the buffer fills; with the
-// buffer off every task is its own spawn, as in the paper.
-func (e *engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
-	// GLTO inherits BOLT/LLVM's correct final semantics: descendants of a
-	// final task are themselves final, so the whole subtree executes
-	// undeferred (this is the task_final validation test GLTO passes and
-	// the pthread runtimes fail, Table I).
+// Inline applies no cut-off, but GLTO inherits BOLT/LLVM's correct final
+// semantics: descendants of a final task are themselves final, so the whole
+// subtree executes undeferred (this is the task_final validation test GLTO
+// passes and the pthread runtimes fail, Table I).
+func (e *engine) Inline(tc *omp.TC, node *omp.TaskNode) bool {
 	if tc.CurTask() != nil && tc.CurTask().Final {
 		node.Final = true
 	}
-	if node.Final || node.Undeferred {
-		omp.ExecTask(tc, node)
-		return
-	}
-	e.rt.Counters.TasksQueued.Add(1)
-	if e.rt.taskBuf > 0 {
-		if tc.BufferTask(node, e.rt.taskBuf) {
-			e.FlushTasks(tc)
-		}
-		return
-	}
-	e.spawn(ctxOf(tc), node, -1)
+	return false
 }
 
-// FlushTasks dispatches the producer-side buffer as one detached batch: the
-// task nodes ride as unit payloads under the shared task body, and the
-// policy sees a single PushBatch — one synchronization episode for the whole
-// burst, against one locked push per task in the paper's design.
-func (e *engine) FlushTasks(tc *omp.TC) {
-	nodes := tc.TakeBuffered()
-	if len(nodes) == 0 {
+// Enqueue converts the OMP tasks into GLT work units (§IV-D). One node — an
+// unbuffered spawn or a dependence release — is one spawn. A burst, which
+// only a flush hands over, becomes one detached batch: the task nodes ride
+// as unit payloads under the shared task body, and the policy sees a single
+// PushBatch — one synchronization episode for the whole burst, against one
+// locked push per task in the paper's design.
+//
+// A hot releaser's ectx is the ULT context it executes under, naming the
+// true stream (a stolen or nested task's team rank need not), so the unit
+// comes from that stream's unlocked cache: the release fires inside the
+// finishing task's body extent, while it holds the stream's token. A cold
+// release (hot < 0, ectx nil: a goroutine with no stream dropped the last
+// reference — a tracer's deferred Release, glt's ReleaseAll) spawns from the
+// shared free list.
+func (e *engine) Enqueue(_ *omp.Team, nodes []*omp.TaskNode, hot int, ectx any) {
+	c, _ := ectx.(*glt.Ctx)
+	if len(nodes) == 1 {
+		e.spawn(c, nodes[0], hot)
 		return
 	}
-	c := ctxOf(tc)
-	e.rt.Counters.TaskFlushes.Add(1)
 	e.rt.Counters.ULTsCreated.Add(int64(len(nodes)))
 	fb := e.rt.flushBufs.Get().(*flushBuf)
 	targets, args := fb.targets[:0], fb.args[:0]
@@ -356,27 +348,12 @@ func (e *engine) FlushTasks(tc *omp.TC) {
 		args = append(args, node)
 	}
 	c.SpawnDetachedBatch(e.rt.taskBody, targets, args)
-	// Dispatch is complete: drop the task-node pointers from both scratch
-	// arrays so neither the pooled flushBuf nor the TC's pooled buffer pins
-	// finished tasks (and whatever their closures capture).
+	// Dispatch is complete: drop the task-node pointers from the scratch so
+	// the pooled flushBuf does not pin finished tasks (and whatever their
+	// closures capture).
 	clear(args)
-	clear(nodes)
 	fb.targets, fb.args = targets[:0], args[:0]
 	e.rt.flushBufs.Put(fb)
-}
-
-// ReleaseTask dispatches a task whose last dependence was just satisfied
-// through spawn, where Place sends it. A hot releaser's ectx is the ULT
-// context it executes under, naming the true stream (a stolen or nested
-// task's team rank need not), so the unit comes from that stream's unlocked
-// cache: the release fires inside the finishing task's body extent, while it
-// holds the stream's token. A cold release (hot < 0: a goroutine with no
-// stream dropped the last reference — a tracer's deferred Release, glt's
-// ReleaseAll) has no context and spawns from the shared free list.
-func (e *engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, ectx any) {
-	e.rt.Counters.TasksQueued.Add(1)
-	c, _ := ectx.(*glt.Ctx)
-	e.spawn(c, node, hot)
 }
 
 // TryRunTask is the wait step's hunt: tc.Hunt raids the team's producer-side

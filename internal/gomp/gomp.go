@@ -124,7 +124,7 @@ func (ts *teamTasks) slotsFor(size int) []relSlot {
 // (the idle/barrier drain that keeps slotted work from stranding).
 func (ts *teamTasks) claimRelease(num int, sweep bool) *omp.TaskNode {
 	if ts.relCount.Load() == 0 {
-		return nil // nonzero only once Place has allocated the directory
+		return nil // nonzero only once Push has allocated the directory
 	}
 	slots := *ts.rel.Load()
 	n := len(slots)
@@ -157,27 +157,23 @@ func oneStop(tc *omp.TC, node *omp.TaskNode) (*omp.TaskNode, int) {
 	return node, 1
 }
 
-// Push appends the burst to the shared queue; every rank pushes there.
-func (Queue) Push(team *omp.Team, _ int, nodes []*omp.TaskNode) {
-	tasksOf(team).append(nodes...)
-}
-
-// Place parks a task released on a hot rank in that rank's release slot —
-// claimed by the releasing thread ahead of the shared queue, no lock —
-// falling back to the shared queue when the slot is still occupied (the
-// releaser is running ahead of its own consumption) or when there is no hot
-// rank. Every member's hunt sweeps the slots once the queue runs dry, so a
-// slotted task is no less visible than a queued one.
-func (Queue) Place(team *omp.Team, node *omp.TaskNode, hot int) {
+// Push appends the nodes to the shared queue, which every rank pushes to —
+// except a task released on a hot rank, parked in that rank's release slot:
+// claimed by the releasing thread ahead of the shared queue, no lock. It
+// falls back to the shared queue when the slot is still occupied (the
+// releaser is running ahead of its own consumption). Every member's hunt
+// sweeps the slots once the queue runs dry, so a slotted task is no less
+// visible than a queued one.
+func (Queue) Push(team *omp.Team, nodes []*omp.TaskNode, hot int) {
 	ts := tasksOf(team)
 	if hot >= 0 {
 		slots := ts.slotsFor(team.Size)
-		if s := &slots[hot%len(slots)]; s.p.CompareAndSwap(nil, node) {
+		if s := &slots[hot%len(slots)]; s.p.CompareAndSwap(nil, nodes[0]) {
 			ts.relCount.Add(1)
 			return
 		}
 	}
-	ts.append(node)
+	ts.append(nodes...)
 }
 
 // Pop claims the caller's own release slot — a successor the thread itself

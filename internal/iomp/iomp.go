@@ -184,19 +184,14 @@ func (d *taskDeque) append(nodes ...*omp.TaskNode) {
 	d.mu.Unlock()
 }
 
-// Push appends the burst to rank's own deque.
-func (Queue) Push(team *omp.Team, rank int, nodes []*omp.TaskNode) {
-	dequesOf(team)[rank].append(nodes...)
-}
-
-// Place appends a task to the deque of the rank node.Place names: a hot
-// releaser's — the append end is the LIFO own-pop end, so the releasing
+// Push appends the nodes to the deque of the rank nodes[0].Place names: a
+// hot releaser's — the append end is the LIFO own-pop end, so the releasing
 // thread picks the successor up next, right where its inputs were just
-// written — or, with no hot rank, its creator's, preserving the
+// written — or, with no hot rank, the creator's, preserving the
 // per-thread-queue discipline.
-func (Queue) Place(team *omp.Team, node *omp.TaskNode, hot int) {
-	rank, _ := node.Place(hot)
-	dequesOf(team)[rank%team.Size].append(node)
+func (Queue) Push(team *omp.Team, nodes []*omp.TaskNode, hot int) {
+	rank, _ := nodes[0].Place(hot)
+	dequesOf(team)[rank%team.Size].append(nodes...)
 }
 
 // Pop takes the newest task from the caller's own deque.

@@ -12,12 +12,13 @@ import (
 // tasks wait and the order the engine's hunt finds them in. It keeps its
 // per-team state in Team.EngineData, so one value serves every team.
 type TaskQueue interface {
-	// Push appends a flushed burst, in order, to rank's queue under one lock.
-	Push(team *omp.Team, rank int, nodes []*omp.TaskNode)
-	// Place queues one task: where rank hot consumes next when hot >= 0 (a
-	// dependence release on that rank), on its creator's queue otherwise (an
-	// unbuffered spawn, or a release by a thread with no team context).
-	Place(team *omp.Team, node *omp.TaskNode, hot int)
+	// Push queues the nodes omp.EngineOps.Enqueue hands the engine, in
+	// order, in one synchronization episode: where rank hot consumes next
+	// when hot >= 0 (a dependence release on that rank, always one node),
+	// on the creator's queue otherwise — an unbuffered spawn, a flushed
+	// burst (whose nodes share one creator, so nodes[0].Place names the
+	// queue for all), or a release by a thread with no team context.
+	Push(team *omp.Team, nodes []*omp.TaskNode, hot int)
 	// Pop claims a task from the caller's own queue. Steal claims one from
 	// the other queues, crediting c with any probe accounting of its own.
 	// Both report the queues they probed, and the engine hands the claim
@@ -39,8 +40,8 @@ type Runtime interface {
 }
 
 // Engine is the OpenMP engine both pthread runtimes are built on: the
-// persistent pool dispatches top-level regions, deferred tasks go to the
-// runtime's TaskQueue, and the wait step's hunt walks that queue before it
+// persistent pool dispatches top-level regions, the tasks omp defers go to
+// the runtime's TaskQueue, and the wait step's hunt walks that queue before it
 // raids the overflow rings. Taskyield is a no-op, so started tasks never
 // migrate (the taskyield/untied failures of Table I). A runtime embeds an
 // Engine and supplies the rest of omp.EngineOps: Nested.
@@ -57,7 +58,7 @@ type Engine struct {
 	region Region
 	cur    atomic.Pointer[omp.Team]
 
-	taskBuf, cutoff int
+	cutoff int
 }
 
 // NewEngine builds the engine of runtime rt over queue q. The top-level pool
@@ -65,7 +66,7 @@ type Engine struct {
 // NumThreads.
 func NewEngine(cfg omp.Config, rt Runtime, q TaskQueue) *Engine {
 	cfg = cfg.WithDefaults()
-	e := &Engine{ops: rt, queue: q, taskBuf: cfg.EffectiveTaskBuffer(), cutoff: cfg.EffectiveCutoff()}
+	e := &Engine{ops: rt, queue: q, cutoff: cfg.EffectiveCutoff()}
 	e.Frontend = omp.NewFrontend(rt, cfg)
 	e.pool = New(cfg.NumThreads, WaitMode(cfg), &e.Counters.ThreadsCreated)
 	e.region.Run = func(rank int) { e.cur.Load().Run(rank, e.ops, nil) }
@@ -91,55 +92,20 @@ func (e *Engine) EngineStats(s *omp.Stats) {
 	}
 }
 
-// SpawnTask queues node through the producer-side buffer (or straight to
-// the queue when batching is off) — unless it runs undeferred: final and
-// if(false) tasks, whose finality descendants do not inherit (the
-// omp_task_final defect of Table I), and tasks past the queue's cut-off.
-func (e *Engine) SpawnTask(tc *omp.TC, node *omp.TaskNode) {
-	if node.Final || node.Undeferred {
-		omp.ExecTask(tc, node)
-		return
-	}
-	// The cut-off counts buffered tasks as queued, so it fires at the same
-	// task counts with batching on or off; the backlog is made stealable
-	// before the producer serializes, as in the native runtime (§VI-E).
-	if n := e.queue.Backlog(tc.Team(), tc.ThreadNum()); n >= 0 && n+tc.BufferedTasks() >= e.cutoff {
-		e.FlushTasks(tc)
-		e.Counters.TasksDirect.Add(1)
-		omp.ExecTask(tc, node)
-		return
-	}
-	e.Counters.TasksQueued.Add(1)
-	if e.taskBuf > 0 {
-		if tc.BufferTask(node, e.taskBuf) {
-			e.FlushTasks(tc)
-		}
-		return
-	}
-	e.queue.Place(tc.Team(), node, -1)
+// Inline is the queue's cut-off (Fig. 14): a task is not deferred once the
+// creator's backlog reaches the bound. The backlog counts buffered tasks as
+// queued, so the cut-off fires at the same task counts with batching on or
+// off. Finality is not inherited by descendants (the omp_task_final defect
+// of Table I).
+func (e *Engine) Inline(tc *omp.TC, _ *omp.TaskNode) bool {
+	n := e.queue.Backlog(tc.Team(), tc.ThreadNum())
+	return n >= 0 && n+tc.BufferedTasks() >= e.cutoff
 }
 
-// FlushTasks hands the producer-side buffer to the queue in one push: one
-// synchronization episode per batch instead of one locked push per task.
-func (e *Engine) FlushTasks(tc *omp.TC) {
-	nodes := tc.TakeBuffered()
-	if len(nodes) == 0 {
-		return
-	}
-	e.Counters.TaskFlushes.Add(1)
-	e.queue.Push(tc.Team(), tc.ThreadNum(), nodes)
-	// The queue owns the nodes now; clear the TC's pooled buffer slots so
-	// they do not retain finished tasks.
-	clear(nodes)
-}
-
-// ReleaseTask queues a task whose last dependence was just satisfied, where
-// the releasing rank hot consumes next. The cut-off does not apply: the
-// releaser cannot run the task inline, and a released task has already paid
-// its deferral.
-func (e *Engine) ReleaseTask(team *omp.Team, node *omp.TaskNode, hot int, _ any) {
-	e.Counters.TasksQueued.Add(1)
-	e.queue.Place(team, node, hot)
+// Enqueue hands the nodes to the queue in one push: one synchronization
+// episode per flushed burst instead of one locked push per task.
+func (e *Engine) Enqueue(team *omp.Team, nodes []*omp.TaskNode, hot int, _ any) {
+	e.queue.Push(team, nodes, hot)
 }
 
 // TryRunTask is the wait step's hunt: the caller's own queue, then the other

@@ -9,7 +9,7 @@
 // GLTO's ULT creation. Pool reproduces that mechanism: dispatch is one
 // pointer store plus an epoch bump; workers either spin on the epoch
 // (OMP_WAIT_POLICY=active) or sleep on a channel (passive). Engine adds
-// everything else the two runtimes share: task spawn, flush and release,
+// everything else the two runtimes share: the task cut-off, task enqueue,
 // the wait step's task hunt, taskwait and idling.
 //
 // The paper separates the two runtimes on exactly two mechanisms, and each

@@ -3,7 +3,7 @@ package ptpool_test
 // The TaskQueue conformance table: both pthread queue variants — gomp's
 // shared FIFO with per-rank release slots and iomp's per-rank deques — run
 // the same scripted cases on a hand-built team, outside any region, so each
-// case decides exactly which rank pushes, places, pops and steals. A case's
+// case decides exactly which rank flushes, spawns, releases, pops and steals. A case's
 // observations are written as label/visited ("-" when nothing was claimed)
 // and backlog counts, and each variant states what it must observe.
 
@@ -59,11 +59,12 @@ func (h *qteam) push(rank int, labels ...string) {
 	for _, l := range labels {
 		nodes = append(nodes, h.node(l, rank))
 	}
-	h.q.Push(h.team, rank, nodes)
+	h.q.Push(h.team, nodes, -1)
 }
 
+// place queues one task: an unbuffered spawn (hot -1) or a release on hot.
 func (h *qteam) place(label string, createdBy, hot int) {
-	h.q.Place(h.team, h.node(label, createdBy), hot)
+	h.q.Push(h.team, []*omp.TaskNode{h.node(label, createdBy)}, hot)
 }
 
 func (h *qteam) claimed(op string, rank int, n *omp.TaskNode, visited int) {
@@ -274,16 +275,16 @@ func TestTaskQueueExactlyOnce(t *testing.T) {
 						switch i % 4 {
 						case 0:
 							end := min(i+3, len(mine))
-							h.q.Push(h.team, r, mine[i:end])
+							h.q.Push(h.team, mine[i:end], -1)
 							i = end
 						case 1:
-							h.q.Place(h.team, mine[i], -1)
+							h.q.Push(h.team, mine[i:i+1], -1)
 							i++
 						case 2:
-							h.q.Place(h.team, mine[i], r)
+							h.q.Push(h.team, mine[i:i+1], r)
 							i++
 						case 3:
-							h.q.Place(h.team, mine[i], (r+1)%ranks)
+							h.q.Push(h.team, mine[i:i+1], (r+1)%ranks)
 							i++
 						}
 						if i%2 == 0 {

@@ -62,7 +62,7 @@ func TestDependenceSuite(t *testing.T) {
 
 // TestDependenceSuiteDispatchModes re-runs the extension suite across the
 // dispatch modes (batched, unbuffered, per-unit): a released task enters the
-// engine through ReleaseTask in every mode, and dependence order must be
+// engine through EngineOps.Enqueue in every mode, and dependence order must be
 // mode-invariant exactly as construct semantics are.
 func TestDependenceSuiteDispatchModes(t *testing.T) {
 	if testing.Short() {

@@ -18,17 +18,17 @@ import (
 
 // barrierOps is the minimal EngineOps a barrier-only region needs: waits
 // funnel to the shared BarrierState and idling is a scheduler yield, as in
-// the pthread engines. No test below spawns explicit tasks.
+// the pthread engines. No test below spawns explicit tasks; one that did
+// would run it inline.
 type barrierOps struct{}
 
-func (barrierOps) SpawnTask(tc *TC, n *TaskNode)          { ExecTask(tc, n) }
-func (barrierOps) ReleaseTask(*Team, *TaskNode, int, any) {}
-func (barrierOps) FlushTasks(*TC)                         {}
-func (barrierOps) Taskwait(*TC)                           {}
-func (barrierOps) Taskyield(*TC)                          {}
-func (barrierOps) Nested(*TC, *Team)                      {}
-func (barrierOps) TryRunTask(*TC) bool                    { return false }
-func (barrierOps) Idle(*TC)                               { runtime.Gosched() }
+func (barrierOps) Inline(*TC, *TaskNode) bool           { return true }
+func (barrierOps) Enqueue(*Team, []*TaskNode, int, any) {}
+func (barrierOps) Taskwait(*TC)                         {}
+func (barrierOps) Taskyield(*TC)                        {}
+func (barrierOps) Nested(*TC, *Team)                    {}
+func (barrierOps) TryRunTask(*TC) bool                  { return false }
+func (barrierOps) Idle(*TC)                             { runtime.Gosched() }
 
 // runBarrierRegion drives one region of the given width through phases
 // explicit barriers, asserting after every barrier that no member was
@@ -117,7 +117,7 @@ func TestRandomizedTourExactlyOnce(t *testing.T) {
 				}
 				tag := rank*perRank + i
 				node := PrepareTask(tc, func(*TC) { seen[tag].Add(1) })
-				tc.BufferTask(node, limit)
+				tc.bufferTask(node, limit)
 				i++
 			}
 		}()
@@ -135,7 +135,7 @@ func TestRandomizedTourExactlyOnce(t *testing.T) {
 			for claimed.Load() < total {
 				from, _ := rng.Start(team.Size)
 				if node := team.StealBufferedTaskFrom(from); node != nil {
-					ExecTask(sink, node)
+					execTask(sink, node)
 					claimed.Add(1)
 					continue
 				}

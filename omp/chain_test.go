@@ -69,7 +69,7 @@ func TestChainDepthBound(t *testing.T) {
 		t.Fatal("no release was chained: the 1-wide chain should run inline up to the depth cap")
 	}
 	if ct.DepLocal.Load() == 0 {
-		t.Fatal("no chain boundary dispatched hot: budget exhaustion should fall back to ReleaseTask with the releaser's rank")
+		t.Fatal("no chain boundary dispatched hot: budget exhaustion should fall back to Enqueue with the releaser's rank")
 	}
 	if ct.DepReleases.Load() != n-1 {
 		t.Fatalf("DepReleases = %d, want %d (every link but the head parked once)", ct.DepReleases.Load(), n-1)
@@ -118,7 +118,7 @@ func TestChainDepthConfigurable(t *testing.T) {
 // dropped the predecessor's last reference, racing descriptor recycling
 // across repeated team generations — the same discipline
 // TestDependReleaseVsRecycling certifies for the queued release path, now
-// with the releasing thread re-entering ExecTask machinery mid-release.
+// with the releasing thread re-entering execTask machinery mid-release.
 // Fillers keep the descriptor pool churning so a chained node's slot is
 // reissued while other chains are still releasing into it.
 func TestChainedRunVsRecycling(t *testing.T) {
@@ -199,7 +199,7 @@ func TestChainedRunVsRecycling(t *testing.T) {
 }
 
 // TestPriorityDrainOrder pins the ring-drain half of omp.Priority: a
-// TakeBuffered drain hands the engine the burst highest-priority-first
+// takeBuffered drain hands the engine the burst highest-priority-first
 // (stable within a level), while an all-default burst keeps pure FIFO order
 // and never pays the sort.
 func TestPriorityDrainOrder(t *testing.T) {
@@ -210,9 +210,9 @@ func TestPriorityDrainOrder(t *testing.T) {
 		return PrepareTask(tc, func(*TC) {}, Priority(pri))
 	}
 	for _, pri := range []int{0, 2, 7, 1, 2, 0} {
-		tc.BufferTask(mk(pri), 16)
+		tc.bufferTask(mk(pri), 16)
 	}
-	got := tc.TakeBuffered()
+	got := tc.takeBuffered()
 	want := []int{7, 2, 2, 1, 0, 0}
 	for i, n := range got {
 		if n.Priority() != want[i] {

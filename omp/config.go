@@ -120,7 +120,7 @@ type Config struct {
 	// DepChain bounds release-to-self chaining: when a finishing task's
 	// last-ref drop releases a ready successor, the releasing thread runs it
 	// inline — skipping enqueue/dequeue/wakeup — up to this many links deep
-	// before falling back to EngineOps.ReleaseTask (which keeps the tail of
+	// before falling back to EngineOps.Enqueue (which keeps the tail of
 	// a long chain raidable and bounds stack growth). Zero means
 	// DefaultDepChain; a negative value disables chaining, restoring the
 	// every-release-is-a-queueing-event behaviour (OMP_DEP_CHAIN; 0 or any
@@ -155,7 +155,7 @@ const DefaultTaskBuffer = 64
 // that a dependence chain's links mostly run back to back on the cache that
 // just produced their inputs, shallow enough that the recursion stays within
 // a few stack frames and a long 1-wide chain periodically re-surfaces
-// through ReleaseTask where idle threads can claim it.
+// through EngineOps.Enqueue where idle threads can claim it.
 const DefaultDepChain = 8
 
 // WithDefaults resolves zero fields to their defaults.

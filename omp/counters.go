@@ -9,13 +9,15 @@ import "sync/atomic"
 // and Frontend.ResetStats are the one snapshot and the one reset.
 //
 // Credited by the front end: Regions, NestedRegions, SerializedRegions, the
-// dependence cells (TasksWithDeps, DepReleases, TasksChained,
-// LocalReleases) and the failure cells (TasksCancelled, PanicsRecovered,
-// GroupsCancelled, InlineFallbacks). Credited by engines, because only they
-// decide them: the task-queueing cells (TasksQueued, TasksDirect,
-// TaskFlushes), the steal cells (TasksStolen, TasksStolenFromBuffer,
-// StealAttempts), ThreadsCreated/ThreadsReused (gomp, iomp) and
-// ULTsCreated (GLTO).
+// task-queueing cells (TasksQueued, TasksDirect, TaskFlushes: the front end
+// decides deferral, buffering and flushes, asking the engine only for its
+// cut-off through EngineOps.Inline), the dependence cells (TasksWithDeps,
+// DepReleases, TasksChained, LocalReleases) and the failure cells
+// (TasksCancelled, PanicsRecovered, GroupsCancelled, InlineFallbacks). The
+// steal cells (TasksStolen, TasksStolenFromBuffer, StealAttempts) are
+// credited by whoever claims the task: TC.Hunt and the ring raid here, an
+// engine's own queues and task units there. Credited by engines alone:
+// ThreadsCreated/ThreadsReused (gomp, iomp) and ULTsCreated (GLTO).
 //
 // The cells are grouped by writer, each group on cache lines of its own:
 // the producer's per-task increments must not invalidate the line that

@@ -27,7 +27,7 @@ package omp
 //     The releaser seals the successor list (no further edges can commit),
 //     walks the sealed prefix, and drops one predecessor count per edge;
 //     a successor whose count reaches zero is handed to the engine through
-//     EngineOps.ReleaseTask and flows into the ordinary queue/ring/steal
+//     EngineOps.Enqueue and flows into the ordinary queue/ring/steal
 //     fabric from there. taskwait, taskgroup and barriers need no new code:
 //     a parked task is counted in Team.Tasks and in its parent's child count
 //     from PrepareTask on, exactly like a queued one.
@@ -259,7 +259,7 @@ func (n *TaskNode) retireSuccState(w uint64, sp *[]atomic.Pointer[TaskNode]) {
 
 // dispatchReleased hands one released successor to its engine, marking it
 // as fan-out or as the kept successor (fanOut). With a releaser context on
-// the successor's team the hand-off is HOT: ReleaseTask receives the
+// the successor's team the hand-off is HOT: EngineOps.Enqueue receives the
 // releaser's team rank and routes the task to that rank's own
 // deque/stream/release-slot, so the successor is consumed where its inputs
 // were just written — unless TaskNode.Place spreads fan-out, which GLTO
@@ -283,12 +283,15 @@ func dispatchReleased(s *TaskNode, rc *relCtx, fanOut bool) {
 		if path == DepDispatchLocal {
 			o.Counters.LocalReleases.Add(1)
 		}
+		o.Counters.TasksQueued.Add(1)
 	}
-	// The release stamp must land before ReleaseTask requeues the
-	// node: the executing thread reads it at TaskStart through the
-	// queue's happens-before edge.
+	// The release stamp must land before Enqueue requeues the node: the
+	// executing thread reads it at TaskStart through the queue's
+	// happens-before edge. The engine's cut-off does not apply: the
+	// releaser cannot run the task inline, and a released task has already
+	// paid its deferral.
 	emitTrace(func(tr Tracer) { tr.DepRelease(team, s, path) })
-	s.ops.ReleaseTask(team, s, hot, ectx)
+	s.ops.Enqueue(team, s.alone(), hot, ectx)
 }
 
 // depTracker is one dependence domain: the address→version map of the tasks
@@ -375,17 +378,17 @@ func (tc *TC) registerDeps(node *TaskNode) {
 
 // spawnWithDeps is the dependence branch of tc.Task: register, then either
 // spawn now (no unsatisfied predecessors), park (a predecessor's release
-// will hand the node to EngineOps.ReleaseTask), or — for undeferred/final
+// will hand the node to EngineOps.Enqueue), or — for undeferred/final
 // tasks, which must still obey their dependences — wait at this task
 // scheduling point until every predecessor has released, then execute
-// through the engine's ordinary undeferred path.
+// through spawn's undeferred path.
 func (tc *TC) spawnWithDeps(node *TaskNode) {
 	tc.registerDeps(node)
 	if node.Final || node.Undeferred {
 		// This wait is a task scheduling point; flush the producer-side
 		// buffer first, or a predecessor parked in it could never run while
 		// this thread spins.
-		tc.ops.FlushTasks(tc)
+		tc.flushBuffered()
 		// The creation guard is never dropped, so a releaser can at most
 		// bring preds down to 1 — the node cannot be double-run by a release
 		// racing this inline execution.
@@ -393,14 +396,14 @@ func (tc *TC) spawnWithDeps(node *TaskNode) {
 			tc.WaitStep()
 		}
 		node.preds.Store(0)
-		tc.ops.SpawnTask(tc, node)
+		tc.spawn(node)
 		return
 	}
 	if node.preds.Add(-1) == 0 {
-		tc.ops.SpawnTask(tc, node)
+		tc.spawn(node)
 	}
 	// else: parked. The predecessor whose last-ref drop satisfies the final
-	// edge routes the node into the engine via ReleaseTask; until then it is
+	// edge routes the node into the engine via Enqueue; until then it is
 	// pinned by its own execution reference and counted in Team.Tasks, so
 	// taskwait/taskgroup/barrier drain semantics hold unchanged.
 }

@@ -260,7 +260,7 @@ type Stats struct {
 	// registration.
 	TasksWithDeps int64
 	// DepReleases counts parked tasks handed to the engine by a
-	// predecessor's last-ref drop (EngineOps.ReleaseTask) — dependence-graph
+	// predecessor's last-ref drop (EngineOps.Enqueue) — dependence-graph
 	// edges that actually deferred execution, as opposed to dependences that
 	// were already satisfied at creation.
 	DepReleases int64

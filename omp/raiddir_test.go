@@ -20,7 +20,7 @@ import (
 )
 
 // raidTeam builds a quiescent team of the given size with engineless TCs:
-// BufferTask, the ring directories and ExecTask never touch EngineOps, so a
+// bufferTask, the ring directories and execTask never touch EngineOps, so a
 // nil-ops TC is enough to drive the producer and consumer halves directly.
 func raidTeam(size int) (*Team, []*TC) {
 	team := NewTeam(size, 0, Config{}, func(*TC) {})
@@ -58,7 +58,7 @@ func TestRingDirectoryTwoProducersOneRaider(t *testing.T) {
 			}
 			tag := base + i
 			node := PrepareTask(tc, func(*TC) { seen[tag].Add(1) })
-			tc.BufferTask(node, limit)
+			tc.bufferTask(node, limit)
 			i++
 		}
 	}
@@ -74,7 +74,7 @@ func TestRingDirectoryTwoProducersOneRaider(t *testing.T) {
 	start := time.Now()
 	for claimed.Load() < 2*perRank {
 		if node, _ := raider.raid(); node != nil {
-			ExecTask(raider, node)
+			execTask(raider, node)
 			claimed.Add(1)
 			continue
 		}
@@ -116,7 +116,7 @@ func TestRingDirectorySurplusUnlisted(t *testing.T) {
 		// directory.
 		tcs[i] = NewTC(team, 0, e, nil, nil)
 		node := PrepareTask(tcs[i], func(*TC) { ran[i].Add(1) })
-		tcs[i].BufferTask(node, 8)
+		tcs[i].bufferTask(node, 8)
 	}
 	for i, tc := range tcs {
 		if listed := tc.ring.slot >= 0; listed != (i < tour.DirSlots) {
@@ -132,7 +132,7 @@ func TestRingDirectorySurplusUnlisted(t *testing.T) {
 		if node == nil {
 			t.Fatalf("raided %d of %d listed rings' tasks", i, tour.DirSlots)
 		}
-		ExecTask(consumer, node)
+		execTask(consumer, node)
 	}
 	if node, _ := consumer.raid(); node != nil {
 		t.Fatal("a raid reached an unlisted ring's task")
@@ -156,14 +156,14 @@ func TestRingDirectorySurplusUnlisted(t *testing.T) {
 		t.Fatal("a scheduling point left its producer's slot listed")
 	}
 	late := tcs[tour.DirSlots]
-	late.BufferTask(PrepareTask(late, func(*TC) { ran[producers].Add(1) }), 8)
+	late.bufferTask(PrepareTask(late, func(*TC) { ran[producers].Add(1) }), 8)
 	if late.ring.slot != 0 || dir.At(0) != late.ring {
 		t.Fatalf("a surplus push listed at slot %d, want the retired slot 0", late.ring.slot)
 	}
 	if node, _ := consumer.raid(); node == nil {
 		t.Fatal("the newly listed ring's task is not raidable")
 	} else {
-		ExecTask(consumer, node)
+		execTask(consumer, node)
 	}
 	if got := ran[producers].Load(); got != 1 {
 		t.Fatalf("the newly listed task ran %d times, want exactly once", got)
@@ -258,7 +258,7 @@ func TestStealBufferedTaskStaleTeamSafe(t *testing.T) {
 			if node := team.StealBufferedTaskFrom(1); node != nil {
 				// Claimed across a recycle boundary: execute it on a fresh
 				// consumer TC, as the drain hook respawn would.
-				ExecTask(NewTC(team, 1, nil, nil, nil), node)
+				execTask(NewTC(team, 1, nil, nil, nil), node)
 			}
 		}
 	}()
@@ -270,7 +270,7 @@ func TestStealBufferedTaskStaleTeamSafe(t *testing.T) {
 		const burst = 16
 		for i := 0; i < burst; i++ {
 			node := PrepareTask(tc, func(*TC) { ran.Add(1) })
-			tc.BufferTask(node, burst*2)
+			tc.bufferTask(node, burst*2)
 		}
 		// Drain what the raider did not take, as a scheduling point would.
 		for {
@@ -278,7 +278,7 @@ func TestStealBufferedTaskStaleTeamSafe(t *testing.T) {
 			if node == nil {
 				break
 			}
-			ExecTask(tc, node)
+			execTask(tc, node)
 		}
 		// The region may only end once its tasks finished (the raider's
 		// in-flight executions included), as the real end barrier enforces.

@@ -43,7 +43,7 @@ type TaskNode struct {
 	// priority is the task's scheduling hint (the Priority option, clause
 	// priority(n)): 0..MaxTaskPriority, higher first. It is advisory —
 	// honored where ordering is cheap: the producer buffer's drain order
-	// (TakeBuffered) and the dependence release-dispatch order, where the
+	// (takeBuffered) and the dependence release-dispatch order, where the
 	// Cholesky workload uses it to favour the critical path.
 	priority int8
 
@@ -103,6 +103,17 @@ type TaskNode struct {
 	// under an installed tracer.
 	traceCreate  int64
 	traceRelease int64
+
+	// self is the one-node burst an unbuffered spawn or a dependence
+	// release hands to EngineOps.Enqueue (see alone): a slice of the node's
+	// own storage, so neither allocates.
+	self [1]*TaskNode
+}
+
+// alone returns the burst holding node n alone.
+func (n *TaskNode) alone() []*TaskNode {
+	n.self[0] = n
+	return n.self[:]
 }
 
 // newTaskNode links a fresh node under parent and pre-sets the bookkeeping
@@ -198,7 +209,7 @@ func (n *TaskNode) Generation() uint32 { return n.gen.Load() }
 // past FinishTask. Every Retain must be paired with exactly one Release.
 func (n *TaskNode) Retain() { n.refs.Add(1) }
 
-// relCtx is the releaser's execution context, threaded from ExecTask or
+// relCtx is the releaser's execution context, threaded from execTask or
 // ExecTaskOn through finishTask into the dependence-release walk so a
 // released successor can be run inline (release-to-self chaining) or pushed
 // to the releasing thread's own queue (hot dispatch) instead of its
@@ -288,17 +299,17 @@ func Priority(n int) TaskOpt {
 // Priority reports the task's priority hint (0..MaxTaskPriority).
 func (n *TaskNode) Priority() int { return int(n.priority) }
 
-// ExecTask runs node on the calling thread, giving its body a task-scoped TC
+// execTask runs node on the calling thread, giving its body a task-scoped TC
 // and settling the completion bookkeeping (parent child count, team task
-// count) when the body returns. Engines call it from their dequeue paths and
-// for undeferred execution. Task completion is a scheduling point: tasks the
-// body buffered are flushed before the node is marked finished.
-func ExecTask(tc *TC, node *TaskNode) {
+// count) when the body returns. The wait step's hunt and undeferred
+// execution call it. Task completion is a scheduling point: tasks the body
+// buffered are flushed before the node is marked finished.
+func execTask(tc *TC, node *TaskNode) {
 	rc := relCtx{team: tc.team, num: tc.num, ops: tc.ops, ectx: tc.ectx}
 	execNode(node, &rc)
 }
 
-// ExecTaskOn is ExecTask for engines that run task bodies in their own work
+// ExecTaskOn is execTask for engines that run task bodies in their own work
 // units and have no creating TC at hand (GLTO's ULT-per-task): it builds the
 // task-scoped context for team-rank num over ops/ectx directly, runs the
 // body, flushes tasks the body buffered, and settles the completion
@@ -313,7 +324,7 @@ func ExecTaskOn(team *Team, num int, ops EngineOps, ectx any, node *TaskNode) {
 // the releaser has a context and chain budget (see releaseSuccessors). It is
 // ExecTaskOn with the chain depth threaded through, so a chain of releases
 // recurses at most EffectiveDepChain frames before the walk falls back to
-// ReleaseTask. The releaser's buffered tasks were already flushed (task
+// EngineOps.Enqueue. The releaser's buffered tasks were already flushed (task
 // completion is a scheduling point, and the flush precedes finishTask), so
 // chaining never buries raidable work behind the inline execution.
 func execChained(node *TaskNode, rc *relCtx) {
@@ -321,7 +332,7 @@ func execChained(node *TaskNode, rc *relCtx) {
 	execNode(node, &next)
 }
 
-// execNode is the unified execution choke point behind ExecTask, ExecTaskOn
+// execNode is the unified execution choke point behind execTask, ExecTaskOn
 // and execChained — which is what makes cancellation drain-without-execute
 // complete: wherever a task surfaces (shared queue, deque, overflow ring
 // raid, release slot, ULT, chained release), it passes through here, and a
@@ -410,7 +421,7 @@ func taskContext(node *TaskNode, team *Team, num int, ops EngineOps, ectx any) *
 // count, and drops the execution reference — which recycles the descriptor
 // unless live children (or Retain holders) still reference it. Engines that
 // execute task bodies themselves (e.g. as ULTs) call it after the body
-// returns; ExecTask and ExecTaskOn call it automatically. The node (and its
+// returns; execTask and ExecTaskOn call it automatically. The node (and its
 // slot TC) must not be touched after FinishTask returns.
 //
 // Ordering matters: every recycle (node.Release, parent release) happens

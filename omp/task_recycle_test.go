@@ -24,30 +24,11 @@ type recycleEngine struct {
 	q  []*TaskNode
 }
 
-func (e *recycleEngine) SpawnTask(tc *TC, node *TaskNode) {
-	if node.Final || node.Undeferred {
-		ExecTask(tc, node)
-		return
-	}
-	if tc.BufferTask(node, 8) {
-		e.FlushTasks(tc)
-	}
-}
+func (e *recycleEngine) Inline(*TC, *TaskNode) bool { return false }
 
-func (e *recycleEngine) FlushTasks(tc *TC) {
-	nodes := tc.TakeBuffered()
-	if len(nodes) == 0 {
-		return
-	}
+func (e *recycleEngine) Enqueue(_ *Team, nodes []*TaskNode, _ int, _ any) {
 	e.mu.Lock()
 	e.q = append(e.q, nodes...)
-	e.mu.Unlock()
-	clear(nodes)
-}
-
-func (e *recycleEngine) ReleaseTask(team *Team, node *TaskNode, _ int, _ any) {
-	e.mu.Lock()
-	e.q = append(e.q, node)
 	e.mu.Unlock()
 }
 
@@ -66,7 +47,7 @@ func (e *recycleEngine) TryRunTask(tc *TC) bool {
 			return false
 		}
 	}
-	ExecTask(tc, node)
+	execTask(tc, node)
 	return true
 }
 

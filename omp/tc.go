@@ -9,7 +9,7 @@ import "sync/atomic"
 //
 // Implicit-task TCs are pooled inside their Team and rearmed per region by
 // Team.Run; explicit-task TCs are pooled alongside their TaskNode in the
-// team's task-descriptor slots and rearmed by ExecTask/ExecTaskOn.
+// team's task-descriptor slots and rearmed by execTask/ExecTaskOn.
 type TC struct {
 	team *Team
 	num  int
@@ -60,37 +60,46 @@ type TC struct {
 	traceBarrier int64
 
 	// ring is the producer-side overflow ring: deferred tasks accumulate
-	// here and are handed to the engine in one FlushTasks call at OpenMP
-	// task scheduling points (barriers, taskwait, taskyield, taskgroup end)
-	// or when the buffer reaches the engine's limit. Unlike the private
-	// slice it replaced, the ring is single-producer/multi-consumer and
-	// listed in the team's raid registry, so idle workers can claim
-	// buffered tasks *between* the producer's scheduling points instead of
-	// waiting for its next flush. Allocated on first use and retained across
-	// rearms and descriptor recycles.
+	// here and are handed to the engine in one EngineOps.Enqueue call at
+	// OpenMP task scheduling points (barriers, taskwait, taskyield,
+	// taskgroup end) or when the buffer reaches Config.TaskBuffer. The ring
+	// is single-producer/multi-consumer and listed in the team's raid
+	// registry, so idle workers can claim buffered tasks *between* the
+	// producer's scheduling points instead of waiting for its next flush.
+	// Allocated on first use and retained across rearms and descriptor
+	// recycles.
 	ring *taskRing
-	// flushScratch is the reusable slice TakeBuffered drains the ring into.
+	// flushScratch is the reusable slice takeBuffered drains the ring into.
 	flushScratch []*TaskNode
 }
 
 // EngineOps is the service provider interface a runtime engine implements to
 // back the constructs of a TC. All other construct logic (loop scheduling,
 // single election, critical sections, reductions, ordered sequencing, the
-// barrier and every task-scheduling wait) is shared and lives in this
-// package.
+// barrier, every task-scheduling wait, and the deferral, counting and
+// buffering of tasks) is shared and lives in this package.
 type EngineOps interface {
-	// SpawnTask makes node runnable according to the engine's tasking
-	// policy (queue, deque, ULT, immediate undeferred execution, or the
-	// producer-side buffer via tc.BufferTask — whose true return obliges
-	// the engine to FlushTasks before buffering more; see BufferTask).
-	SpawnTask(tc *TC, node *TaskNode)
-	// FlushTasks dispatches every task left in tc's producer-side overflow
-	// ring (tc.TakeBuffered) to the engine's queues in one batch — "left"
-	// because idle consumers may have raided part of the burst already. The
-	// shared construct code calls it at every task scheduling point; it must
-	// be a cheap no-op when the buffer is empty. Engines that never buffer
-	// (tc.BufferTask unused) may implement it as an empty method.
-	FlushTasks(tc *TC)
+	// Inline reports whether node, a task tc is creating, must run now on
+	// tc instead of being deferred: the engine's cut-off. The front end runs
+	// final and undeferred nodes inline whatever Inline answers, and reads
+	// their flags after the call, so an engine may make node final here
+	// (GLTO's descendants of a final task are final). Refusing any other
+	// node is a cut-off: the front end flushes tc's overflow ring, credits
+	// TasksDirect and runs the node.
+	Inline(tc *TC, node *TaskNode) bool
+	// Enqueue makes the ready nodes runnable where node.Place(hot) says. The
+	// front end calls it with one node and hot -1 for an unbuffered spawn,
+	// with the burst drained from one TC's overflow ring and hot -1 for a
+	// flush (every node then has that TC's rank as CreatedBy), and with one
+	// node and the releaser's rank and ectx (or -1 and nil) for a dependence
+	// release; ectx is the spawning or flushing TC's Ectx otherwise. A
+	// release may come from a thread with no context on the team, so the
+	// nodes must go to structures reachable without a TC: a shared queue, a
+	// rank's deque, a detached work unit. nodes is valid only during the
+	// call: engines copy what they keep. The queued nodes later run through
+	// the engine's dequeue paths (TC.Hunt, ExecTaskOn), which settle their
+	// completion.
+	Enqueue(team *Team, nodes []*TaskNode, hot int, ectx any)
 	// Taskwait blocks until the current task's children have completed. The
 	// pthread engines loop on TC.WaitStep; GLTO only yields, since its
 	// queued tasks are ULTs its streams run between yields.
@@ -103,25 +112,6 @@ type EngineOps interface {
 	// It returns after the inner region's implicit barrier. The front end
 	// builds and recycles t; engines only place its members on threads.
 	Nested(tc *TC, t *Team)
-	// ReleaseTask makes a dependence-parked task runnable: node was built by
-	// PrepareTask but never handed to SpawnTask because predecessors were
-	// outstanding, and the last of them has now completed. It is called by
-	// whichever thread drops the predecessor's final reference — possibly
-	// with no thread context of its own — so engines must route the node
-	// into a structure reachable without a TC: the shared team queue, a
-	// rank's deque, a detached work unit. node.Place(hot) names the rank:
-	// when the releasing thread IS a team member, hot is its team rank — and
-	// ectx its engine execution context (TC.Ectx) — and the task goes where
-	// that thread consumes next (its own deque bottom, its own stream, a
-	// per-rank release slot), since the successor's inputs were just written
-	// there. GLTO reads the true executing stream from ectx, since a stolen
-	// or nested task's team rank need not match its stream. hot is -1 (and
-	// ectx nil) when the releaser has no context on the team (a tracer's
-	// deferred Release, a cross-team drop) and Place names the creator. The
-	// released task then executes through the engine's normal dequeue paths
-	// (ExecTask/ExecTaskOn), which settle the same completion bookkeeping as
-	// any queued task.
-	ReleaseTask(team *Team, node *TaskNode, hot int, ectx any)
 	// TryRunTask is the wait step's hunt (TC.WaitStep is its one caller): it
 	// claims what the engine's own tasking structures hold, if anything,
 	// and hands the claim — or nil — to tc.Hunt, which raids the team's
@@ -218,7 +208,7 @@ type taskRing struct {
 	tail atomic.Int64
 	// rank and slot locate the ring in its team's raid registry: slot is
 	// the index in rank's directory, or -1 while the ring is unlisted.
-	// Producer-only: BufferTask lists the ring on a push that finds it
+	// Producer-only: bufferTask lists the ring on a push that finds it
 	// unlisted, flushPending retires it at the producer's scheduling
 	// points, and ringSet.reset unlists what is left between regions.
 	rank, slot int
@@ -246,7 +236,7 @@ func newTaskRing(capacity int, resident *atomic.Int64) *taskRing {
 }
 
 // push publishes node at the tail. Producer-only; callers guarantee room
-// (the engine flushes at its limit, and limit never exceeds capacity).
+// (spawn flushes at the buffer limit, and limit never exceeds capacity).
 func (r *taskRing) push(node *TaskNode) {
 	t := r.tail.Load()
 	r.slots[t&r.mask].Store(node)
@@ -280,19 +270,17 @@ func (r *taskRing) size() int64 {
 	return n
 }
 
-// BufferTask appends node to this context's producer-side overflow ring and
-// reports whether the buffer has reached limit — in which case the engine
-// MUST FlushTasks before buffering anything further: the ring's capacity is
-// fixed at first use (sized for limit), so unlike the growable slice it
-// replaced, ignoring the signal is not an option (an engine that does, or
-// that raises its limit past the first-use capacity, panics here instead of
-// silently overwriting a task). It is part of the runtime SPI: engines call
-// it from SpawnTask when batched submission is enabled; the shared construct
-// code guarantees a FlushTasks at every task scheduling point, so a buffered
-// task is dispatched no later than the next barrier/taskwait/taskyield — and
-// may be claimed earlier by an idle consumer through the team's raid
-// registry, which lists the ring if its rank's directory has room.
-func (tc *TC) BufferTask(node *TaskNode, limit int) bool {
+// bufferTask appends node to this context's producer-side overflow ring and
+// reports whether the buffer has reached limit — in which case the caller
+// MUST flushBuffered before buffering anything further: the ring's capacity
+// is fixed at first use (sized for limit), so ignoring the signal, or
+// raising the limit past the first-use capacity, panics here instead of
+// silently overwriting a task. Every task scheduling point flushes, so a
+// buffered task is dispatched no later than the next
+// barrier/taskwait/taskyield — and may be claimed earlier by an idle
+// consumer through the team's raid registry, which lists the ring if its
+// rank's directory has room.
+func (tc *TC) bufferTask(node *TaskNode, limit int) bool {
 	r := tc.ring
 	if r == nil {
 		// The TC belongs to one team for life (implicit slot or pooled task
@@ -301,7 +289,7 @@ func (tc *TC) BufferTask(node *TaskNode, limit int) bool {
 		tc.ring = r
 	}
 	if r.size() > r.mask {
-		panic("omp: BufferTask on a full ring — the engine ignored the flush signal or raised its limit past the ring's first-use capacity")
+		panic("omp: bufferTask on a full ring — the flush signal was ignored or the limit raised past the ring's first-use capacity")
 	}
 	r.push(node)
 	if r.slot < 0 {
@@ -312,7 +300,7 @@ func (tc *TC) BufferTask(node *TaskNode, limit int) bool {
 
 // raid claims one task from some team member's overflow ring through this
 // consumer's raid rotor (see raidRotor), reporting the directories it
-// probed. The claimed node is ready for ExecTask on this thread.
+// probed. The claimed node is ready for execTask on this thread.
 func (tc *TC) raid() (*TaskNode, int) {
 	node, at, visited := tc.team.stealBuffered(tc.raidRotor)
 	if node != nil {
@@ -355,7 +343,7 @@ func (tc *TC) Hunt(node *TaskNode, visited int) bool {
 			o.Counters.TasksStolen.Add(1)
 		}
 	}
-	ExecTask(tc, node)
+	execTask(tc, node)
 	return true
 }
 
@@ -372,13 +360,12 @@ func (tc *TC) BufferedTasks() int {
 	return int(tc.ring.size())
 }
 
-// TakeBuffered drains the overflow ring — whatever idle consumers have not
+// takeBuffered drains the overflow ring — whatever idle consumers have not
 // already claimed — and returns the drained tasks. The returned slice is the
-// context's reusable flush scratch: it is valid only until the next
-// TakeBuffered on this context, so engines must finish dispatching (or copy)
-// before returning from FlushTasks — and should clear() the slice once their
-// queues own the nodes, so the pooled scratch does not retain finished tasks.
-func (tc *TC) TakeBuffered() []*TaskNode {
+// context's reusable flush scratch, valid only until the next takeBuffered
+// on this context; flushBuffered clears it once Enqueue returns, so the
+// pooled scratch does not retain finished tasks.
+func (tc *TC) takeBuffered() []*TaskNode {
 	r := tc.ring
 	if r == nil {
 		return nil
@@ -395,7 +382,7 @@ func (tc *TC) TakeBuffered() []*TaskNode {
 	}
 	if prioritized {
 		// Hand the engine the drain in priority order (stable, in place: the
-		// burst is small — at most the engine's buffer limit). The all-zero
+		// burst is small — at most the buffer limit). The all-zero
 		// case — every workload without omp.Priority hints — never pays.
 		for i := 1; i < len(buf); i++ {
 			for j := i; j > 0 && buf[j].priority > buf[j-1].priority; j-- {
@@ -407,10 +394,25 @@ func (tc *TC) TakeBuffered() []*TaskNode {
 	return buf
 }
 
+// flushBuffered hands the tasks left in the overflow ring — "left" because
+// idle consumers may have raided part of the burst — to the engine in one
+// Enqueue, crediting one TaskFlushes.
+func (tc *TC) flushBuffered() {
+	nodes := tc.takeBuffered()
+	if len(nodes) == 0 {
+		return
+	}
+	if o := tc.team.owner; o != nil {
+		o.Counters.TaskFlushes.Add(1)
+	}
+	tc.ops.Enqueue(tc.team, nodes, -1, tc.ectx)
+	clear(nodes)
+}
+
 // flushPending hands any buffered tasks to the engine and retires the ring
 // from the raid registry, even when raiders already emptied it; its next
 // push lists it again. Called at every task scheduling point before the
-// wait it implies, and at task end. The engines' flush at the buffer limit
+// wait it implies, and at task end. The flush at the buffer limit (spawn)
 // does not retire, since the producer keeps pushing after it.
 func (tc *TC) flushPending() {
 	r := tc.ring
@@ -418,7 +420,7 @@ func (tc *TC) flushPending() {
 		return
 	}
 	if r.size() > 0 {
-		tc.ops.FlushTasks(tc)
+		tc.flushBuffered()
 	}
 	if r.slot >= 0 {
 		tc.team.rings.retire(r)
@@ -522,14 +524,14 @@ func (tc *TC) Critical(name string, body func()) {
 }
 
 // Task creates an explicit task (#pragma omp task). The body receives a
-// task-scoped TC whose ThreadNum is the executing thread. Deferral,
-// placement and stealing are runtime policy: the GNU-like runtime queues to
-// a shared team queue, the Intel-like runtime to per-thread deques with a
-// cut-off, and GLTO creates a ULT (paper §IV-D). Engines may batch deferred
-// tasks through the producer-side overflow ring, from which idle consumers
-// may claim them before the next scheduling point; undeferred tasks (final,
-// if(0), cut-off overflow) always execute inline at this call, before it
-// returns.
+// task-scoped TC whose ThreadNum is the executing thread. Deferral is
+// decided here, the same for every runtime (paper §IV-D): deferred tasks are
+// batched through the producer-side overflow ring, from which idle consumers
+// may claim them before the next scheduling point, and undeferred tasks
+// (final, if(0), the engine's cut-off) always execute inline at this call,
+// before it returns. Placement and stealing are runtime policy: the
+// GNU-like runtime queues to a shared team queue, the Intel-like runtime to
+// per-thread deques, and GLTO creates a ULT.
 // Tasks carrying depend clauses (the In/Out/InOut options) are ordered
 // against previously created sibling tasks first: a task with unsatisfied
 // predecessors parks until the last of them completes, then flows into the
@@ -559,7 +561,40 @@ func (tc *TC) Task(fn func(*TC), opts ...TaskOpt) {
 		tc.spawnWithDeps(node)
 		return
 	}
-	tc.ops.SpawnTask(tc, node)
+	tc.spawn(node)
+}
+
+// spawn hands a ready node to the engine, or runs it now. The engine's
+// Inline is asked first, so it may make the node final; final and undeferred
+// nodes run inline, and a node the engine refused is its cut-off: the ring
+// is flushed first, so the backlog is stealable before the producer
+// serializes (§VI-E). A deferred node is credited to TasksQueued and
+// buffered, or enqueued alone when Config.TaskBuffer disables buffering.
+func (tc *TC) spawn(node *TaskNode) {
+	inline := tc.ops.Inline(tc, node)
+	o := tc.team.owner
+	if node.Final || node.Undeferred {
+		execTask(tc, node)
+		return
+	}
+	if inline {
+		tc.flushBuffered()
+		if o != nil {
+			o.Counters.TasksDirect.Add(1)
+		}
+		execTask(tc, node)
+		return
+	}
+	if o != nil {
+		o.Counters.TasksQueued.Add(1)
+	}
+	if limit := tc.team.Cfg.EffectiveTaskBuffer(); limit > 0 {
+		if tc.bufferTask(node, limit) {
+			tc.flushBuffered()
+		}
+		return
+	}
+	tc.ops.Enqueue(tc.team, node.alone(), -1, tc.ectx)
 }
 
 // Taskwait blocks until all children of the current task complete

@@ -452,7 +452,7 @@ func (rs *ringSet) reset(size int) {
 // idle-drain hook seeds it with the idle stream's rank — so it credits
 // TasksStolenFromBuffer and reports its own StealTour; team members raid
 // through the wait step's hunt (TC.Hunt) instead. The claimed node is ready
-// for ExecTask/ExecTaskOn on any team thread.
+// for ExecTaskOn on any team thread.
 func (t *Team) StealBufferedTaskFrom(start int) *TaskNode {
 	node, _, visited := t.stealBuffered(start)
 	if node != nil {

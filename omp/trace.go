@@ -52,7 +52,7 @@ type Tracer interface {
 	// DepRelease fires when a dependence-parked task becomes runnable on its
 	// final predecessor's completion; path records which dispatch the release
 	// took (chained inline, hot to the releaser's rank, or the creator-side
-	// fallback through ReleaseTask).
+	// fallback through EngineOps.Enqueue).
 	DepRelease(team *Team, node *TaskNode, path DepPath)
 	// StealTour fires once per hunt that probed anything: once per wait
 	// step (TC.Hunt), for the engine's queues and the team's overflow-ring

@@ -42,7 +42,7 @@ func TestEmitTraceDisabledAllocFree(t *testing.T) {
 	_, tcs := raidTeam(2)
 	body := func(*TC) {}
 	got = testing.AllocsPerRun(200, func() {
-		tcs[0].BufferTask(PrepareTask(tcs[0], body), 8)
+		tcs[0].bufferTask(PrepareTask(tcs[0], body), 8)
 		if !tcs[1].Hunt(nil, 0) {
 			t.Fatal("found hunt: the buffered task was not raided")
 		}
