@@ -78,10 +78,11 @@ func WaitMode(cfg omp.Config) pthread.WaitMode {
 
 // Grow ensures the pool can serve teams of size n, starting additional
 // workers if needed. Shrinking is never performed: like the native runtimes,
-// once grown the pool keeps its threads.
+// once grown the pool keeps its threads. A new worker starts at the current
+// epoch, so the first region it runs is the next one dispatched.
 func (p *Pool) Grow(n int) {
 	for len(p.workers) < n-1 {
-		w := &worker{pool: p, rank: len(p.workers) + 1, wake: make(chan struct{}, 1)}
+		w := &worker{pool: p, rank: len(p.workers) + 1, seen: p.epoch.Load(), wake: make(chan struct{}, 1)}
 		p.workers = append(p.workers, w)
 		p.created.Add(1)
 		w.th = pthread.Create(w.loop)

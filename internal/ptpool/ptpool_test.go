@@ -3,6 +3,7 @@ package ptpool
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/pthread"
 )
@@ -76,4 +77,33 @@ func TestCreatedCountsWorkers(t *testing.T) {
 		t.Errorf("pool for size 5 created %d workers, want 4", got)
 	}
 	p.Shutdown()
+}
+
+// TestGrowStartsWorkersAtCurrentEpoch pins that a worker added by Grow waits
+// for the next dispatch: a fresh worker that took an already-retired epoch as
+// new would run whatever region is stored, then run it again once the epoch
+// is really bumped.
+func TestGrowStartsWorkersAtCurrentEpoch(t *testing.T) {
+	p := New(2, pthread.ActiveWait, new(atomic.Int64))
+	defer p.Shutdown()
+	p.Dispatch(&Region{Size: 2, Run: func(int) {}})
+
+	var ranks [4]atomic.Int64
+	r := &Region{Size: 4, Run: func(rank int) { ranks[rank].Add(1) }}
+	// Store the region without bumping the epoch, as Dispatch does for the
+	// instant between its two steps; only a bumped epoch may release it.
+	p.region.Store(r)
+	p.Grow(4)
+	time.Sleep(50 * time.Millisecond)
+	for i := range ranks {
+		if n := ranks[i].Load(); n != 0 {
+			t.Fatalf("rank %d ran %d times before the region was dispatched", i, n)
+		}
+	}
+	p.Dispatch(r)
+	for i := range ranks {
+		if n := ranks[i].Load(); n != 1 {
+			t.Errorf("rank %d ran %d times, want 1", i, n)
+		}
+	}
 }
