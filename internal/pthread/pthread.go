@@ -12,8 +12,8 @@
 // OpenMP runtimes (Figs. 8 and 9, Table II).
 //
 // The package also keeps the global creation counters, which the experiment
-// harness reads to regenerate Table II, and the WaitMode under which the
-// thread pools of internal/ptpool wait for work.
+// harness reads to regenerate Table II. How a pool thread waits for work is
+// not decided here: internal/ptpool spins the omp.WaitPolicy's budget.
 package pthread
 
 import (
@@ -87,15 +87,3 @@ func updatePeak(alive int64) {
 
 // Join blocks until the thread's function has returned, as pthread_join.
 func (t *Thread) Join() { <-t.done }
-
-// WaitMode selects how a pool thread waits for work, mirroring
-// OMP_WAIT_POLICY: active waiting spins (low wake-up latency, burns the
-// core), passive waiting blocks (frees the core, pays a kernel wake-up).
-type WaitMode int
-
-const (
-	// ActiveWait spins with periodic scheduler yields.
-	ActiveWait WaitMode = iota
-	// PassiveWait blocks until the pool wakes the thread.
-	PassiveWait
-)

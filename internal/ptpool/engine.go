@@ -68,7 +68,7 @@ func NewEngine(cfg omp.Config, rt Runtime, q TaskQueue) *Engine {
 	cfg = cfg.WithDefaults()
 	e := &Engine{ops: rt, queue: q, cutoff: cfg.EffectiveCutoff()}
 	e.Frontend = omp.NewFrontend(rt, cfg)
-	e.pool = New(cfg.NumThreads, WaitMode(cfg), &e.Counters.ThreadsCreated)
+	e.pool = New(cfg.NumThreads, cfg.WaitPolicy, &e.Counters.ThreadsCreated)
 	e.region.Run = func(rank int) { e.cur.Load().Run(rank, e.ops, nil) }
 	return e
 }

@@ -7,8 +7,11 @@
 // handing the team the function pointer to execute — the "work assignment
 // step" whose cost the paper isolates in Fig. 7 and finds cheaper than
 // GLTO's ULT creation. Pool reproduces that mechanism: dispatch is one
-// pointer store plus an epoch bump; workers either spin on the epoch
-// (OMP_WAIT_POLICY=active) or sleep on a channel (passive). Engine adds
+// pointer store plus an epoch bump. Workers spin on the epoch for the
+// policy's omp.WaitPolicy.SpinBudget loads, then block on a channel
+// (OMP_WAIT_POLICY=passive) or take one scheduler yield (active) and spin
+// again; active waiting never blocks. The dispatcher's wait for the workers
+// to retire the epoch spins the same budget between its yields. Engine adds
 // everything else the two runtimes share: the task cut-off, task enqueue,
 // the wait step's task hunt, taskwait and idling.
 //
@@ -40,7 +43,7 @@ type Region struct {
 // dispatch mechanism. The master (the goroutine calling Dispatch) is rank 0
 // and is not a pool worker.
 type Pool struct {
-	mode    pthread.WaitMode
+	policy  omp.WaitPolicy
 	workers []*worker
 	epoch   atomic.Uint64
 	region  atomic.Pointer[Region]
@@ -62,18 +65,10 @@ type worker struct {
 
 // New creates a pool able to serve teams up to size n (so n-1 workers) with
 // the given wait policy, crediting every worker it starts to created.
-func New(n int, mode pthread.WaitMode, created *atomic.Int64) *Pool {
-	p := &Pool{mode: mode, created: created}
+func New(n int, policy omp.WaitPolicy, created *atomic.Int64) *Pool {
+	p := &Pool{policy: policy, created: created}
 	p.Grow(n)
 	return p
-}
-
-// WaitMode maps the OMP_WAIT_POLICY ICV onto the pool's wait mode.
-func WaitMode(cfg omp.Config) pthread.WaitMode {
-	if cfg.WaitPolicy == omp.ActiveWait {
-		return pthread.ActiveWait
-	}
-	return pthread.PassiveWait
 }
 
 // Grow ensures the pool can serve teams of size n, starting additional
@@ -104,7 +99,7 @@ func (p *Pool) Dispatch(r *Region) {
 	}
 	p.region.Store(r)
 	next := p.epoch.Add(1)
-	if p.mode == pthread.PassiveWait {
+	if p.policy == omp.PassiveWait {
 		for _, w := range p.workers {
 			select {
 			case w.wake <- struct{}{}:
@@ -115,8 +110,14 @@ func (p *Pool) Dispatch(r *Region) {
 	// Master's own share of the region.
 	r.Run(0)
 	// Wait for the workers to retire the epoch so the pool can be reused.
+	budget := p.policy.SpinBudget()
 	for _, w := range p.workers {
-		for w.done.Load() < next {
+		for spins := 0; w.done.Load() < next; {
+			if spins < budget {
+				spins++
+				continue
+			}
+			spins = 0
 			runtime.Gosched()
 		}
 	}
@@ -138,28 +139,29 @@ func (p *Pool) Shutdown() {
 	p.workers = nil
 }
 
+// loop waits for each new epoch (Shutdown bumps it too) and runs the
+// worker's share of the region it publishes.
 func (w *worker) loop() {
+	p := w.pool
+	budget := p.policy.SpinBudget()
 	for {
-		// Wait for a new epoch.
-		switch w.pool.mode {
-		case pthread.ActiveWait:
-			spins := 0
-			for w.pool.epoch.Load() == w.seen && !w.pool.stop.Load() {
+		for spins := 0; p.epoch.Load() == w.seen; {
+			if spins < budget {
 				spins++
-				if spins%64 == 0 {
-					runtime.Gosched()
-				}
+				continue
 			}
-		case pthread.PassiveWait:
-			for w.pool.epoch.Load() == w.seen && !w.pool.stop.Load() {
+			spins = 0
+			if p.policy == omp.ActiveWait {
+				runtime.Gosched()
+			} else {
 				<-w.wake
 			}
 		}
-		if w.pool.stop.Load() {
+		if p.stop.Load() {
 			return
 		}
-		w.seen = w.pool.epoch.Load()
-		r := w.pool.region.Load()
+		w.seen = p.epoch.Load()
+		r := p.region.Load()
 		if r != nil && w.rank < r.Size {
 			r.Run(w.rank)
 		}

@@ -1,41 +1,58 @@
 package ptpool
 
 import (
+	"fmt"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/pthread"
+	"repro/omp"
 )
 
 func TestDispatchRunsAllRanks(t *testing.T) {
-	for _, mode := range []pthread.WaitMode{pthread.ActiveWait, pthread.PassiveWait} {
-		p := New(4, mode, new(atomic.Int64))
+	for _, policy := range []omp.WaitPolicy{omp.ActiveWait, omp.PassiveWait} {
+		p := New(4, policy, new(atomic.Int64))
 		var ranks [4]atomic.Int64
 		p.Dispatch(&Region{Size: 4, Run: func(rank int) { ranks[rank].Add(1) }})
 		for i := range ranks {
 			if ranks[i].Load() != 1 {
-				t.Errorf("mode %v: rank %d ran %d times", mode, i, ranks[i].Load())
+				t.Errorf("%v: rank %d ran %d times", policy, i, ranks[i].Load())
 			}
 		}
 		p.Shutdown()
 	}
 }
 
+// TestDispatchReusableAcrossRegions runs back-to-back regions under both
+// wait policies, in a pool that fits the processors and in one that
+// oversubscribes them, where a worker's spin can only end by a yield or a
+// wake that lets the dispatcher run.
 func TestDispatchReusableAcrossRegions(t *testing.T) {
-	p := New(3, pthread.ActiveWait, new(atomic.Int64))
-	defer p.Shutdown()
-	var total atomic.Int64
-	for k := 0; k < 50; k++ {
-		p.Dispatch(&Region{Size: 3, Run: func(rank int) { total.Add(1) }})
-	}
-	if total.Load() != 150 {
-		t.Errorf("50 regions x 3 ranks = %d runs, want 150", total.Load())
+	const regions = 200
+	for _, policy := range []omp.WaitPolicy{omp.ActiveWait, omp.PassiveWait} {
+		for _, size := range []int{2, runtime.GOMAXPROCS(0) + 2} {
+			t.Run(fmt.Sprintf("%v/%d", policy, size), func(t *testing.T) {
+				p := New(size, policy, new(atomic.Int64))
+				ranks := make([]atomic.Int64, size)
+				r := &Region{Size: size, Run: func(rank int) { ranks[rank].Add(1) }}
+				for k := 1; k <= regions; k++ {
+					p.Dispatch(r)
+					for i := range ranks {
+						if n := ranks[i].Load(); n != int64(k) {
+							t.Fatalf("after region %d, rank %d ran %d times", k, i, n)
+						}
+					}
+				}
+				p.Shutdown()
+			})
+		}
 	}
 }
 
 func TestSmallerRegionSkipsExtraWorkers(t *testing.T) {
-	p := New(6, pthread.ActiveWait, new(atomic.Int64))
+	p := New(6, omp.ActiveWait, new(atomic.Int64))
 	defer p.Shutdown()
 	var maxRank atomic.Int64
 	p.Dispatch(&Region{Size: 2, Run: func(rank int) {
@@ -53,7 +70,7 @@ func TestSmallerRegionSkipsExtraWorkers(t *testing.T) {
 
 func TestGrowOnDemand(t *testing.T) {
 	var created atomic.Int64
-	p := New(2, pthread.PassiveWait, &created)
+	p := New(2, omp.PassiveWait, &created)
 	defer p.Shutdown()
 	before := created.Load()
 	var count atomic.Int64
@@ -72,7 +89,7 @@ func TestGrowOnDemand(t *testing.T) {
 func TestCreatedCountsWorkers(t *testing.T) {
 	pthread.ResetCounters()
 	var created atomic.Int64
-	p := New(5, pthread.ActiveWait, &created)
+	p := New(5, omp.ActiveWait, &created)
 	if got := created.Load(); got != 4 {
 		t.Errorf("pool for size 5 created %d workers, want 4", got)
 	}
@@ -84,7 +101,7 @@ func TestCreatedCountsWorkers(t *testing.T) {
 // new would run whatever region is stored, then run it again once the epoch
 // is really bumped.
 func TestGrowStartsWorkersAtCurrentEpoch(t *testing.T) {
-	p := New(2, pthread.ActiveWait, new(atomic.Int64))
+	p := New(2, omp.ActiveWait, new(atomic.Int64))
 	defer p.Shutdown()
 	p.Dispatch(&Region{Size: 2, Run: func(int) {}})
 

@@ -58,6 +58,19 @@ func (w WaitPolicy) String() string {
 	return "passive"
 }
 
+// SpinBudget is the pure-spin budget a waiter burns between wait steps: a
+// constant per policy, so every waiting round has a stated bound. Passive
+// waiters release the processor quickly (§VI-A: spinning consumers
+// aggravate contention for task parallelism); active waiters burn cycles
+// for wake-up latency, as the user asked. The team's barriers and region
+// end spin it, and so do the pthread pool's workers and its dispatcher.
+func (w WaitPolicy) SpinBudget() int {
+	if w == ActiveWait {
+		return 4096
+	}
+	return 64
+}
+
 // Config holds the internal control variables (ICVs) of a runtime instance,
 // the library-level equivalent of the OMP_* environment.
 type Config struct {

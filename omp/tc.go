@@ -434,8 +434,9 @@ func (tc *TC) flushPending() {
 // cancellation abandons it:
 //
 //   - Barrier waiters (BarrierState.wait) loop until the barrier's last
-//     arriver bumps the epoch word, one wait step per spinBudget loads. They
-//     alone abandon on cancellation: a cancelled rank may never arrive.
+//     arriver bumps the epoch word, one wait step per WaitPolicy.SpinBudget
+//     loads. They alone abandon on cancellation: a cancelled rank may never
+//     arrive.
 //   - The barrier's last arriver loops until Team.Tasks is zero.
 //   - Region end (Team.memberEnd), at the same budget, loops until every
 //     rank has arrived and Team.Tasks is zero; each rank arrives exactly
@@ -449,6 +450,19 @@ func (tc *TC) flushPending() {
 // Apart from the barrier spinners, no loop abandons on cancellation, and none
 // needs to: a cancelled task completes as a drain, so every count above still
 // reaches zero and every predecessor still releases.
+//
+// Two waits of the pthread pool (internal/ptpool) spin the same budget but
+// are not task scheduling points, so they take no wait step:
+//
+//   - A pool worker loops until the dispatcher bumps the pool's epoch. Between
+//     spin rounds it blocks on its wake channel under PassiveWait and takes
+//     one scheduler yield under ActiveWait.
+//   - Pool.Dispatch's retire wait loops until every worker has retired the
+//     epoch, with one scheduler yield per round under either policy.
+//
+// Active waiting never blocks. A worker that blocked after its budget would
+// pay a kernel wake-up on every dispatch its spin missed, which is every
+// dispatch in a pool with more workers than processors.
 func (tc *TC) WaitStep() {
 	if !tc.ops.TryRunTask(tc) {
 		tc.ops.Idle(tc)

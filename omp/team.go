@@ -218,7 +218,7 @@ func (t *Team) memberEnd(tc *TC) {
 	tc.flushPending()
 	emitTrace(func(tr Tracer) { tr.BarrierEnter(tc) })
 	t.endArrived.Add(1)
-	budget := spinBudget(t.Cfg)
+	budget := t.Cfg.WaitPolicy.SpinBudget()
 	spins := 0
 	for t.endArrived.Load() < int32(t.Size) || t.Tasks.Load() > 0 {
 		if spins < budget {
@@ -657,18 +657,6 @@ type BarrierState struct {
 	_       [56]byte
 }
 
-// spinBudget is the pure-spin budget a waiter burns between wait steps: a
-// constant per OMP_WAIT_POLICY, so every waiting round has a stated bound.
-// Passive waiters release the processor quickly (§VI-A: spinning consumers
-// aggravate contention for task parallelism); active waiters burn cycles
-// for wake-up latency, as the user asked.
-func spinBudget(cfg Config) int {
-	if cfg.WaitPolicy == ActiveWait {
-		return 4096
-	}
-	return 64
-}
-
 // resetCounters rearms the arrival counter for a recycled descriptor.
 // Normally a no-op — every completed barrier resets its own counter — but a
 // cancelled region's abandoned waits leave arrivals behind that would
@@ -682,9 +670,9 @@ func (b *BarrierState) resetCounters() {
 // has arrived and the region's tasks have drained, or — for a waiter that is
 // not the last arriver — once the team is cancelled. The last arriver drains
 // the region's tasks, then resets the arrival counter and bumps the epoch;
-// every other waiter spins spinBudget loads of the epoch word between wait
-// steps (TC.WaitStep), so waiters execute queued tasks and raid the
-// overflow rings exactly as every other task-scheduling wait does.
+// every other waiter spins WaitPolicy.SpinBudget loads of the epoch word
+// between wait steps (TC.WaitStep), so waiters execute queued tasks and raid
+// the overflow rings exactly as every other task-scheduling wait does.
 //
 // A cancelled wait is abandoned: the arrival this waiter already
 // contributed stands (so a concurrent normal release still balances), and
@@ -702,7 +690,7 @@ func (b *BarrierState) wait(tc *TC) {
 		b.epoch.Add(1)
 		return
 	}
-	budget := spinBudget(team.Cfg)
+	budget := team.Cfg.WaitPolicy.SpinBudget()
 	for spins := 0; b.epoch.Load() == epoch; {
 		if spins < budget {
 			spins++
