@@ -27,8 +27,9 @@ func TestDispatchRunsAllRanks(t *testing.T) {
 
 // TestDispatchReusableAcrossRegions runs back-to-back regions under both
 // wait policies, in a pool that fits the processors and in one that
-// oversubscribes them, where a worker's spin can only end by a yield or a
-// wake that lets the dispatcher run.
+// oversubscribes them. In the second, spinning workers hold the processors
+// that the dispatcher and the other workers need, so each region finishes
+// only through the yield or the block that ends a worker's spin round.
 func TestDispatchReusableAcrossRegions(t *testing.T) {
 	const regions = 200
 	for _, policy := range []omp.WaitPolicy{omp.ActiveWait, omp.PassiveWait} {
