@@ -16,10 +16,11 @@
 //
 // This backend therefore uses one FIFO pool per execution stream with
 // strictly local Pop — the same topology as the Argobots backend — but every
-// push and pop performs readFE/writeEF round-trips on the FEB words guarding
-// the pool's head and tail, plus one on the word holding the queued unit
-// itself, through the shared striped table (package glt/qth/feb). That is
-// where Qthreads pays, and measurably so as streams are added.
+// push, and every pop that finds work, performs readFE/writeEF round-trips on
+// the FEB words guarding the pool's head and tail, plus one on the word
+// holding the queued unit itself, through the shared striped table (package
+// glt/qth/feb). That is where Qthreads pays, and measurably so as streams are
+// added. A pop of an empty pool only reads both words full-to-full.
 //
 // With GLT_SHARED_QUEUES all streams share one FEB-guarded pool.
 package qth
@@ -103,7 +104,17 @@ func (p *pool) pushAll(units []*glt.Unit) {
 	p.tail.WriteEF(tail)
 }
 
+// pop takes the oldest unit, or returns nil if the pool is empty. An empty
+// pool costs two full-to-full reads and no FE transition, so poppers spinning
+// on an empty pool never hold head or tail empty against a pusher's ReadFE.
+// Head is read first: indices only grow and head never passes tail, so equal
+// reads mean the pool was empty when tail was read. A pool found non-empty
+// pays the full round trip, a ReadFE/WriteEF pair on each word plus one
+// slot.TouchFE, and re-checks under it.
 func (p *pool) pop() *glt.Unit {
+	if head := p.head.ReadFF(); head == p.tail.ReadFF() {
+		return nil
+	}
 	tail := p.tail.ReadFE()
 	head := p.head.ReadFE()
 	if head == tail {
