@@ -198,7 +198,6 @@ func (serialOps) Enqueue(team *omp.Team, nodes []*omp.TaskNode, _ int, _ any) {
 		omp.ExecTaskOn(team, 0, serialOps{}, nil, node)
 	}
 }
-func (serialOps) Taskwait(tc *omp.TC)        {}
 func (serialOps) TryRunTask(tc *omp.TC) bool { return false }
 func (serialOps) Taskyield(tc *omp.TC)       {}
 func (serialOps) Idle(tc *omp.TC)            {}

@@ -367,15 +367,6 @@ func (e *engine) Enqueue(_ *omp.Team, nodes []*omp.TaskNode, hot int, ectx any) 
 // running the claimed task there is legal, exactly as on the pthread engines.
 func (e *engine) TryRunTask(tc *omp.TC) bool { return tc.Hunt(nil, 0) }
 
-// Taskwait yields until the current task's children complete.
-func (e *engine) Taskwait(tc *omp.TC) {
-	cur := tc.CurTask()
-	c := ctxOf(tc)
-	for cur.Children() > 0 {
-		c.Yield()
-	}
-}
-
 // Taskyield suspends the current task ULT in favour of whatever its stream
 // schedules next, then records which stream resumed it (the observable the
 // taskyield validation test checks).

@@ -123,14 +123,6 @@ func (e *Engine) TryRunTask(tc *omp.TC) bool {
 	return tc.Hunt(node, visited)
 }
 
-// Taskwait runs queued tasks until the current task's children are done.
-func (e *Engine) Taskwait(tc *omp.TC) {
-	cur := tc.CurTask()
-	for cur.Children() > 0 {
-		tc.WaitStep()
-	}
-}
-
 // Taskyield is a no-op: the native runtimes do not reschedule at taskyield,
 // which is why they fail the omp_taskyield validation test (Table I).
 func (e *Engine) Taskyield(tc *omp.TC) {}

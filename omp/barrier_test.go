@@ -24,7 +24,6 @@ type barrierOps struct{}
 
 func (barrierOps) Inline(*TC, *TaskNode) bool           { return true }
 func (barrierOps) Enqueue(*Team, []*TaskNode, int, any) {}
-func (barrierOps) Taskwait(*TC)                         {}
 func (barrierOps) Taskyield(*TC)                        {}
 func (barrierOps) Nested(*TC, *Team)                    {}
 func (barrierOps) TryRunTask(*TC) bool                  { return false }

@@ -126,7 +126,7 @@ func TestEngineOpsMethodSet(t *testing.T) {
 	for i := 0; i < typ.NumMethod(); i++ {
 		got = append(got, typ.Method(i).Name)
 	}
-	want := []string{"Enqueue", "Idle", "Inline", "Nested", "Taskwait", "Taskyield", "TryRunTask"}
+	want := []string{"Enqueue", "Idle", "Inline", "Nested", "Taskyield", "TryRunTask"}
 	if !slices.Equal(got, want) {
 		t.Errorf("EngineOps methods = %v, want %v", got, want)
 	}

@@ -51,14 +51,6 @@ func (e *recycleEngine) TryRunTask(tc *TC) bool {
 	return true
 }
 
-func (e *recycleEngine) Taskwait(tc *TC) {
-	for tc.CurTask().Children() > 0 {
-		if !e.TryRunTask(tc) {
-			runtime.Gosched()
-		}
-	}
-}
-
 func (e *recycleEngine) Taskyield(tc *TC) {}
 
 func (e *recycleEngine) Nested(tc *TC, t *Team) { t.Run(0, e, nil) }

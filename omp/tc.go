@@ -100,10 +100,6 @@ type EngineOps interface {
 	// the engine's dequeue paths (TC.Hunt, ExecTaskOn), which settle their
 	// completion.
 	Enqueue(team *Team, nodes []*TaskNode, hot int, ectx any)
-	// Taskwait blocks until the current task's children have completed. The
-	// pthread engines loop on TC.WaitStep; GLTO only yields, since its
-	// queued tasks are ULTs its streams run between yields.
-	Taskwait(tc *TC)
 	// Taskyield is a task scheduling point at which the engine may suspend
 	// the current task in favour of other work.
 	Taskyield(tc *TC)
@@ -444,8 +440,11 @@ func (tc *TC) flushPending() {
 //   - Taskgroup end loops until the group's count is zero.
 //   - The undeferred-dependence spin (spawnWithDeps) loops until every
 //     predecessor has released the node.
-//   - Taskwait on the pthread engines loops until the current task's
-//     children are done. GLTO's taskwait only yields.
+//   - Taskwait loops until the current task's children are done, on every
+//     engine.
+//
+// The last three, and the last arriver, take a wait step on every iteration;
+// only the barrier waiters and region end spin the budget between steps.
 //
 // Apart from the barrier spinners, no loop abandons on cancellation, and none
 // needs to: a cancelled task completes as a drain, so every count above still
@@ -616,7 +615,10 @@ func (tc *TC) spawn(node *TaskNode) {
 // flush first, so a task's own children are never stranded in its buffer.
 func (tc *TC) Taskwait() {
 	tc.flushPending()
-	tc.ops.Taskwait(tc)
+	cur := tc.cur
+	for cur.Children() > 0 {
+		tc.WaitStep()
+	}
 }
 
 // Taskyield allows the runtime to suspend the current task in favour of

@@ -1,5 +1,5 @@
-// Package openmp bundles the omp programming model with the three runtime
-// implementations of this repository and provides convenience constructors.
+// Package openmp bundles the omp programming model with the runtimes of this
+// repository and provides convenience constructors.
 // It is the package a downstream user imports:
 //
 //	rt, err := openmp.New("glto", omp.Config{NumThreads: 8, Backend: "abt"})
@@ -17,16 +17,11 @@
 //     library analogues "abt", "qth", "mth", or the lock-free Chase-Lev
 //     work-stealing "ws"
 //
-// All three are runtime SPI implementations (omp.RegionEngine +
-// omp.EngineOps) behind a shared omp.Frontend that owns the pooled Team/TC
-// lifecycle, the producer-side task buffer and the Stats counter block; see
-// the omp package docs.
-// The user-facing API here is unchanged by that split — code written
-// against omp.Runtime and omp.TC needs no migration. New knobs:
-// omp.Config.TaskBuffer (OMP_TASK_BUFFER) sizes or disables batched task
-// submission, and omp.Stats.TaskFlushes counts its flush episodes;
-// GLTO_PER_UNIT_DISPATCH still restores the paper's fully per-unit
-// dispatch.
+// Each is a runtime SPI implementation (omp.RegionEngine + omp.EngineOps)
+// behind a shared omp.Frontend that owns the pooled Team/TC lifecycle, the
+// producer-side task buffer and the Stats counter block; see the omp package
+// docs. The README's "Environment variables" table lists the variables that
+// tune them.
 package openmp
 
 import (

@@ -4,9 +4,7 @@ package openmp_test
 // then spins below any task scheduling point, so the burst can run only if a
 // waiter raids the producer's overflow ring. Each row parks the waiter at one
 // task-scheduling wait — region end, taskgroup end, the undeferred-dependence
-// spin, taskwait — and checks that the wait raids, on every runtime, except
-// GLTO's taskwait, which only yields: that row checks that nothing was raided
-// while the waiter waited.
+// spin, taskwait — and checks that the wait raids, on every runtime.
 //
 // Region end needs no setup: rank 0 produces, rank 1 falls straight to the
 // region's end. The other waits must still be pending while the burst sits in
@@ -26,7 +24,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/glt"
 	"repro/omp"
 	"repro/openmp"
 )
@@ -75,8 +72,6 @@ func TestWaitSitesRaidBufferedBurst(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer rt.Shutdown()
-				// GLTO's taskwait only yields; every other wait raids.
-				raids := !(row.rt == "glto" && site.name == "taskwait")
 				stolen := func() int64 { return rt.Stats().TasksStolenFromBuffer }
 
 				var ran atomic.Int64
@@ -87,28 +82,11 @@ func TestWaitSitesRaidBufferedBurst(t *testing.T) {
 				}
 				burstRan := func() bool { return ran.Load() == waitBurst }
 
-				// In a yield-only wait the carrier cannot wait for the burst;
-				// it ends once the waiter has yielded inside the wait, which a
-				// raiding wait only does after a raid came up empty. Only the
-				// waiter yields by then: rank 0 is running the carrier.
-				var waiting atomic.Bool
-				yieldBase := int64(-1)
-				yieldedInWait := func() bool {
-					if raids || !waiting.Load() {
-						return false
-					}
-					y := rt.(interface{ GLT() *glt.Runtime }).GLT().Stats().Yields
-					if yieldBase < 0 {
-						yieldBase = y
-						return false
-					}
-					return y > yieldBase
-				}
 				var started atomic.Bool
 				carrier := func(ctc *omp.TC) {
 					burst(ctc)
 					started.Store(true)
-					if !spinUntil(func() bool { return burstRan() || yieldedInWait() }, 10*time.Second) {
+					if !spinUntil(burstRan, 10*time.Second) {
 						t.Errorf("the waiter raided %d of %d buffered tasks", ran.Load(), waitBurst)
 					}
 				}
@@ -133,10 +111,7 @@ func TestWaitSitesRaidBufferedBurst(t *testing.T) {
 							t.Error("rank 0 never raided the carrier from its region end")
 						}
 					}
-					mark := func() {
-						atMark = stolen()
-						waiting.Store(true)
-					}
+					mark := func() { atMark = stolen() }
 					site.wait(tc, carry, mark)
 					inWait = stolen() - atMark
 				})
@@ -144,24 +119,20 @@ func TestWaitSitesRaidBufferedBurst(t *testing.T) {
 				if got := ran.Load(); got != waitBurst {
 					t.Fatalf("%d of %d burst tasks ran", got, waitBurst)
 				}
-				// The carrier is raided too; without raids, its end flushes the
-				// burst to the engine.
-				wantStolen, wantInWait, wantFlushes := int64(waitBurst), int64(waitBurst), int64(0)
+				// The carrier is raided too.
+				wantStolen := int64(waitBurst)
 				if site.wait != nil {
 					wantStolen++
-				}
-				if !raids {
-					wantStolen, wantInWait, wantFlushes = 1, 0, 1
 				}
 				s := rt.Stats()
 				if s.TasksStolenFromBuffer != wantStolen {
 					t.Errorf("TasksStolenFromBuffer = %d, want %d", s.TasksStolenFromBuffer, wantStolen)
 				}
-				if site.wait != nil && inWait != wantInWait {
-					t.Errorf("raided %d tasks during the wait, want %d", inWait, wantInWait)
+				if site.wait != nil && inWait != waitBurst {
+					t.Errorf("raided %d tasks during the wait, want %d", inWait, waitBurst)
 				}
-				if s.TaskFlushes != wantFlushes {
-					t.Errorf("TaskFlushes = %d, want %d", s.TaskFlushes, wantFlushes)
+				if s.TaskFlushes != 0 {
+					t.Errorf("TaskFlushes = %d, want 0", s.TaskFlushes)
 				}
 			})
 		}
