@@ -22,9 +22,10 @@ func newGLTO(t testing.TB, backend string, n int) *Runtime {
 
 // The dispatch tests below pin where §IV-D sends a task, so no consumer may
 // claim it from its producer's overflow ring first. Ring raids start in two
-// places only — a member waiting at a barrier (TryRunTask) and a stream gone
-// idle (the drain hook) — and a member spinning in one of the helpers below
-// is not at a barrier and keeps its stream busy. It spins at the Go level: a
+// places only — a member in a task-scheduling wait such as a barrier or a
+// taskwait (TryRunTask) and a stream gone idle (the drain hook) — and a member
+// spinning in one of the helpers below is in no such wait and keeps its
+// stream busy. It spins at the Go level: a
 // GLT yield would let the stream go idle.
 
 // rendezvous holds the calling member until n members have arrived at c.
@@ -194,8 +195,9 @@ func TestThreadLocalDispatchOutsideSingle(t *testing.T) {
 					}
 				})
 			}
+			tc.Taskyield()          // flush the ring onto this stream
+			rendezvous(&flushed, 4) // no member waits in taskwait before then
 			tc.Taskwait()
-			rendezvous(&flushed, 4) // no member waits at the barrier before then
 		})
 		if crossed.Load() != 0 {
 			t.Errorf("%d thread-local tasks executed on a different stream", crossed.Load())
