@@ -25,8 +25,8 @@ func newGLTO(t testing.TB, backend string, n int) *Runtime {
 // places only — a member in a task-scheduling wait such as a barrier or a
 // taskwait (TryRunTask) and a stream gone idle (the drain hook) — and a member
 // spinning in one of the helpers below is in no such wait and keeps its
-// stream busy. It spins at the Go level: a
-// GLT yield would let the stream go idle.
+// stream busy. It spins at the Go level: a GLT yield would let the stream go
+// idle.
 
 // rendezvous holds the calling member until n members have arrived at c.
 func rendezvous(c *atomic.Int64, n int64) {

@@ -443,8 +443,9 @@ func (tc *TC) flushPending() {
 //   - Taskwait loops until the current task's children are done, on every
 //     engine.
 //
-// The last three, and the last arriver, take a wait step on every iteration;
-// only the barrier waiters and region end spin the budget between steps.
+// Taskgroup end, the undeferred-dependence spin, taskwait and the barrier's
+// last arriver take a wait step on every iteration; only the barrier waiters
+// and region end spin the budget between steps.
 //
 // Apart from the barrier spinners, no loop abandons on cancellation, and none
 // needs to: a cancelled task completes as a drain, so every count above still
