@@ -61,9 +61,11 @@ func TestDependenceSuite(t *testing.T) {
 }
 
 // TestDependenceSuiteDispatchModes re-runs the extension suite across the
-// dispatch modes (batched, unbuffered, per-unit): a released task enters the
-// engine through EngineOps.Enqueue in every mode, and dependence order must be
-// mode-invariant exactly as construct semantics are.
+// dispatch modes (unbuffered, per-unit) and with release-to-self chaining
+// off: a released task enters the engine through EngineOps.Enqueue in every
+// mode, and dependence order must be mode-invariant exactly as construct
+// semantics are. The chain-off row is the queued release path every release
+// took before chaining existed (Config.DepChain < 0).
 func TestDependenceSuiteDispatchModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -74,12 +76,14 @@ func TestDependenceSuiteDispatchModes(t *testing.T) {
 	}{
 		{"unbuffered", func(c *omp.Config) { c.TaskBuffer = -1 }},
 		{"per-unit", func(c *omp.Config) { c.PerUnitDispatch = true }},
+		{"chain-off", func(c *omp.Config) { c.DepChain = -1 }},
 	}
 	runtimes := []struct {
 		rtName, backend string
 	}{
 		{"gomp", ""},
 		{"iomp", ""},
+		{"glto", "abt"},
 		{"glto", "ws"},
 	}
 	for _, rtc := range runtimes {
