@@ -8,8 +8,11 @@ package repro_test
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/glt"
 	_ "repro/glt/backends"
@@ -594,6 +597,43 @@ func BenchmarkCancelStorm(b *testing.B) {
 	}
 }
 
+// contentionBurst is one round of BenchmarkConsumerContention's shape: the
+// producer, inside a single construct, bursts tasks into its overflow ring
+// and then spins below any scheduling point, so the burst can drain only
+// through the other members raiding the ring from the single's implicit
+// barrier (plus, on GLTO, idle streams through the engine drain hook).
+// Every task therefore crosses the raid path, whose synchronization is what
+// gets measured.
+//
+// On a raid-path regression the producer gives up after a generous deadline
+// rather than wedging the caller: returning reaches the single's implicit
+// barrier, whose flush drains the leftovers so the region still completes.
+// The returned count is how many tasks the raiders claimed before the
+// producer stopped spinning — tasks on success, fewer on the give-up path —
+// so callers can report the shortfall from their own goroutine (a Fatalf
+// inside the region body would run on a team member).
+func contentionBurst(rt omp.Runtime, n, tasks int) int64 {
+	var ran atomic.Int64
+	body := func(*omp.TC) { ran.Add(1) }
+	claimed := int64(tasks)
+	rt.ParallelN(n, func(tc *omp.TC) {
+		tc.Single(func() {
+			for k := 0; k < tasks; k++ {
+				tc.Task(body)
+			}
+			deadline := time.Now().Add(30 * time.Second)
+			for ran.Load() != int64(tasks) {
+				if time.Now().After(deadline) {
+					claimed = ran.Load()
+					return
+				}
+				runtime.Gosched()
+			}
+		})
+	})
+	return claimed
+}
+
 // BenchmarkConsumerContention: the consumer-side raid path under maximum
 // contention — a wide team in which ONE producer bursts deferred tasks into
 // its overflow ring and then spins below any scheduling point, so the burst
@@ -605,8 +645,7 @@ func BenchmarkCancelStorm(b *testing.B) {
 // raiders serialized on one team lock; with the per-rank ring directories
 // the steady-state raid performs no mutex acquisition at all. steals/op counts the tasks that
 // moved through the raid path per region (== tasks/op when nothing leaked to
-// a flush). The harness's `contention` experiment runs the same shape as a
-// thread sweep.
+// a flush).
 func BenchmarkConsumerContention(b *testing.B) {
 	// Full size stays below the 256-slot ring, so no flush can rescue the
 	// burst; the -short size keeps the same property while letting the CI
@@ -624,12 +663,12 @@ func BenchmarkConsumerContention(b *testing.B) {
 		b.Run(v.Label, func(b *testing.B) {
 			rt := newRTN(b, v, ranks, func(c *omp.Config) { c.TaskBuffer = 256 })
 			for i := 0; i < shortN(3, 1); i++ {
-				harness.ContentionBurst(rt, ranks, tasks) // warm rings, pools, directories
+				contentionBurst(rt, ranks, tasks) // warm rings, pools, directories
 			}
 			rt.ResetStats()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if claimed := harness.ContentionBurst(rt, ranks, tasks); claimed != int64(tasks) {
+				if claimed := contentionBurst(rt, ranks, tasks); claimed != int64(tasks) {
 					b.Fatalf("raiders claimed only %d of %d tasks", claimed, tasks)
 				}
 			}

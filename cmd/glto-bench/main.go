@@ -8,8 +8,10 @@
 //	glto-bench -exp all -threads 1,2,4,8 -reps 3 -scale 0.5
 //
 // Each experiment prints a threads-by-series table in the layout of the
-// corresponding paper figure. End-to-end numbers for the paper's workloads
-// come from `go run ./benchmark` instead.
+// corresponding paper figure or table; "assign" splits Fig. 7's region time
+// into work assignment and execution from the flight recorder. The list is
+// the paper's evaluation and nothing more. End-to-end numbers for the
+// paper's workloads come from `go run ./benchmark` instead.
 package main
 
 import (
@@ -24,7 +26,7 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "", "experiment id (fig4..fig14, table1..table3) or 'all'")
+		exp     = flag.String("exp", "", "experiment id (fig4..fig14, table1..table3, assign) or 'all'")
 		threads = flag.String("threads", "", "comma-separated thread counts (default: 1,2,4,.. up to 2x cores)")
 		reps    = flag.Int("reps", 0, "repetitions per measurement (0 = per-experiment default)")
 		scale   = flag.Float64("scale", 1, "problem-size scale factor in (0,1]")

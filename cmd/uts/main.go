@@ -17,7 +17,6 @@ import (
 
 	"repro/glt"
 	_ "repro/glt/backends"
-	"repro/internal/harness"
 	"repro/internal/uts"
 	"repro/omp"
 	"repro/openmp"
@@ -97,7 +96,6 @@ func main() {
 	fmt.Printf("  nodes=%d leaves=%d maxdepth=%d\n", result.Nodes, result.Leaves, result.MaxDepth)
 	fmt.Printf("  time=%.3fs  throughput=%.2f Mnodes/s  verify=%s\n",
 		elapsed.Seconds(), float64(result.Nodes)/elapsed.Seconds()/1e6, status)
-	_ = harness.PaperVariants // keep the experiment index linked for godoc readers
 }
 
 func label(rt, backend string) string {

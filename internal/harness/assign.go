@@ -7,7 +7,6 @@ import (
 
 	"repro/glt"
 	"repro/glt/trace"
-	"repro/internal/dataflow"
 	"repro/omp"
 )
 
@@ -113,113 +112,5 @@ func runAssign(cfg Config) error {
 	frac.Render(cfg.Out)
 	p99.Render(cfg.Out)
 	prom.Render(cfg.Out)
-	if err := runAssignDataflow(cfg, met); err != nil {
-		return err
-	}
-	return runAssignCancellation(cfg)
-}
-
-// runAssignCancellation surfaces the failure-semantics side of the work-
-// assignment story in the flight recorder: a taskgroup burst cancelled
-// before its wait emits one task_cancel event per drained task (in place of
-// the start/end pair), which must agree with the stats ledger — the
-// recorder view and the counter view of the same drain.
-func runAssignCancellation(cfg Config) error {
-	const threads, tasks = 4, 256
-	tbl := NewTable(fmt.Sprintf("Cancellation drain: %d-task group cancelled before its wait, single producer", tasks),
-		"variant", []string{"CancelEvents", "TasksCancelled", "GroupsCancelled"})
-	for _, v := range assignVariants {
-		rt, err := v.New(threads, nil)
-		if err != nil {
-			return err
-		}
-		rec := trace.NewRecorder(threads, 4096)
-		prev := omp.SetTracer(omp.NewFlightTracer(rec, nil))
-		rt.ParallelN(1, func(tc *omp.TC) {
-			tc.Taskgroup(func() {
-				for i := 0; i < tasks; i++ {
-					tc.Task(func(*omp.TC) {})
-				}
-				tc.CancelTaskgroup()
-			})
-		})
-		omp.SetTracer(prev)
-		s := rt.Stats()
-		rt.Shutdown()
-		events, _ := rec.Drain()
-		cancels := 0
-		for _, ev := range events {
-			if ev.Kind == trace.KindTaskCancel {
-				cancels++
-			}
-		}
-		tbl.Set(v.Label, "CancelEvents", fmt.Sprint(cancels))
-		tbl.Set(v.Label, "TasksCancelled", fmt.Sprint(s.TasksCancelled))
-		tbl.Set(v.Label, "GroupsCancelled", fmt.Sprint(s.GroupsCancelled))
-	}
-	tbl.Render(cfg.Out)
-	return nil
-}
-
-// runAssignDataflow is the dependence-release analogue of the Fig. 7 split:
-// for dataflow workloads the runtime's "work assignment step" is the
-// release→start hand-off of each parked task, which the FlightTracer's
-// DepRelease histogram times and its path-tagged release events attribute.
-// The table compares chaining on (release-to-self + hot dispatch, the
-// default) against the pre-chaining release path (OMP_DEP_CHAIN off): the
-// assignment fraction is the share of total thread-time the DAG's tasks
-// spent between release and start, and Chained/Local split DepReleases by
-// which locality path fired — chained releases start inline, so their
-// samples land near zero and pull both the fraction and the p99 down.
-func runAssignDataflow(cfg Config, met *trace.Metrics) error {
-	iters := scaledIters(cfg, 30, 3)
-	const threads = 4
-	w := dataflow.NewWavefront(4000, 50, 7)
-	tbl := NewTable(fmt.Sprintf("Dataflow dep-release split: wavefront 4000×50, %d threads, %d solves", threads, iters),
-		"variant/chain", []string{"Assign%", "RelMean", "RelP99", "Chained%", "Local%", "Fallback%"})
-	modes := []struct {
-		name  string
-		depth int
-	}{
-		{"chain", omp.DefaultDepChain},
-		{"off", -1},
-	}
-	for _, v := range assignVariants {
-		for _, m := range modes {
-			rt, err := v.New(threads, func(c *omp.Config) { c.DepChain = m.depth })
-			if err != nil {
-				return err
-			}
-			run := func() { w.SolveTasks(rt, threads) }
-			for i := 0; i < 3; i++ {
-				run()
-			}
-			rt.ResetStats()
-			met.Reset()
-			start := time.Now()
-			for i := 0; i < iters; i++ {
-				run()
-			}
-			wall := time.Since(start)
-			s := rt.Stats()
-			rt.Shutdown()
-			row := v.Label + "/" + m.name
-			if wall > 0 {
-				tbl.Set(row, "Assign%", fmt.Sprintf("%5.2f%%",
-					100*float64(met.DepRelease.Sum())/(float64(threads)*float64(wall.Nanoseconds()))))
-			}
-			tbl.Set(row, "RelMean", time.Duration(met.DepRelease.Mean()).Round(100*time.Nanosecond).String())
-			tbl.Set(row, "RelP99", time.Duration(met.DepRelease.P99()).Round(100*time.Nanosecond).String())
-			if s.DepReleases > 0 {
-				pct := func(n int64) string {
-					return fmt.Sprintf("%5.1f%%", 100*float64(n)/float64(s.DepReleases))
-				}
-				tbl.Set(row, "Chained%", pct(s.TasksChained))
-				tbl.Set(row, "Local%", pct(s.LocalReleases))
-				tbl.Set(row, "Fallback%", pct(s.DepReleases-s.TasksChained-s.LocalReleases))
-			}
-		}
-	}
-	tbl.Render(cfg.Out)
 	return nil
 }

@@ -2,15 +2,11 @@ package harness
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
-	"time"
 
 	"repro/glt"
 	_ "repro/glt/backends"
 	"repro/internal/cg"
 	"repro/internal/cloverleaf"
-	"repro/internal/dataflow"
 	"repro/internal/uts"
 	"repro/internal/validation"
 	"repro/omp"
@@ -198,12 +194,10 @@ func init() {
 			}
 			const outer = 100
 			tbl := NewTable(fmt.Sprintf("Nested thread accounting, OMP_NUM_THREADS=%d, outer=%d", n, outer),
-				"implementation", []string{"CreatedThreads", "ReusedThreads", "CreatedULTs", "Promotions", "BatchPushes", "UnitsReused", "StolenUnits", "Allocs/Region", "Allocs/Task", "BufferSteals", "TasksWithDeps", "DepReleases", "TasksChained", "LocalReleases", "TasksCancelled", "PanicsRecovered", "GroupsCancelled", "InlineFallbacks"})
+				"implementation", []string{"CreatedThreads", "ReusedThreads", "CreatedULTs"})
 			// The paper's Table II lists GCC, Intel and GLTO once (the GLT
 			// backend does not change the thread/ULT accounting); this report
-			// keeps one GLTO row per backend so the scheduling-engine
-			// counters — batches, descriptor reuse, cross-stream steals — are
-			// comparable across all four side by side.
+			// keeps one GLTO row per backend.
 			for _, v := range PaperVariants {
 				// Fresh runtime, single cold run: the counters then hold the
 				// paper's quantities (top-level team plus nested teams).
@@ -213,212 +207,25 @@ func init() {
 				}
 				runNested(rt, n, outer)
 				s := rt.Stats()
-				allocs := allocsPerRegion(rt, n)
-				allocsTask := allocsPerTask(rt, n)
+				rt.Shutdown()
 				label := v.Label
 				if label == "ICC" {
 					label = "Intel"
 				}
-				tbl.Set(label, "Allocs/Region", fmt.Sprintf("%.1f", allocs))
-				tbl.Set(label, "Allocs/Task", fmt.Sprintf("%.2f", allocsTask))
-				// The task storm above is what exercises the overflow rings:
-				// how many of its tasks idle consumers claimed mid-burst.
-				tbl.Set(label, "BufferSteals", fmt.Sprint(rt.Stats().TasksStolenFromBuffer))
-				// A small dependence-driven wavefront exercises the depend
-				// accounting: tasks created with depend clauses, and how many
-				// of them a predecessor's completion had to release.
-				rt.ResetStats()
-				dataflow.NewWavefront(2000, 64, 7).SolveTasks(rt, min(n, 8))
-				ds := rt.Stats()
-				tbl.Set(label, "TasksWithDeps", fmt.Sprint(ds.TasksWithDeps))
-				tbl.Set(label, "DepReleases", fmt.Sprint(ds.DepReleases))
-				tbl.Set(label, "TasksChained", fmt.Sprint(ds.TasksChained))
-				tbl.Set(label, "LocalReleases", fmt.Sprint(ds.LocalReleases))
-				// A failure-semantics probe: a single-rank taskgroup burst
-				// cancelled before the group wait (under a tight inflight
-				// budget) plus one contained panic, so the cancellation
-				// columns report each runtime's drain/recover accounting.
-				fs, err := cancellationProbe(v)
-				if err != nil {
-					return err
-				}
-				tbl.Set(label, "TasksCancelled", fmt.Sprint(fs.TasksCancelled))
-				tbl.Set(label, "PanicsRecovered", fmt.Sprint(fs.PanicsRecovered))
-				tbl.Set(label, "GroupsCancelled", fmt.Sprint(fs.GroupsCancelled))
-				tbl.Set(label, "InlineFallbacks", fmt.Sprint(fs.InlineFallbacks))
 				if v.Runtime == "glto" {
 					tbl.Set(label, "CreatedThreads", fmt.Sprint(n))
 					tbl.Set(label, "ReusedThreads", "0")
 					// The paper's 3,500 counts the nested-region ULTs; the
 					// runtime's counter also includes the n top-level ones.
 					tbl.Set(label, "CreatedULTs", fmt.Sprint(s.ULTsCreated-int64(n)))
-					// Scheduling-engine counters: how many ULTs left the
-					// inline path (promoted at their first yield, out of those
-					// started since the last reset), how many were
-					// dispatched in batches, served by recycled descriptors
-					// (zero under GLTO_PER_UNIT_DISPATCH), and moved between
-					// streams by the backend's own stealing (policies that
-					// account it, currently ws).
-					if g, ok := rt.(interface{ GLT() *glt.Runtime }); ok {
-						gs := g.GLT().Stats()
-						tbl.Set(label, "Promotions", fmt.Sprintf("%d/%d", gs.Promotions, gs.ULTsStarted))
-						tbl.Set(label, "BatchPushes", fmt.Sprint(gs.BatchPushes))
-						tbl.Set(label, "UnitsReused", fmt.Sprint(gs.UnitsReused))
-						if sp, ok := g.GLT().Policy().(interface{ StealsObserved() uint64 }); ok {
-							tbl.Set(label, "StolenUnits", fmt.Sprint(sp.StealsObserved()))
-						} else {
-							tbl.Set(label, "StolenUnits", "—")
-						}
-					}
-					rt.Shutdown()
 					continue
 				}
-				rt.Shutdown()
 				// +1 counts the master thread, as the paper's totals do.
 				tbl.Set(label, "CreatedThreads", fmt.Sprint(s.ThreadsCreated+1))
 				tbl.Set(label, "ReusedThreads", fmt.Sprint(s.ThreadsReused))
 				tbl.Set(label, "CreatedULTs", "—")
-				tbl.Set(label, "Promotions", "—")
-				tbl.Set(label, "BatchPushes", "—")
-				tbl.Set(label, "UnitsReused", "—")
-				tbl.Set(label, "StolenUnits", "—")
 			}
 			tbl.Render(cfg.Out)
-			return nil
-		},
-	})
-
-	register(Experiment{
-		ID:    "allocs",
-		Title: "Steady-state allocations: per empty parallel region and per deferred task spawn",
-		Run: func(cfg Config) error {
-			cfg = cfg.withDefaults()
-			labels := variantLabels(PaperVariants)
-			tbl := NewTable("Allocs per region respawn (pooled front end; set GLTO_PER_UNIT_DISPATCH=1 for the paper-faithful mode)",
-				"threads", labels)
-			taskTbl := NewTable("Allocs per deferred task spawn (pooled task descriptors + overflow ring; 64-task single-producer storm)",
-				"threads", labels)
-			for _, n := range cfg.Threads {
-				for _, v := range PaperVariants {
-					rt, err := v.New(n, func(c *omp.Config) { c.WaitPolicy = omp.ActiveWait })
-					if err != nil {
-						return err
-					}
-					a := allocsPerRegion(rt, n)
-					at := allocsPerTask(rt, n)
-					rt.Shutdown()
-					tbl.Set(fmt.Sprint(n), v.Label, fmt.Sprintf("%.1f", a))
-					taskTbl.Set(fmt.Sprint(n), v.Label, fmt.Sprintf("%.2f", at))
-				}
-			}
-			tbl.Render(cfg.Out)
-			taskTbl.Render(cfg.Out)
-			return nil
-		},
-	})
-
-	register(Experiment{
-		ID:    "contention",
-		Title: "Consumer contention: one producer's buffered burst drained only by concurrent raiders",
-		Run: func(cfg Config) error {
-			cfg = cfg.withDefaults()
-			const tasks = 192 // below the 256-slot ring: no flush can rescue the burst
-			reps := repsOr(cfg, 5)
-			variants := []Variant{
-				{"GCC", "gomp", ""},
-				{"Intel", "iomp", ""},
-				{"GLTO(ABT)", "glto", "abt"},
-				{"GLTO(WS)", "glto", "ws"},
-			}
-			labels := variantLabels(variants)
-			tbl := NewTable(fmt.Sprintf("Raid-path drain time per %d-task burst (1 producer, N-1 raiders), %d reps", tasks, reps),
-				"threads", labels)
-			steals := NewTable("Ring raids per burst (tasks claimed from the overflow rings)",
-				"threads", labels)
-			for _, n := range cfg.Threads {
-				if n < 2 {
-					continue // the shape needs at least one raider
-				}
-				for _, v := range variants {
-					rt, err := v.New(n, func(c *omp.Config) { c.TaskBuffer = 256 })
-					if err != nil {
-						return err
-					}
-					run := func() { ContentionBurst(rt, n, tasks) }
-					run() // warm rings, descriptor pools, directories
-					rt.ResetStats()
-					s := Measure(reps, run)
-					per := rt.Stats().TasksStolenFromBuffer / int64(reps)
-					rt.Shutdown()
-					tbl.Set(fmt.Sprint(n), v.Label, s.String())
-					steals.Set(fmt.Sprint(n), v.Label, fmt.Sprint(per))
-				}
-			}
-			tbl.Render(cfg.Out)
-			steals.Render(cfg.Out)
-			return nil
-		},
-	})
-
-	register(Experiment{
-		ID:    "dataflow",
-		Title: "Task dependences: tiled Cholesky and sparse triangular wavefront vs. serial",
-		Run: func(cfg Config) error {
-			cfg = cfg.withDefaults()
-			reps := repsOr(cfg, 3)
-			variants := []Variant{
-				{"GCC", "gomp", ""},
-				{"Intel", "iomp", ""},
-				{"GLTO(ABT)", "glto", "abt"},
-				{"GLTO(WS)", "glto", "ws"},
-			}
-			labels := append([]string{"Serial"}, variantLabels(variants)...)
-
-			nt := scaleInt(14, cfg.Scale, 4)
-			tile := 32
-			chol := dataflow.NewCholesky(nt, tile, 1)
-			cholTbl := NewTable(fmt.Sprintf("Tiled Cholesky %d×%d (%d×%d tiles, %d tasks), %d reps",
-				chol.N, chol.N, nt, nt, dataflow.CholeskyNumTasks(nt), reps), "threads", labels)
-
-			rows := scaleInt(14878, cfg.Scale, 1500)
-			chunk := 64
-			wave := dataflow.NewWavefront(rows, chunk, 7)
-			waveTbl := NewTable(fmt.Sprintf("Dependence wavefront: %d-row triangular solve (%d chunks, %d edges), %d reps",
-				rows, wave.NumChunks(), wave.DepEdges(), reps), "threads", labels)
-			relTbl := NewTable("Dependence releases per wavefront solve (parked tasks a predecessor freed)",
-				"threads", variantLabels(variants))
-
-			serialChol := Measure(reps, func() { chol.FactorSerial() })
-			serialWave := Measure(reps, func() { wave.SolveSerial() })
-			oracle := wave.SolveSerial()
-			for _, n := range cfg.Threads {
-				cholTbl.Set(fmt.Sprint(n), "Serial", serialChol.String())
-				waveTbl.Set(fmt.Sprint(n), "Serial", serialWave.String())
-				for _, v := range variants {
-					rt, err := v.New(n, nil)
-					if err != nil {
-						return err
-					}
-					chol.FactorTasks(rt, n) // warm descriptor pools and rings
-					s := Measure(reps, func() { chol.FactorTasks(rt, n) })
-					cholTbl.Set(fmt.Sprint(n), v.Label, s.String())
-					got := wave.SolveTasks(rt, n) // warm-up doubling as oracle check
-					for i := range oracle {
-						if got[i] != oracle[i] {
-							rt.Shutdown()
-							return fmt.Errorf("dataflow: %s wavefront diverged from serial at x[%d]", v.Label, i)
-						}
-					}
-					rt.ResetStats()
-					s = Measure(reps, func() { wave.SolveTasks(rt, n) })
-					waveTbl.Set(fmt.Sprint(n), v.Label, s.String())
-					relTbl.Set(fmt.Sprint(n), v.Label, fmt.Sprint(rt.Stats().DepReleases/int64(reps)))
-					rt.Shutdown()
-				}
-			}
-			cholTbl.Render(cfg.Out)
-			waveTbl.Render(cfg.Out)
-			relTbl.Render(cfg.Out)
 			return nil
 		},
 	})
@@ -529,131 +336,6 @@ func init() {
 			return nil
 		},
 	})
-}
-
-// allocsPerRegion measures steady-state heap allocations per empty
-// top-level region respawn — the memory column of the Table II report the
-// paper never had. The runtime is warmed first so pooled descriptors, shells
-// and free lists are populated; the figure is total process mallocs over the
-// timed regions, so engine-side (worker) allocations count too.
-func allocsPerRegion(rt omp.Runtime, n int) float64 {
-	body := func(*omp.TC) {}
-	for i := 0; i < 20; i++ {
-		rt.ParallelN(n, body)
-	}
-	const regions = 50
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < regions; i++ {
-		rt.ParallelN(n, body)
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / regions
-}
-
-// taskNop is package-level so allocsPerTask measures the runtime's own
-// per-task footprint, not a per-task closure allocation.
-var taskNop = func(*omp.TC) {}
-
-// allocsPerTask measures steady-state heap allocations per deferred task
-// spawn — the Allocs/Task column of the Table II report, the quantity the
-// pooled task-descriptor lifecycle drives to zero. A single producer storms
-// the team from inside a single construct (the Fig. 14 shape), so the
-// batched-submission, ring-raid and steal paths are all on the measured
-// path; the per-region overhead (the region itself, the single's closure) is
-// amortized across the task count.
-func allocsPerTask(rt omp.Runtime, n int) float64 {
-	const tasks = 64
-	body := func(tc *omp.TC) {
-		tc.Single(func() {
-			for i := 0; i < tasks; i++ {
-				tc.Task(taskNop)
-			}
-		})
-	}
-	for i := 0; i < 20; i++ {
-		rt.ParallelN(n, body)
-	}
-	const regions = 30
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for i := 0; i < regions; i++ {
-		rt.ParallelN(n, body)
-	}
-	runtime.ReadMemStats(&m1)
-	return float64(m1.Mallocs-m0.Mallocs) / (regions * tasks)
-}
-
-// ContentionBurst is one round of the consumer-contention shape shared by
-// the `contention` experiment and BenchmarkConsumerContention: the
-// producer, inside a single construct, bursts tasks into its overflow ring
-// and then spins below any scheduling point, so the burst can drain only
-// through the other members raiding the ring from the single's implicit
-// barrier (plus, on GLTO, idle streams through the engine drain hook).
-// Every task therefore crosses the raid path, whose synchronization is what
-// gets measured.
-//
-// On a raid-path regression the producer gives up after a generous deadline
-// rather than wedging the caller: returning reaches the single's implicit
-// barrier, whose flush drains the leftovers so the region still completes.
-// The returned count is how many tasks the raiders claimed before the
-// producer stopped spinning — tasks on success, fewer on the give-up path —
-// so callers can report the shortfall from their own goroutine (a Fatalf
-// inside the region body would run on a team member).
-func ContentionBurst(rt omp.Runtime, n, tasks int) int64 {
-	var ran atomic.Int64
-	body := func(*omp.TC) { ran.Add(1) }
-	claimed := int64(tasks)
-	rt.ParallelN(n, func(tc *omp.TC) {
-		tc.Single(func() {
-			for k := 0; k < tasks; k++ {
-				tc.Task(body)
-			}
-			deadline := time.Now().Add(30 * time.Second)
-			for ran.Load() != int64(tasks) {
-				if time.Now().After(deadline) {
-					claimed = ran.Load()
-					return
-				}
-				runtime.Gosched()
-			}
-		})
-	})
-	return claimed
-}
-
-// cancellationProbe exercises the failure-semantics counters on a fresh
-// 4-thread instance of v with a tight inflight budget: a single-rank
-// taskgroup burst is cancelled before the group wait (so parked siblings
-// drain deterministically and the over-budget spawns degrade to inline
-// execution), then one task panics and is contained. The probe returns the
-// runtime's stats snapshot after shutdown.
-func cancellationProbe(v Variant) (omp.Stats, error) {
-	rt, err := v.New(4, func(c *omp.Config) { c.MaxInflightTasks = 8 })
-	if err != nil {
-		return omp.Stats{}, err
-	}
-	defer rt.Shutdown()
-	rt.ParallelN(1, func(tc *omp.TC) {
-		tc.Taskgroup(func() {
-			for i := 0; i < 64; i++ {
-				tc.Task(func(*omp.TC) {})
-			}
-			tc.CancelTaskgroup()
-		})
-	})
-	func() {
-		defer func() { recover() }() // the probe panic resurfaces here
-		rt.Parallel(func(tc *omp.TC) {
-			tc.Master(func() {
-				tc.Taskgroup(func() {
-					tc.Task(func(*omp.TC) { panic("probe") })
-				})
-			})
-			tc.Barrier()
-		})
-	}()
-	return rt.Stats(), nil
 }
 
 // runNested executes the Listing-1 microbenchmark once: an outer parallel

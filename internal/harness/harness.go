@@ -1,8 +1,12 @@
 // Package harness runs the paper's experiments: parameter sweeps over
 // runtime variants and thread counts, with repetition, averaging and
 // paper-style table output. Every figure and table of the evaluation section
-// (Figs. 4-14, Tables I-III) has a generator here, indexed by experiment ID
-// and invoked by cmd/glto-bench (`go run ./cmd/glto-bench -list`).
+// (Figs. 4-14, Tables I-III) has a generator here, plus "assign", the
+// flight-recorder breakdown of Fig. 7; nothing else is registered. Each is
+// indexed by experiment ID and invoked by cmd/glto-bench (`go run
+// ./cmd/glto-bench -list`). Measurements the paper does not report live as
+// tests and benchmarks beside the code they cover, and end-to-end numbers
+// come from `go run ./benchmark`.
 package harness
 
 import (
@@ -65,10 +69,6 @@ func (v Variant) New(threads int, mutate func(*omp.Config)) (omp.Runtime, error)
 	// per-unit work-assignment cost of Fig. 7 (GLTO_PER_UNIT_DISPATCH=1)
 	// against the default batched engine.
 	cfg.PerUnitDispatch = omp.PerUnitDispatchFromEnv()
-	// Likewise the release-to-self chain depth: OMP_DEP_CHAIN=0 turns
-	// locality-first dependence dispatch off, so benches and validation runs
-	// can compare against the pre-chaining release path.
-	cfg.DepChain = omp.DepChainFromEnv()
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -230,18 +230,6 @@ func (t *Table) Render(w io.Writer) {
 	}
 }
 
-// CSV writes the table as comma-separated values.
-func (t *Table) CSV(w io.Writer) {
-	fmt.Fprintf(w, "%s,%s\n", t.XHeader, strings.Join(t.Series, ","))
-	for _, r := range t.rows {
-		cells := []string{r.x}
-		for _, s := range t.Series {
-			cells = append(cells, r.cells[s])
-		}
-		fmt.Fprintln(w, strings.Join(cells, ","))
-	}
-}
-
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
@@ -252,7 +240,7 @@ func pad(s string, w int) string {
 // Experiment is one regenerable paper artifact.
 type Experiment struct {
 	// ID is the experiment id cmd/glto-bench -list prints: "fig4" ... "fig14",
-	// "table1"-"table3".
+	// "table1"-"table3" and "assign".
 	ID string
 	// Title describes the artifact.
 	Title string

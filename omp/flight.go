@@ -12,7 +12,7 @@ import "repro/glt/trace"
 //   - Met, when set, accumulates the latency histograms (barrier wait, task
 //     queue residency, dep release→start, steal-tour length, and the
 //     Fig. 7 assignment/execution split) the harness's `-exp assign`
-//     breakdown is computed from.
+//     breakdown and the benchmark's trace metrics are computed from.
 //
 // Every hook is allocation-free — duration state lives in the pooled Team,
 // TC and TaskNode descriptors it instruments (stamp fields written only
@@ -124,8 +124,8 @@ func (f *FlightTracer) TaskCancel(t *Team, node *TaskNode) {
 
 // DepRelease implements Tracer: it stamps the release time TaskStart
 // measures the release→start latency against, and packs the dispatch path
-// into the event arg (above DepPathShift) so cmd/glto-trace and `-exp
-// assign` can attribute which releases skipped the queues. Chained releases
+// into the event arg (above DepPathShift) so a cmd/glto-trace export shows
+// which releases skipped the queues. Chained releases
 // start inline immediately after this hook, so their release→start samples
 // land near zero in Met.DepRelease with no extra plumbing.
 func (f *FlightTracer) DepRelease(t *Team, node *TaskNode, path DepPath) {
