@@ -44,7 +44,6 @@ func TestDependenceSuite(t *testing.T) {
 			rt, err := openmp.New(rtc.rtName, omp.Config{
 				NumThreads: 4, Backend: rtc.backend, Nested: true,
 				SharedQueues: shared && rtc.backend != "", WaitPolicy: policy,
-				DepChain: omp.DepChainFromEnv(),
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -93,8 +92,7 @@ func TestDependenceSuiteDispatchModes(t *testing.T) {
 				label += "-" + rtc.backend
 			}
 			t.Run(label+"/"+mode.name, func(t *testing.T) {
-				cfg := omp.Config{NumThreads: 4, Backend: rtc.backend, Nested: true,
-					DepChain: omp.DepChainFromEnv()}
+				cfg := omp.Config{NumThreads: 4, Backend: rtc.backend, Nested: true}
 				mode.mutate(&cfg)
 				rt, err := openmp.New(rtc.rtName, cfg)
 				if err != nil {

@@ -76,9 +76,9 @@ func TestChainDepthBound(t *testing.T) {
 	}
 }
 
-// TestChainDepthConfigurable pins the OMP_DEP_CHAIN escape hatch at the
-// Config level: with DepChain negative, EffectiveDepChain is zero and no
-// release may run inline — the pre-chaining dispatch path, byte for byte.
+// TestChainDepthConfigurable pins Config.DepChain's off switch: with
+// DepChain negative, EffectiveDepChain is zero and no release may run
+// inline — the pre-chaining dispatch path, byte for byte.
 func TestChainDepthConfigurable(t *testing.T) {
 	ct := &CountingTracer{}
 	prev := SetTracer(ct)

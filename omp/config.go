@@ -136,8 +136,7 @@ type Config struct {
 	// before falling back to EngineOps.Enqueue (which keeps the tail of
 	// a long chain raidable and bounds stack growth). Zero means
 	// DefaultDepChain; a negative value disables chaining, restoring the
-	// every-release-is-a-queueing-event behaviour (OMP_DEP_CHAIN; 0 or any
-	// falsy spelling disables, a positive integer sets the depth).
+	// every-release-is-a-queueing-event behaviour.
 	DepChain int
 
 	// MaxInflightTasks is the backpressure budget: when a region's
@@ -271,34 +270,7 @@ func (c Config) FromEnv() Config {
 			c.TaskBuffer = v
 		}
 	}
-	if c.DepChain == 0 {
-		c.DepChain = DepChainFromEnv()
-	}
 	return c
-}
-
-// DepChainFromEnv parses OMP_DEP_CHAIN: a positive integer is the chain
-// depth, 0 or any falsy spelling ("0", "false", "no", "off") disables
-// chaining (returned as -1, Config.DepChain's disabled encoding), and unset
-// or any other value leaves the default (returned as 0). It exists for
-// callers like the figure harness that pin every other ICV deliberately and
-// must not consult the wider OMP_* environment through Config.FromEnv.
-func DepChainFromEnv() int {
-	v := strings.TrimSpace(os.Getenv("OMP_DEP_CHAIN"))
-	if v == "" {
-		return 0
-	}
-	if n, err := strconv.Atoi(v); err == nil {
-		if n <= 0 {
-			return -1
-		}
-		return n
-	}
-	switch strings.ToLower(v) {
-	case "false", "no", "off":
-		return -1
-	}
-	return 0
 }
 
 // PerUnitDispatchFromEnv reports whether GLTO_PER_UNIT_DISPATCH requests the
