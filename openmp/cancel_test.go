@@ -13,7 +13,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/glt/trace"
 	"repro/omp"
+	"repro/openmp"
 )
 
 // TestTaskgroupCancelDrains pins the cancel taskgroup construct: the
@@ -54,6 +56,57 @@ func TestTaskgroupCancelDrains(t *testing.T) {
 			t.Error("runtime unusable after taskgroup cancel")
 		}
 	})
+}
+
+// TestCancelEventsMatchStats pins the two views of one cancellation drain:
+// a single producer cancels a 256-task taskgroup before its wait, and the
+// flight recorder's task_cancel events must number exactly the stats
+// ledger's TasksCancelled — one event per drained task, in place of its
+// start/end pair.
+func TestCancelEventsMatchStats(t *testing.T) {
+	const threads, tasks = 4, 256
+	for _, v := range []struct{ name, runtime, backend string }{
+		{"gomp", "gomp", ""},
+		{"iomp", "iomp", ""},
+		{"glto-abt", "glto", "abt"},
+		{"glto-ws", "glto", "ws"},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			rt, err := openmp.New(v.runtime, omp.Config{NumThreads: threads, Backend: v.backend, Nested: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			rec := trace.NewRecorder(threads, 4096)
+			prev := omp.SetTracer(omp.NewFlightTracer(rec, nil))
+			rt.ParallelN(1, func(tc *omp.TC) {
+				tc.Taskgroup(func() {
+					for i := 0; i < tasks; i++ {
+						tc.Task(func(*omp.TC) {})
+					}
+					tc.CancelTaskgroup()
+				})
+			})
+			omp.SetTracer(prev)
+			events, dropped := rec.Drain()
+			if dropped != 0 {
+				t.Fatalf("recorder dropped %d events; the count below would be short", dropped)
+			}
+			cancels := int64(0)
+			for _, ev := range events {
+				if ev.Kind == trace.KindTaskCancel {
+					cancels++
+				}
+			}
+			s := rt.Stats()
+			if s.TasksCancelled == 0 {
+				t.Error("cancelling before the group wait drained nothing")
+			}
+			if cancels != s.TasksCancelled {
+				t.Errorf("%d task_cancel events, TasksCancelled = %d", cancels, s.TasksCancelled)
+			}
+		})
+	}
 }
 
 // TestCancelRegionDrains pins the cancel parallel construct: cancelling the
@@ -396,7 +449,7 @@ func TestCancelledCholeskyUnwinds(t *testing.T) {
 }
 
 // TestPanicInChainedDepRelease pins containment on the chained-release fast
-// path: with OMP_DEP_CHAIN active a released successor runs inline on its
+// path: with Config.DepChain positive a released successor runs inline on its
 // releaser's stack, so its panic unwinds through the chain's exec frames —
 // each must recover, cancel, and keep recycling sound across repeated team
 // generations. Run with -race in CI.
