@@ -37,16 +37,6 @@ var assignVariants = []Variant{
 	{"GLTO(WS)", "glto", "ws"},
 }
 
-// scaledIters shrinks an iteration count by cfg.Scale with a floor, so the
-// smoke scale (-scale 0.05) still crosses every code path.
-func scaledIters(cfg Config, full, min int) int {
-	n := int(float64(full) * cfg.Scale)
-	if n < min {
-		n = min
-	}
-	return n
-}
-
 // assignSpin is the fixed busy-work member body: large enough that the
 // execution side is non-trivial at every thread count, small enough that
 // the dispatch side stays visible in the fraction.
@@ -64,7 +54,7 @@ var assignSink atomic.Int64
 
 func runAssign(cfg Config) error {
 	cfg = cfg.withDefaults()
-	regions := scaledIters(cfg, 200, 20)
+	regions := scaleInt(200, cfg.Scale, 20)
 	labels := variantLabels(assignVariants)
 	frac := NewTable(fmt.Sprintf("Assignment fraction %% of (assign+exec), %d regions, busy-work body", regions),
 		"threads", labels)

@@ -15,7 +15,6 @@ import (
 
 	"repro/glt/trace"
 	"repro/omp"
-	"repro/openmp"
 )
 
 // TestTaskgroupCancelDrains pins the cancel taskgroup construct: the
@@ -62,51 +61,40 @@ func TestTaskgroupCancelDrains(t *testing.T) {
 // a single producer cancels a 256-task taskgroup before its wait, and the
 // flight recorder's task_cancel events must number exactly the stats
 // ledger's TasksCancelled — one event per drained task, in place of its
-// start/end pair.
+// start/end pair — on every runtime. The team has one thread, so no idle
+// peer can run the burst before the cancel and leave nothing to count.
 func TestCancelEventsMatchStats(t *testing.T) {
-	const threads, tasks = 4, 256
-	for _, v := range []struct{ name, runtime, backend string }{
-		{"gomp", "gomp", ""},
-		{"iomp", "iomp", ""},
-		{"glto-abt", "glto", "abt"},
-		{"glto-ws", "glto", "ws"},
-	} {
-		t.Run(v.name, func(t *testing.T) {
-			rt, err := openmp.New(v.runtime, omp.Config{NumThreads: threads, Backend: v.backend, Nested: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Shutdown()
-			rec := trace.NewRecorder(threads, 4096)
-			prev := omp.SetTracer(omp.NewFlightTracer(rec, nil))
-			rt.ParallelN(1, func(tc *omp.TC) {
-				tc.Taskgroup(func() {
-					for i := 0; i < tasks; i++ {
-						tc.Task(func(*omp.TC) {})
-					}
-					tc.CancelTaskgroup()
-				})
-			})
-			omp.SetTracer(prev)
-			events, dropped := rec.Drain()
-			if dropped != 0 {
-				t.Fatalf("recorder dropped %d events; the count below would be short", dropped)
-			}
-			cancels := int64(0)
-			for _, ev := range events {
-				if ev.Kind == trace.KindTaskCancel {
-					cancels++
+	const tasks = 256
+	forEachRuntimeN(t, 1, omp.Config{}, func(t *testing.T, rt omp.Runtime) {
+		rec := trace.NewRecorder(1, 4096)
+		prev := omp.SetTracer(omp.NewFlightTracer(rec, nil))
+		rt.Parallel(func(tc *omp.TC) {
+			tc.Taskgroup(func() {
+				for i := 0; i < tasks; i++ {
+					tc.Task(func(*omp.TC) {})
 				}
-			}
-			s := rt.Stats()
-			if s.TasksCancelled == 0 {
-				t.Error("cancelling before the group wait drained nothing")
-			}
-			if cancels != s.TasksCancelled {
-				t.Errorf("%d task_cancel events, TasksCancelled = %d", cancels, s.TasksCancelled)
-			}
+				tc.CancelTaskgroup()
+			})
 		})
-	}
+		omp.SetTracer(prev)
+		events, dropped := rec.Drain()
+		if dropped != 0 {
+			t.Fatalf("recorder dropped %d events; the count below would be short", dropped)
+		}
+		cancels := int64(0)
+		for _, ev := range events {
+			if ev.Kind == trace.KindTaskCancel {
+				cancels++
+			}
+		}
+		s := rt.Stats()
+		if s.TasksCancelled == 0 {
+			t.Error("cancelling before the group wait drained nothing")
+		}
+		if cancels != s.TasksCancelled {
+			t.Errorf("%d task_cancel events, TasksCancelled = %d", cancels, s.TasksCancelled)
+		}
+	})
 }
 
 // TestCancelRegionDrains pins the cancel parallel construct: cancelling the
