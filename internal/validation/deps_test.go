@@ -63,8 +63,8 @@ func TestDependenceSuite(t *testing.T) {
 // dispatch modes (unbuffered, per-unit) and with release-to-self chaining
 // off: a released task enters the engine through EngineOps.Enqueue in every
 // mode, and dependence order must be mode-invariant exactly as construct
-// semantics are. The chain-off row is the queued release path every release
-// took before chaining existed (Config.DepChain < 0).
+// semantics are. The chain-off row (Config.DepChain < 0) sends every release
+// through the queues, so no successor runs inline on its releaser.
 func TestDependenceSuiteDispatchModes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

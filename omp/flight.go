@@ -125,9 +125,9 @@ func (f *FlightTracer) TaskCancel(t *Team, node *TaskNode) {
 // DepRelease implements Tracer: it stamps the release time TaskStart
 // measures the release→start latency against, and packs the dispatch path
 // into the event arg (above DepPathShift) so a cmd/glto-trace export shows
-// which releases skipped the queues. Chained releases
-// start inline immediately after this hook, so their release→start samples
-// land near zero in Met.DepRelease with no extra plumbing.
+// which releases skipped the queues. Chained releases start inline
+// immediately after this hook, so their release→start samples land near
+// zero in Met.DepRelease with no extra plumbing.
 func (f *FlightTracer) DepRelease(t *Team, node *TaskNode, path DepPath) {
 	now := trace.Since()
 	node.traceRelease = now
