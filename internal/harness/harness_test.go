@@ -80,6 +80,9 @@ func TestAllPaperExperimentsRegistered(t *testing.T) {
 	var got []string
 	for _, e := range Experiments() {
 		got = append(got, e.ID)
+		if _, ok := Lookup(e.ID); !ok {
+			t.Errorf("Lookup(%q) misses a listed experiment", e.ID)
+		}
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("registered experiments = %v, want %v", got, want)
