@@ -270,6 +270,59 @@ func TestSerializedRegionStillRunsTasks(t *testing.T) {
 	}
 }
 
+// TestNestedBufferedTasksRunOnce puts tour.DirSlots+2 regions in flight on
+// one stream's nesting chain: a top-level team of one runs on stream 0 and
+// its rank 0 opens nested teams of two, level inside level. Every member of
+// every level buffers tasks, and each must run exactly once, through its
+// producer's flush at a scheduling point or a team member's raid.
+func TestNestedBufferedTasksRunOnce(t *testing.T) {
+	const (
+		regions = tour.DirSlots + 2
+		tasks   = 3 // per member per level
+	)
+	for _, backend := range []string{"abt", "qth"} {
+		t.Run(backend, func(t *testing.T) {
+			rt, err := New(omp.Config{NumThreads: 2, Backend: backend, Nested: true, TaskBuffer: 256})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			var hits [regions][2][tasks]atomic.Int32
+			var level func(d int) func(*omp.TC)
+			level = func(d int) func(*omp.TC) {
+				return func(tc *omp.TC) {
+					me := tc.ThreadNum()
+					for i := range hits[d][me] {
+						h := &hits[d][me][i]
+						tc.Task(func(*omp.TC) { h.Add(1) })
+					}
+					if me == 0 && d+1 < regions {
+						tc.Parallel(2, level(d+1))
+					}
+				}
+			}
+			rt.ParallelN(1, level(0))
+			for d := range hits {
+				size := 2
+				if d == 0 {
+					size = 1
+				}
+				for me := range hits[d] {
+					for i := range hits[d][me] {
+						want := int32(0)
+						if me < size {
+							want = 1
+						}
+						if got := hits[d][me][i].Load(); got != want {
+							t.Errorf("level %d rank %d task %d ran %d times, want %d", d, me, i, got, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestDrainTableSurplus puts more regions in flight on one stream's nesting
 // chain than a directory has slots. A top-level team of one runs on stream 0
 // and its rank 0 opens nested teams of two, level inside level; each nested

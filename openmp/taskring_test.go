@@ -177,6 +177,56 @@ func TestRingDirectoryTwoProducerRaid(t *testing.T) {
 	}
 }
 
+// TestNarrowTeamBufferedTasksRunOnce: a team of 2 on 4 execution streams,
+// so two streams sit outside the team. Both members buffer tasks below the
+// flush limit and then fall straight to the region end, where each flushes
+// its ring or raids its peer's. Every task must run exactly once and the
+// region must end with Team.Tasks drained, on a non-stealing and a stealing
+// backend alike.
+func TestNarrowTeamBufferedTasksRunOnce(t *testing.T) {
+	const (
+		regions = 20
+		tasks   = 32 // per member per region
+	)
+	for _, backend := range []string{"abt", "ws"} {
+		t.Run(backend, func(t *testing.T) {
+			rt, err := openmp.New("glto", omp.Config{
+				NumThreads: 4,
+				Backend:    backend,
+				TaskBuffer: 256,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			for r := 0; r < regions; r++ {
+				var seen [2][tasks]atomic.Int32
+				var team *omp.Team
+				rt.ParallelN(2, func(tc *omp.TC) {
+					me := tc.ThreadNum()
+					if me == 0 {
+						team = tc.Team()
+					}
+					for i := range seen[me] {
+						h := &seen[me][i]
+						tc.Task(func(*omp.TC) { h.Add(1) })
+					}
+				})
+				for me := range seen {
+					for i := range seen[me] {
+						if got := seen[me][i].Load(); got != 1 {
+							t.Fatalf("region %d: rank %d task %d ran %d times, want exactly once", r, me, i, got)
+						}
+					}
+				}
+				if n := team.Tasks.Load(); n != 0 {
+					t.Fatalf("region %d: Team.Tasks = %d at region end, want 0", r, n)
+				}
+			}
+		})
+	}
+}
+
 // TestBufferStealsUnderImbalanceWS: an imbalanced task storm on the ws
 // backend in which every team member is busy — the producer spinning after
 // its burst, the other member spinning in its body — so the ONLY consumers
