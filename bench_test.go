@@ -601,9 +601,8 @@ func BenchmarkCancelStorm(b *testing.B) {
 // producer, inside a single construct, bursts tasks into its overflow ring
 // and then spins below any scheduling point, so the burst can drain only
 // through the other members raiding the ring from the single's implicit
-// barrier (plus, on GLTO, idle streams through the engine drain hook).
-// Every task therefore crosses the raid path, whose synchronization is what
-// gets measured.
+// barrier. Every task therefore crosses the raid path, whose synchronization
+// is what gets measured.
 //
 // On a raid-path regression the producer gives up after a generous deadline
 // rather than wedging the caller: returning reaches the single's implicit
@@ -638,14 +637,12 @@ func contentionBurst(rt omp.Runtime, n, tasks int) int64 {
 // contention — a wide team in which ONE producer bursts deferred tasks into
 // its overflow ring and then spins below any scheduling point, so the burst
 // can only drain through the other N-1 members raiding the ring concurrently
-// from the single's implicit barrier (plus, on GLTO, idle execution streams
-// through the engine drain hook). Every claimed task crosses the ring raid
-// (TC.Hunt or Team.StealBufferedTaskFrom), which makes this the benchmark
-// for the raid registry's synchronization: with the mutex ringSet all
-// raiders serialized on one team lock; with the per-rank ring directories
-// the steady-state raid performs no mutex acquisition at all. steals/op counts the tasks that
-// moved through the raid path per region (== tasks/op when nothing leaked to
-// a flush).
+// from the single's implicit barrier. Every claimed task crosses the ring
+// raid (TC.Hunt), which makes this the benchmark for the raid registry's
+// synchronization: with the mutex ringSet all raiders serialized on one team
+// lock; with the per-rank ring directories the steady-state raid performs no
+// mutex acquisition at all. steals/op counts the tasks that moved through the
+// raid path per region (== tasks/op when nothing leaked to a flush).
 func BenchmarkConsumerContention(b *testing.B) {
 	// Full size stays below the 256-slot ring, so no flush can rescue the
 	// burst; the -short size keeps the same property while letting the CI

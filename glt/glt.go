@@ -71,7 +71,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // DefaultBackend is the backend used when none is specified. Argobots is the
@@ -127,13 +126,6 @@ type Runtime struct {
 	// construction; nil for backends without it (see Thread.loop's idle
 	// path).
 	stealer Stealer
-	// drain is the engine-registered idle drain hook (SetIdleDrain): the
-	// last work source a stream consults before parking, after Pop and the
-	// Stealer capability both came up empty. GLTO registers a hook that
-	// raids the OpenMP layer's producer-side overflow rings, so buffered
-	// tasks become runnable on idle streams without waiting for their
-	// producer's next scheduling point.
-	drain atomic.Pointer[func(rank int) bool]
 
 	rr       counter // round-robin dispatch cursor for AnyThread
 	wg       sync.WaitGroup
@@ -268,23 +260,6 @@ func (rt *Runtime) SpawnDetached(from, target int, fn Func, arg any) {
 	u.detached = true
 	u.refs.Store(1) // only the executing worker may touch the descriptor
 	rt.dispatchFrom(from, target, u)
-}
-
-// SetIdleDrain registers f as the engine-level drain hook: an idle stream
-// calls it (with its own rank) as the very last alternative to parking, after
-// its Pop returned nothing and the policy's Stealer capability (if any) found
-// no victim. f reports whether it recovered work — made something runnable on
-// the stream, or ran it — in which case the stream re-enters its scheduling
-// loop instead of sleeping and Stats.BufferSteals counts the rescue. f runs
-// on the stream's scheduler goroutine, outside any unit, so it may perform
-// owner-side operations for that rank (e.g. SpawnDetached from and to
-// itself) but must not block or yield. Passing nil removes the hook.
-func (rt *Runtime) SetIdleDrain(f func(rank int) bool) {
-	if f == nil {
-		rt.drain.Store(nil)
-		return
-	}
-	rt.drain.Store(&f)
 }
 
 // SpawnDetachedBatch creates len(targets) fire-and-forget units sharing one

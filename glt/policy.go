@@ -139,7 +139,7 @@ var (
 
 // Register makes a backend available to New under the given name. It is
 // typically called from a backend package's init function; importing
-// repro/glt/backends registers the standard three.
+// repro/glt/backends registers the standard four.
 func Register(name string, mk func() Policy) {
 	policyMu.Lock()
 	defer policyMu.Unlock()

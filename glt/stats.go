@@ -36,12 +36,6 @@ type Stats struct {
 	// policy's Stealer capability (see glt.Stealer). Always zero for
 	// backends without the capability.
 	IdleSteals int64
-	// BufferSteals counts idle-path drain-hook rescues: episodes in which a
-	// stream with no poppable or stealable unit recovered work through the
-	// engine-registered drain hook (Runtime.SetIdleDrain) — for GLTO, a raid
-	// of some producer's overflow ring of buffered OpenMP tasks. Always zero
-	// when no hook is registered.
-	BufferSteals int64
 	// BatchPushes counts batch dispatch episodes: each SpawnTeam/SpawnBatch
 	// that reached Policy.PushBatch contributes one, however many units it
 	// carried. Zero under Config.PerUnitDispatch.
@@ -71,7 +65,6 @@ func (s *Stats) add(o Stats) {
 	s.Migrations += o.Migrations
 	s.Parks += o.Parks
 	s.IdleSteals += o.IdleSteals
-	s.BufferSteals += o.BufferSteals
 }
 
 // threadStats are the per-stream counters. Only the holder of the stream's
@@ -89,7 +82,6 @@ type threadStats struct {
 	migrations    atomic.Int64
 	parks         atomic.Int64
 	idleSteals    atomic.Int64
-	bufferSteals  atomic.Int64
 	_             [64]byte
 }
 
@@ -105,7 +97,6 @@ func (t *threadStats) snapshot() Stats {
 		Migrations:    t.migrations.Load(),
 		Parks:         t.parks.Load(),
 		IdleSteals:    t.idleSteals.Load(),
-		BufferSteals:  t.bufferSteals.Load(),
 	}
 }
 
@@ -120,7 +111,6 @@ func (t *threadStats) reset() {
 	t.migrations.Store(0)
 	t.parks.Store(0)
 	t.idleSteals.Store(0)
-	t.bufferSteals.Store(0)
 }
 
 // counter is a shared monotonically increasing counter.

@@ -102,14 +102,6 @@ func (t *Thread) loop(u *Unit) {
 			u = nil
 			continue
 		}
-		// Still nothing anywhere in the policy's pools: give the engine's
-		// drain hook a chance to surface work that is not a unit yet — GLTO
-		// raids producer-side overflow rings of buffered OpenMP tasks here —
-		// before committing to a park.
-		if dp := t.rt.drain.Load(); dp != nil && (*dp)(t.rank) {
-			t.stats.bufferSteals.Add(1)
-			continue
-		}
 		t.stats.parks.Add(1)
 		trace.Emit(t.rank, trace.KindPark, 0)
 		t.park.parkTimeout(200 * time.Microsecond)

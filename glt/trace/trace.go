@@ -63,10 +63,8 @@ const (
 	// KindInboxDrain records the ws backend moving the foreign-push inbox
 	// backlog into the owner's deque; Arg is the number of units moved.
 	KindInboxDrain
-	// KindRaid records a successful raid by an idle stream: a ws steal-tour
-	// raid (deque top or inbox front of a victim), Arg the victim's stream
-	// rank; or GLTO's idle-drain rescue of a task from a producer's overflow
-	// ring, Arg the producer's team rank.
+	// KindRaid records a successful ws steal-tour raid by an idle stream
+	// (deque top or inbox front of a victim), Arg the victim's stream rank.
 	KindRaid
 
 	// omp layer: construct events, stream = team rank where one exists.

@@ -40,8 +40,6 @@ import (
 
 	"repro/glt"
 	_ "repro/glt/backends"
-	"repro/glt/trace"
-	"repro/internal/tour"
 	"repro/omp"
 )
 
@@ -71,32 +69,6 @@ type Runtime struct {
 	slots sync.Pool
 	// flushBufs recycles the target/arg scratch slices of a burst's Enqueue.
 	flushBufs sync.Pool
-
-	// drainTab is the idle-drain registry: the teams whose regions are in
-	// flight, one tour.Dir per execution stream, so the engine's idle drain
-	// hook finds the producer-side overflow rings to raid without a lock.
-	// Top-level regions list under the stream of their rank-0 member, nested
-	// regions under their encountering stream; an idle stream tours the
-	// table near-first, so a many-teams workload (nested regions in flight on
-	// every stream) finds its local teams first. RunRegion and Nested publish
-	// a team and retire it before the descriptor returns to the front end's
-	// pool. A stream already listing tour.DirSlots regions lists no more: the
-	// surplus region's members still raid its rings at their wait steps, and
-	// its producers flush at their scheduling points. A drain that loaded a
-	// team just before its retire may raid the descriptor's next region,
-	// which is safe (see omp's ringSet).
-	drainTab []streamDrain
-}
-
-// streamDrain is one stream's part of the idle-drain registry, padded so
-// neighbouring streams' publishes do not false-share.
-type streamDrain struct {
-	dir tour.Dir[omp.Team]
-	// rng is the owning stream's tour stream. stealBufferedTask runs only
-	// on the owner's scheduler goroutine (the idle-drain hook and the
-	// owner's own scheduling points), so it needs no synchronization.
-	rng tour.Rand
-	_   [56]byte
 }
 
 // regionSlot is the pooled dispatch state of one in-flight region.
@@ -127,7 +99,6 @@ func New(cfg omp.Config) (*Runtime, error) {
 	}
 	rt := &Runtime{cfg: cfg, g: g}
 	rt.Frontend = omp.NewFrontend(rt, cfg)
-	rt.drainTab = make([]streamDrain, g.NumThreads())
 	rt.eng.rt = rt
 	rt.taskBody = func(tcx *glt.Ctx) {
 		node := tcx.Arg().(*omp.TaskNode)
@@ -149,70 +120,13 @@ func New(cfg omp.Config) (*Runtime, error) {
 			args:    make([]any, 0, cfg.EffectiveTaskBuffer()),
 		}
 	}
-	// The engine-level half of consumer-visible overflow: a stream that found
-	// nothing to pop — and, on stealing backends, nothing to steal — raids
-	// the active teams' producer-side rings and respawns the claimed task as
-	// a detached unit on itself, instead of parking.
-	g.SetIdleDrain(rt.drainBufferedTask)
 	return rt, nil
-}
-
-// streamDir is stream's directory of the idle-drain registry.
-func (rt *Runtime) streamDir(stream int) *tour.Dir[omp.Team] {
-	return &rt.drainTab[stream%len(rt.drainTab)].dir
-}
-
-// stealBufferedTask claims one task from any listed team's overflow rings,
-// touring the stream-indexed registry — lock-free end to end: atomic slot
-// loads here, and the per-rank ring-directory raid inside
-// StealBufferedTaskFrom. The tour is convoy-aware: it starts at a
-// pseudo-random directory in a pseudo-random direction, drawn from the idle
-// stream's own tour stream (so N streams going idle on the same burst fan
-// out over producers instead of stampeding one), and alternates outward
-// from the start, visiting near directories before far ones (see
-// internal/tour).
-func (rt *Runtime) stealBufferedTask(rank int) *omp.TaskNode {
-	n := len(rt.drainTab)
-	start, dir := rt.drainTab[rank%n].rng.Start(n)
-	for k := 0; k < n; k++ {
-		d := &rt.drainTab[tour.At(start, dir, k, n)].dir
-		for j, m := 0, d.Len(); j < m; j++ {
-			if t := d.At(j); t != nil {
-				if node := t.StealBufferedTaskFrom(rank); node != nil {
-					return node
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// drainBufferedTask is the glt idle drain hook (glt.Runtime.SetIdleDrain):
-// called on stream rank's scheduler goroutine when its Pop and StealHalf
-// both came up empty. A claimed task is respawned as a detached work unit on
-// the idle stream itself — through the rank's unlocked descriptor cache, so
-// the rescue allocates nothing — giving it the full ULT semantics (yield,
-// migration) a normally dispatched task would have. The drain runs outside
-// any unit, so it spawns with no context and the stream's rank as hot: a
-// buffered task was never released, so Place keeps it there.
-func (rt *Runtime) drainBufferedTask(rank int) bool {
-	node := rt.stealBufferedTask(rank)
-	if node == nil {
-		return false
-	}
-	// The rescue is a raid on the producer's overflow ring; stamp it on the
-	// idle stream's timeline with the raided producer as the victim. (The
-	// raid itself already credited TasksStolenFromBuffer and fired the
-	// omp-level StealTour; this is the glt-side view of the same event.)
-	trace.Emit(rank, trace.KindRaid, uint64(node.CreatedBy))
-	rt.eng.spawn(nil, node, rank)
-	return true
 }
 
 // Name reports "glto".
 func (rt *Runtime) Name() string { return "glto" }
 
-// Backend reports the underlying GLT library ("abt", "qth" or "mth").
+// Backend reports the underlying GLT backend ("abt", "qth", "mth" or "ws").
 func (rt *Runtime) Backend() string { return rt.g.Backend() }
 
 // GLT exposes the underlying GLT runtime (the native-driver experiments of
@@ -233,18 +147,9 @@ func (rt *Runtime) RunRegion(t *omp.Team) {
 	slot := rt.slots.Get().(*regionSlot)
 	slot.team = t
 	units := rt.g.SpawnTeam(n, slot.fn, slot.units)
-	// Publish the team to idle streams only now that every member is queued
-	// on its stream: a stream pops before it drains, so it runs its own
-	// member before it can raid the team's rings, and a stream still
-	// waiting for its member cannot rescue a burst its member would run.
-	// Rank 0 lands on stream 0 (SpawnTeam places rank i on stream i mod
-	// streams), so the team is published under stream 0's directory.
-	d := rt.streamDir(0)
-	h := d.Publish(t)
 	for _, u := range units {
 		u.Join()
 	}
-	d.Retire(h, t)
 	rt.g.ReleaseAll(units)
 	slot.units = units[:0]
 	slot.team = nil
@@ -297,11 +202,10 @@ func (e *engine) target(c *glt.Ctx, node *omp.TaskNode, hot int) int {
 // at the GLT level: completion is tracked by the team's task counters
 // (FinishTask), never by joining the unit, so the descriptor recycles on the
 // worker that ran the task. With a context c the descriptor comes from c's
-// stream's unlocked cache; with none, from the cache of stream hot (the idle
-// drain, on that stream's scheduler goroutine) or, for a cold release
-// (hot < 0), from the shared free list.
+// stream's unlocked cache; with none (a cold release), from the shared free
+// list.
 func (e *engine) spawn(c *glt.Ctx, node *omp.TaskNode, hot int) {
-	from := hot
+	from := -1
 	if c != nil {
 		from = c.Rank()
 	}
@@ -387,12 +291,6 @@ func (e *engine) Taskyield(tc *omp.TC) {
 func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	n := team.Size
 	c := ctxOf(tc)
-	// Nested teams list under their encountering stream: the inner ULTs
-	// spawn there (§IV-E), so that is where an idle tour should find them
-	// first.
-	d := e.rt.streamDir(c.Rank())
-	h := d.Publish(team)
-	defer d.Retire(h, team)
 	e.rt.Counters.ULTsCreated.Add(int64(n - 1))
 	slot := e.rt.slots.Get().(*regionSlot)
 	slot.team = team

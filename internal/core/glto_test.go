@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/tour"
 	"repro/omp"
@@ -21,12 +20,10 @@ func newGLTO(t testing.TB, backend string, n int) *Runtime {
 }
 
 // The dispatch tests below pin where §IV-D sends a task, so no consumer may
-// claim it from its producer's overflow ring first. Ring raids start in two
-// places only — a member in a task-scheduling wait such as a barrier or a
-// taskwait (TryRunTask) and a stream gone idle (the drain hook) — and a member
-// spinning in one of the helpers below is in no such wait and keeps its
-// stream busy. It spins at the Go level: a GLT yield would let the stream go
-// idle.
+// claim it from its producer's overflow ring first. Ring raids start in one
+// place only — a member in a task-scheduling wait such as a barrier or a
+// taskwait (TryRunTask) — and a member spinning in one of the helpers below
+// is in no such wait. It spins at the Go level, keeping its stream busy.
 
 // rendezvous holds the calling member until n members have arrived at c.
 func rendezvous(c *atomic.Int64, n int64) {
@@ -321,103 +318,4 @@ func TestNestedBufferedTasksRunOnce(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestDrainTableSurplus puts more regions in flight on one stream's nesting
-// chain than a directory has slots. A top-level team of one runs on stream 0
-// and its rank 0 opens nested teams of two, level inside level; each nested
-// team lists under its encountering stream (§IV-E), which the test records
-// rather than assumes, and the top-level team lists under stream 0 from the
-// master, racing the chain. Once every region has tried to list, the
-// directories of all streams together hold one team per free slot and the
-// surplus regions are listed nowhere. Every member of every level buffers
-// tasks; each must run exactly once, the unlisted teams' tasks through
-// their producers' flushes and their members' raids, and every directory
-// must be empty once the regions are over.
-func TestDrainTableSurplus(t *testing.T) {
-	const (
-		regions = tour.DirSlots + 2
-		tasks   = 3 // per member per level
-	)
-	for _, backend := range []string{"abt", "qth"} {
-		t.Run(backend, func(t *testing.T) {
-			rt, err := New(omp.Config{NumThreads: 2, Backend: backend, Nested: true, TaskBuffer: 256})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rt.Shutdown()
-			var hits [regions][2][tasks]atomic.Int32
-			var stream [regions]int // the stream region d lists under
-			var listed, want int
-			var level func(d int) func(*omp.TC)
-			level = func(d int) func(*omp.TC) {
-				return func(tc *omp.TC) {
-					me := tc.ThreadNum()
-					for i := range hits[d][me] {
-						h := &hits[d][me][i]
-						tc.Task(func(*omp.TC) { h.Add(1) })
-					}
-					switch {
-					case me != 0:
-					case d+1 < regions:
-						stream[d+1] = ctxOf(tc).Rank()
-						tc.Parallel(2, level(d+1))
-					default:
-						perStream := make([]int, len(rt.drainTab))
-						for _, s := range stream {
-							perStream[s]++
-						}
-						for _, n := range perStream {
-							want += min(n, tour.DirSlots)
-						}
-						deadline := time.Now().Add(10 * time.Second)
-						for listed = drainListed(rt); listed != want && time.Now().Before(deadline); listed = drainListed(rt) {
-							runtime.Gosched()
-						}
-					}
-				}
-			}
-			rt.ParallelN(1, level(0))
-			if listed != want {
-				t.Errorf("%d regions listed with %d in flight, want %d", listed, regions, want)
-			}
-			if want == regions {
-				t.Errorf("all %d regions found a slot; the chain left no surplus to test", regions)
-			}
-			for d := range hits {
-				size := 2
-				if d == 0 {
-					size = 1
-				}
-				for me := range hits[d] {
-					for i := range hits[d][me] {
-						want := int32(0)
-						if me < size {
-							want = 1
-						}
-						if got := hits[d][me][i].Load(); got != want {
-							t.Errorf("level %d rank %d task %d ran %d times, want %d", d, me, i, got, want)
-						}
-					}
-				}
-			}
-			if n := drainListed(rt); n != 0 {
-				t.Errorf("the drain directories list %d teams after the regions ended", n)
-			}
-		})
-	}
-}
-
-// drainListed counts the teams listed in every stream's drain directory.
-func drainListed(rt *Runtime) int {
-	n := 0
-	for s := range rt.drainTab {
-		d := &rt.drainTab[s].dir
-		for j := 0; j < d.Len(); j++ {
-			if d.At(j) != nil {
-				n++
-			}
-		}
-	}
-	return n
 }

@@ -36,8 +36,8 @@ func TestAtVisitsEveryPlaceNearFirst(t *testing.T) {
 	}
 }
 
-// refMix64 and refStart are the tour-start draw as the ws backend and
-// GLTO's drain table wrote it before both moved to Rand: a splitmix64
+// refMix64 and refStart are the tour-start draw as the ws backend wrote it
+// before it moved to Rand: a splitmix64
 // counter advanced by the golden gamma, the start taken modulo n and the
 // direction from the draw's top bit.
 func refMix64(z uint64) uint64 {
@@ -62,12 +62,12 @@ func refStart(rng *uint64, n int) (int, int) {
 }
 
 // TestRandReplaysReferenceDraws pins that moving the tours onto Rand left
-// scheduling unchanged: for the ws per-rank seeds (ranks 0–3) and the drain
-// table's zero seed, Start replays the reference draw for draw, over team
+// scheduling unchanged: for the zero seed and the ws per-rank seeds (ranks
+// 0–3), Start replays the reference draw for draw, over team
 // sizes that vary from draw to draw.
 func TestRandReplaysReferenceDraws(t *testing.T) {
 	const draws = 2000
-	seeds := []uint64{0} // GLTO's drain table: the zero value
+	seeds := []uint64{0} // the zero value
 	for rank := uint64(0); rank < 4; rank++ {
 		seeds = append(seeds, rank*0x6C62272E07BB0142) // ws's per-rank seeds
 	}

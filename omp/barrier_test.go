@@ -84,7 +84,7 @@ func TestBarrierRecycleAcrossWidths(t *testing.T) {
 // TestRandomizedTourExactlyOnce is the determinism check behind the
 // randomized near-first raid tour: producers on every rank of a wide team
 // buffer tasks while several identity-less raiders
-// (Team.StealBufferedTaskFrom, each drawing its tour starts from its own
+// (Team.stealBuffered, each drawing its tour starts from its own
 // tour.Rand) claim concurrently.
 // Randomizing where each tour begins must change only the visit order —
 // every buffered task still surfaces exactly once, and the tour must still
@@ -126,14 +126,13 @@ func TestRandomizedTourExactlyOnce(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Identity-less consumer, the GLTO idle-drain shape: the tour
-			// start comes from the raider's own random stream instead of a
-			// rank rotor.
+			// Identity-less consumer: the tour start comes from the
+			// raider's own random stream instead of a rank rotor.
 			sink := NewTC(team, 0, nil, nil, nil)
 			rng := tour.Rand(r)
 			for claimed.Load() < total {
 				from, _ := rng.Start(team.Size)
-				if node := team.StealBufferedTaskFrom(from); node != nil {
+				if node, _, _ := team.stealBuffered(from); node != nil {
 					execTask(sink, node)
 					claimed.Add(1)
 					continue

@@ -191,7 +191,7 @@ func addDepEdge(pred *TaskNode, predGen uint32, succ *TaskNode) bool {
 // exhausts its budget (or a releaser with no context: a tracer's deferred
 // Release, glt's ReleaseAll) dispatches the kept successor last and unmarked,
 // so the tail of a long chain stays on the releasing stream and re-surfaces
-// where TryRunTask and idle-drain can claim it.
+// where TryRunTask can claim it.
 // Undeferred/final dependent tasks are unreachable here: their creation
 // guard keeps preds at 1, so the spin in spawnWithDeps — never this walk —
 // runs them.

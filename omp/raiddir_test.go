@@ -240,9 +240,9 @@ func TestRingDirectoryOccupancy(t *testing.T) {
 	}
 }
 
-// TestStealBufferedTaskStaleTeamSafe models the GLTO idle-drain shape the
-// epoch stamp exists for: a raider keeps raiding a Team pointer while the
-// descriptor is recycled into new regions (prepare racing stealBuffered).
+// TestStealBufferedTaskStaleTeamSafe models the shape the epoch stamp
+// exists for: a raider keeps raiding a Team pointer while the descriptor is
+// recycled into new regions (prepare racing stealBuffered).
 // The raid path must stay race-free against prepare's directory resizing
 // and ring retirement — every structure it touches is atomic — and any task
 // it does claim must execute exactly once. Run under -race; without the
@@ -255,9 +255,9 @@ func TestStealBufferedTaskStaleTeamSafe(t *testing.T) {
 	go func() {
 		defer raids.Done()
 		for !stop.Load() {
-			if node := team.StealBufferedTaskFrom(1); node != nil {
+			if node, _, _ := team.stealBuffered(1); node != nil {
 				// Claimed across a recycle boundary: execute it on a fresh
-				// consumer TC, as the drain hook respawn would.
+				// consumer TC.
 				execTask(NewTC(team, 1, nil, nil, nil), node)
 			}
 		}

@@ -193,12 +193,11 @@ func (tc *TC) InSingleMaster() bool { return tc.inSM }
 // taskRing is the fixed-capacity single-producer/multi-consumer overflow
 // ring behind a TC's task buffer. The owning thread is the only producer:
 // it writes the slot, then publishes by advancing tail. Consumers — idle
-// team members raiding through the wait step's hunt, idle glt streams
-// through Team.StealBufferedTaskFrom, and the producer itself when it
-// drains at a scheduling point — claim entries by CASing head forward; the
-// slot they read is certified by the CAS (the producer never overwrites
-// index i until head has passed i, and head passing i fails the claimant's
-// CAS).
+// team members raiding through the wait step's hunt and the producer itself
+// when it drains at a scheduling point — claim entries by CASing head
+// forward; the slot they read is certified by the CAS (the producer never
+// overwrites index i until head has passed i, and head passing i fails the
+// claimant's CAS).
 type taskRing struct {
 	head atomic.Int64
 	tail atomic.Int64

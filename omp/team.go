@@ -74,10 +74,10 @@ type Team struct {
 	// rings is the raid registry: the producer-side overflow rings holding
 	// tasks between their producers' scheduling points, each listed by its
 	// producer on a push and retired at the producer's next scheduling point.
-	// Idle consumers walk it through the wait step's hunt (TC.Hunt) and the
-	// glt idle-drain hook's StealBufferedTaskFrom, which is what makes
-	// the producer-side buffer visible between the producer's scheduling
-	// points (the consumer-visible half of the paper's Fig. 14 analysis).
+	// Idle team members walk it through the wait step's hunt (TC.Hunt),
+	// which is what makes the producer-side buffer visible between the
+	// producer's scheduling points (the consumer-visible half of the paper's
+	// Fig. 14 analysis).
 	rings ringSet
 
 	critMu sync.Mutex
@@ -380,14 +380,12 @@ func putTaskSlot(s *taskSlot) {
 // (see TC.raidRotor), so the raid path takes no lock: one atomic load on the
 // resident gate, atomic slot loads along the tour, one CAS to claim.
 //
-// The directory slice is published through an atomic pointer because a
-// raider may hold the Team across a descriptor recycle (GLTO's idle-drain
-// hook scans a stream-indexed table of teams, and a team retired from it may
-// still be raided by a drain that loaded it first). Every field a raider
-// touches — the gate, the directory header, the slots, the rings' cursors —
-// is therefore atomic, and a stale raid can only miss or claim a task of the
-// team's next region, which executes exactly once either way (the claim CAS
-// arbitrates, and execution routes through the node's own Team pointer).
+// The directory slice is published through an atomic pointer, and every
+// field a raider touches — the gate, the directory header, the slots, the
+// rings' cursors — is atomic, so a raider holding the Team across a
+// descriptor recycle can only miss or claim a task of the team's next
+// region, which executes exactly once either way (the claim CAS arbitrates,
+// and execution routes through the node's own Team pointer).
 type ringSet struct {
 	// resident counts tasks currently sitting in rings: pushes increment,
 	// successful claims decrement (see taskRing.resident). The raid fast
@@ -445,34 +443,13 @@ func (rs *ringSet) reset(size int) {
 	}
 }
 
-// StealBufferedTaskFrom claims one task from some member's producer-side
-// overflow ring, touring the per-rank ring directories from rank start (mod
-// the team size), or returns nil when every listed ring is empty. It is
-// the raid of consumers with no thread context on the team — the glt
-// idle-drain hook seeds it with the idle stream's rank — so it credits
-// TasksStolenFromBuffer and reports its own StealTour; team members raid
-// through the wait step's hunt (TC.Hunt) instead. The claimed node is ready
-// for ExecTaskOn on any team thread.
-func (t *Team) StealBufferedTaskFrom(start int) *TaskNode {
-	node, _, visited := t.stealBuffered(start)
-	if node != nil {
-		if o := t.owner; o != nil {
-			o.Counters.TasksStolenFromBuffer.Add(1)
-		}
-	}
-	if visited > 0 {
-		emitTrace(func(tr Tracer) { tr.StealTour(t, visited, node != nil) })
-	}
-	return node
-}
-
 // stealBuffered tours the per-rank ring directories from start and claims
 // the first available task, reporting the rank it was found at, so
 // per-consumer rotors can stick with a productive producer, and the number
 // of directories it probed, for the caller's StealTour. The tour is
 // near-first (see internal/tour, forward direction): a raider whose start
-// encodes its own locality (a TC rotor, GLTO's stream rank) reaches nearby
-// producers before far ones and concurrent raiders with different starts
+// encodes its own locality (its TC's rotor) reaches nearby producers before
+// far ones and concurrent raiders with different starts
 // diverge immediately instead of converging on one victim. A tour that
 // never starts (the one-load empty fast path) probes nothing, so idle
 // spinners do not flood the tracer with zero-length tours.

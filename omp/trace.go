@@ -54,11 +54,10 @@ type Tracer interface {
 	// took (chained inline, hot to the releaser's rank, or the creator-side
 	// fallback through EngineOps.Enqueue).
 	DepRelease(team *Team, node *TaskNode, path DepPath)
-	// StealTour fires once per hunt that probed anything: once per wait
-	// step (TC.Hunt), for the engine's queues and the team's overflow-ring
-	// directories together, and once per idle-drain raid of a team's rings
-	// (Team.StealBufferedTaskFrom). visited is the number of queues and
-	// directories probed, found whether the hunt claimed a task.
+	// StealTour fires once per wait step (TC.Hunt) that probed anything,
+	// for the engine's queues and the team's overflow-ring directories
+	// together. visited is the number of queues and directories probed,
+	// found whether the hunt claimed a task.
 	StealTour(team *Team, visited int, found bool)
 	// BarrierEnter and BarrierExit bracket each thread's wait at any team
 	// barrier (explicit, work-sharing, or region-end), including the task

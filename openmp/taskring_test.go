@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/glt"
 	"repro/omp"
 	"repro/openmp"
 )
@@ -158,8 +157,7 @@ func TestRingDirectoryTwoProducerRaid(t *testing.T) {
 					}
 				}
 				// Ranks 2 and 3 fall straight to the implicit barrier and
-				// raid from there (and, on GLTO, idle streams raid through
-				// the engine drain hook).
+				// raid from there.
 			})
 			for tag := range seen {
 				if got := seen[tag].Load(); got != 1 {
@@ -224,51 +222,5 @@ func TestNarrowTeamBufferedTasksRunOnce(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestBufferStealsUnderImbalanceWS: an imbalanced task storm on the ws
-// backend in which every team member is busy — the producer spinning after
-// its burst, the other member spinning in its body — so the ONLY consumers
-// left are the idle execution streams outside the team. Those recover the
-// burst through the glt engine's idle drain hook (after Pop and StealHalf
-// find nothing), which is exactly what Stats.BufferSteals counts.
-func TestBufferStealsUnderImbalanceWS(t *testing.T) {
-	const tasks = 32
-	rt, err := openmp.New("glto", omp.Config{
-		NumThreads: 4, // 4 execution streams ...
-		Backend:    "ws",
-		TaskBuffer: 256,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	var ran atomic.Int64
-	rt.ParallelN(2, func(tc *omp.TC) { // ... but a team of 2: streams 2,3 idle
-		if tc.ThreadNum() == 0 {
-			for i := 0; i < tasks; i++ {
-				tc.Task(func(*omp.TC) { ran.Add(1) })
-			}
-		}
-		// Both members spin below any scheduling point, so neither can raid;
-		// only the parked streams' drain hook can run the burst.
-		if !spinUntil(func() bool { return ran.Load() == tasks }, 10*time.Second) {
-			t.Errorf("idle streams recovered %d of %d buffered tasks", ran.Load(), tasks)
-		}
-	})
-	if got := ran.Load(); got != tasks {
-		t.Fatalf("%d of %d tasks ran", got, tasks)
-	}
-	s := rt.Stats()
-	if s.TasksStolenFromBuffer != tasks {
-		t.Errorf("TasksStolenFromBuffer = %d, want %d", s.TasksStolenFromBuffer, tasks)
-	}
-	gs := rt.(interface{ GLT() *glt.Runtime }).GLT().Stats()
-	if gs.BufferSteals == 0 {
-		t.Error("glt Stats.BufferSteals = 0: the idle drain hook never fired under an imbalanced storm")
-	}
-	if gs.BufferSteals != int64(tasks) {
-		t.Logf("note: BufferSteals = %d of %d (in-flight raid vs barrier flush interleavings)", gs.BufferSteals, tasks)
 	}
 }
