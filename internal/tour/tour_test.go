@@ -37,9 +37,8 @@ func TestAtVisitsEveryPlaceNearFirst(t *testing.T) {
 }
 
 // refMix64 and refStart are the tour-start draw as the ws backend wrote it
-// before it moved to Rand: a splitmix64
-// counter advanced by the golden gamma, the start taken modulo n and the
-// direction from the draw's top bit.
+// before it moved to Rand: a splitmix64 counter advanced by the golden
+// gamma, the start taken modulo n and the direction from the draw's top bit.
 func refMix64(z uint64) uint64 {
 	z *= 0x9E3779B97F4A7C15
 	z ^= z >> 30
@@ -63,8 +62,8 @@ func refStart(rng *uint64, n int) (int, int) {
 
 // TestRandReplaysReferenceDraws pins that moving the tours onto Rand left
 // scheduling unchanged: for the zero seed and the ws per-rank seeds (ranks
-// 0–3), Start replays the reference draw for draw, over team
-// sizes that vary from draw to draw.
+// 0–3), Start replays the reference draw for draw, over team sizes that vary
+// from draw to draw.
 func TestRandReplaysReferenceDraws(t *testing.T) {
 	const draws = 2000
 	seeds := []uint64{0} // the zero value
