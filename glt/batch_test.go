@@ -97,7 +97,7 @@ func TestSpawnBatchOrdering(t *testing.T) {
 				// run the first before the second exists.
 				release := holdStream(rt, 0)
 				targets := make([]int, n)
-				units := rt.SpawnBatch(func(c *glt.Ctx) {
+				units := rt.SpawnBatch(0, func(c *glt.Ctx) {
 					mu.Lock()
 					order = append(order, c.Tag())
 					mu.Unlock()

@@ -31,7 +31,8 @@ func (c *Ctx) Runtime() *Runtime { return c.rt }
 // Unit returns the work unit this context belongs to.
 func (c *Ctx) Unit() *Unit { return c.u }
 
-// IsMain reports whether this unit was spawned with SpawnMain.
+// IsMain reports whether this unit is the primary execution (see
+// Unit.IsMain).
 func (c *Ctx) IsMain() bool { return c.u.main }
 
 // Tag reports the unit's caller-assigned tag (the batch index assigned by
@@ -105,6 +106,14 @@ func (c *Ctx) yieldTo(target int) {
 		runtime.Gosched()
 		return
 	case next != nil && next.promoted.Load():
+		// Waiters cycling on one stream pass its token back and forth, and
+		// each woken goroutine inherits its waker's time slice: on one P the
+		// cycle would starve every other stream's goroutine until the Go
+		// scheduler preempts it, so every handoffsPerGosched-th such handoff
+		// first lets them run.
+		if t.directs++; t.directs%handoffsPerGosched == 0 {
+			runtime.Gosched()
+		}
 		t.exec(next)
 	default:
 		c.rt.handoff(t, next)

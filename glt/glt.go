@@ -71,6 +71,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultBackend is the backend used when none is specified. Argobots is the
@@ -142,6 +143,8 @@ type Runtime struct {
 	// were contained by the worker's recover boundary instead of killing the
 	// execution stream (see Thread.runInline).
 	panicsRecovered counter
+	// primary is set while a RunMain unit holds the main mark.
+	primary atomic.Bool
 	// refUnderflows counts unit reference counts observed below zero — an
 	// accounting bug (double Release, use after recycle). Under the gltdebug
 	// build tag the underflow panics instead (see debugChecks).
@@ -220,6 +223,44 @@ func (rt *Runtime) SpawnMain(target int, fn Func) *Unit {
 	u.main = true
 	rt.dispatchFrom(-1, target, u)
 	return u
+}
+
+// RunMain runs fn, tagged tag, on the calling goroutine as the primary ULT
+// of stream 0, and returns once fn has. It is the adopting form of SpawnMain
+// (GLTO's region master, bound to GLT_thread 0 as in §IV-B): the caller's
+// goroutine is the unit's stack from birth, so the unit is queued as a
+// suspended ULT and the stream that pops it hands this goroutine its token
+// directly — a thief under a stealing policy may pop it first. The unit is
+// marked main only once it holds a token, since a backend that pins the main
+// must still be able to move it before its first run (see Policy.PinMain),
+// and only while no other RunMain unit is main: a pinned main never gives up
+// its stream, so callers running concurrently beyond the first run as
+// ordinary ULTs and some stream always stays free to run their members.
+// When fn ends — returning, panicking (contained and counted, as on a
+// stream) or by runtime.Goexit — the unit finishes on the stream it ended on
+// and that stream's token passes to a shell: two token moves per call. It
+// must not be called from inside a ULT.
+func (rt *Runtime) RunMain(tag int, fn Func) {
+	u := rt.newUnit(-1, fn, false)
+	u.tag = tag
+	u.refs.Store(1) // no handle escapes: finish recycles the descriptor
+	u.promoted.Store(true)
+	rt.dispatchFrom(-1, 0, u)
+	u.sched.wait()
+	t := u.ctx.w
+	t.take()
+	u.main = rt.primary.CompareAndSwap(false, true)
+	t.stats.ultsStarted.Add(1)
+	defer func() {
+		rt.contain(recover())
+		if u.main {
+			rt.primary.Store(false)
+		}
+		end := u.ctx.w // read before finish may recycle u
+		end.finish(u)
+		rt.handoff(end, nil)
+	}()
+	fn(&u.ctx)
 }
 
 // SpawnTasklet creates a stackless tasklet running fn. Tasklets run to
@@ -347,15 +388,16 @@ func (rt *Runtime) SpawnTeam(n int, fn Func, out []*Unit) []*Unit {
 	return units
 }
 
-// SpawnBatch creates len(targets) ULTs sharing one body: unit i is tagged i
-// and dispatched to targets[i] (AnyThread resolves round-robin), all under
-// one policy synchronization episode. out is as in SpawnTeam.
-func (rt *Runtime) SpawnBatch(fn Func, targets []int, out []*Unit) []*Unit {
+// SpawnBatch creates len(targets) ULTs sharing one body: unit i is tagged
+// baseTag+i and dispatched to targets[i] (AnyThread resolves round-robin),
+// all under one policy synchronization episode. out is as in SpawnTeam.
+// GLTO's top-level regions use it for ranks 1..n-1 around a RunMain master.
+func (rt *Runtime) SpawnBatch(baseTag int, fn Func, targets []int, out []*Unit) []*Unit {
 	units := unitSlice(out, len(targets))
 	rt.units.getBatch(rt, units, -1)
 	for i, u := range units {
 		u.fn = fn
-		u.tag = i
+		u.tag = baseTag + i
 		u.home = rt.resolveTarget(targets[i])
 		u.refs.Store(2)
 	}

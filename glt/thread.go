@@ -20,7 +20,14 @@ type Thread struct {
 	park  parker
 	held  atomic.Bool // gltdebug token tripwire (see take)
 	stats threadStats
+	// directs counts yields that handed the token straight to another
+	// suspended ULT (see Ctx.yieldTo); only the token holder touches it.
+	directs uint32
 }
+
+// handoffsPerGosched is how many waiter-to-waiter handoffs a stream makes
+// between two OS-level scheduling hints.
+const handoffsPerGosched = 64
 
 func newThread(rt *Runtime, rank int) *Thread {
 	return &Thread{rt: rt, rank: rank, park: parker{ch: make(chan struct{}, 1)}}
@@ -140,12 +147,8 @@ func (t *Thread) exec(u *Unit) *Thread {
 func (t *Thread) runInline(u *Unit) (driving *Thread) {
 	returned := false // still false in the deferred call: panic or Goexit
 	defer func() {
-		if r := recover(); !returned && r != nil {
-			if r == tokenFault {
-				panic(r) // the tripwire is not the body's panic to contain
-			}
-			t.rt.panicsRecovered.inc()
-			returned = true // contained: the stream carries on as after a return
+		if t.rt.contain(recover()) {
+			returned = true // the stream carries on as after a return
 		}
 		end := u.ctx.w // read before finish may recycle u
 		end.finish(u)
@@ -157,6 +160,20 @@ func (t *Thread) runInline(u *Unit) (driving *Thread) {
 	u.fn(&u.ctx)
 	returned = true
 	return
+}
+
+// contain reports whether r, the value of a unit body's deferred recover, is
+// a panic it has now contained and counted. The token tripwire's panic is not
+// the body's to contain and propagates.
+func (rt *Runtime) contain(r any) bool {
+	if r == nil {
+		return false
+	}
+	if r == tokenFault {
+		panic(r)
+	}
+	rt.panicsRecovered.inc()
+	return true
 }
 
 // finish completes a unit and drops the worker's lifetime reference; for

@@ -90,8 +90,9 @@ func (u *Unit) Done() bool { return u.finished.Load() }
 // IsTasklet reports whether the unit is a stackless tasklet.
 func (u *Unit) IsTasklet() bool { return u.tasklet }
 
-// IsMain reports whether the unit was spawned with SpawnMain (the primary
-// execution; see Policy.PinMain).
+// IsMain reports whether the unit is the primary execution (see
+// Policy.PinMain): spawned with SpawnMain or SpawnTeam's unit 0, or the
+// RunMain unit holding the main mark.
 func (u *Unit) IsMain() bool { return u.main }
 
 // Tag reports the caller-assigned tag: the batch index for units created by

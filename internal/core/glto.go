@@ -8,10 +8,11 @@
 //     instantiated, one per requested OpenMP thread, and stay bound for the
 //     runtime's lifetime (§IV-B, Fig. 3).
 //   - Work-sharing: a parallel region converts each OpenMP thread into one
-//     GLT_ult; the master joins them and continues sequentially (§IV-C).
-//     This ULT-per-thread creation is the "work assignment" cost that makes
-//     GLTO slower than the function-pointer handoff of the pthread runtimes
-//     in compute-bound for loops (Fig. 7) — and it is created here on every
+//     GLT_ult; the master runs rank 0 itself as stream 0's primary ULT, then
+//     joins the others and continues sequentially (§IV-C). This
+//     ULT-per-thread creation is the "work assignment" cost that makes GLTO
+//     slower than the function-pointer handoff of the pthread runtimes in
+//     compute-bound for loops (Fig. 7) — and it is created here on every
 //     region, deliberately.
 //   - Task parallelism: every OMP task becomes a GLT_ult, placed by omp's
 //     one rule, TaskNode.Place: tasks created inside a single/master
@@ -62,10 +63,10 @@ type Runtime struct {
 	// as the unit's Arg, so task dispatch needs no per-task closure.
 	taskBody glt.Func
 
-	// slots recycles the per-region dispatch state: the unit slice handed to
-	// SpawnTeam/SpawnBatch and the one closure that binds a glt.Ctx to the
-	// region's team. Pooling the closure with the slice is what keeps the
-	// region path free of per-region allocations.
+	// slots recycles the per-region dispatch state: the unit and target
+	// slices handed to SpawnBatch and the one closure that binds a glt.Ctx to
+	// the region's team. Pooling the closure with the slices is what keeps
+	// the region path free of per-region allocations.
 	slots sync.Pool
 	// flushBufs recycles the target/arg scratch slices of a burst's Enqueue.
 	flushBufs sync.Pool
@@ -73,9 +74,10 @@ type Runtime struct {
 
 // regionSlot is the pooled dispatch state of one in-flight region.
 type regionSlot struct {
-	team  *omp.Team
-	units []*glt.Unit
-	fn    glt.Func // created once: runs slot.team.Run for the unit's tag
+	team    *omp.Team
+	units   []*glt.Unit
+	targets []int    // a top-level region's member streams, rank 1 first
+	fn      glt.Func // created once: runs slot.team.Run for the unit's tag
 }
 
 // flushBuf is the pooled scratch of one burst's Enqueue.
@@ -110,7 +112,10 @@ func New(cfg omp.Config) (*Runtime, error) {
 		omp.ExecTaskOn(team, num, &rt.eng, tcx, node)
 	}
 	rt.slots.New = func() any {
-		s := &regionSlot{units: make([]*glt.Unit, 0, cfg.NumThreads)}
+		s := &regionSlot{
+			units:   make([]*glt.Unit, 0, cfg.NumThreads),
+			targets: make([]int, 0, cfg.NumThreads),
+		}
 		s.fn = func(c *glt.Ctx) { s.team.Run(c.Tag(), &rt.eng, c) }
 		return s
 	}
@@ -134,24 +139,43 @@ func (rt *Runtime) Backend() string { return rt.g.Backend() }
 func (rt *Runtime) GLT() *glt.Runtime { return rt.g }
 
 // RunRegion implements the runtime SPI for a top-level region: one ULT per
-// team member, rank i on stream i mod streams, joined by the caller (§IV-C).
-// The whole team is dispatched from recycled descriptors as one PushBatch —
-// one scheduling synchronization episode per region instead of n — unless
-// Config.PerUnitDispatch restores the paper's per-unit cost. Unit 0 is the
-// primary work unit: under MassiveThreads it is pinned and cannot yield
-// (§IV-G). The team itself arrives pre-built and pooled from the Frontend,
-// so the steady-state region path allocates nothing at all.
+// team member, rank i on stream i mod streams (§IV-C). Ranks 1..n-1 are
+// dispatched from recycled descriptors as one PushBatch — one scheduling
+// synchronization episode instead of n-1 — unless Config.PerUnitDispatch
+// restores the paper's per-unit cost. Rank 0 is the master, bound to
+// GLT_thread 0 (§IV-B): the caller runs it itself as stream 0's primary ULT
+// (glt.Runtime.RunMain), under MassiveThreads pinned so it cannot yield
+// (§IV-G), and then joins the other ranks. The team itself arrives pre-built
+// and pooled from the Frontend, so the steady-state region path allocates
+// nothing at all.
 func (rt *Runtime) RunRegion(t *omp.Team) {
 	n := t.Size
 	rt.Counters.ULTsCreated.Add(int64(n))
 	slot := rt.slots.Get().(*regionSlot)
 	slot.team = t
-	units := rt.g.SpawnTeam(n, slot.fn, slot.units)
+	var units []*glt.Unit
+	if n > 1 {
+		streams := rt.g.NumThreads()
+		targets := slot.targets[:0]
+		for rank := 1; rank < n; rank++ {
+			targets = append(targets, rank%streams)
+		}
+		slot.targets = targets
+		units = rt.g.SpawnBatch(1, slot.fn, targets, slot.units)
+	}
+	rt.g.RunMain(0, slot.fn)
 	for _, u := range units {
 		u.Join()
 	}
-	rt.g.ReleaseAll(units)
-	slot.units = units[:0]
+	rt.putSlot(slot, units)
+}
+
+// putSlot releases a joined region's member units and recycles its slot.
+func (rt *Runtime) putSlot(slot *regionSlot, units []*glt.Unit) {
+	if units != nil {
+		rt.g.ReleaseAll(units)
+		slot.units = units[:0]
+	}
 	slot.team = nil
 	rt.slots.Put(slot)
 }
@@ -301,12 +325,7 @@ func (e *engine) Nested(tc *omp.TC, team *omp.Team) {
 	}
 	team.Run(0, e, c)
 	c.JoinAll(units)
-	if units != nil {
-		e.rt.g.ReleaseAll(units)
-		slot.units = units[:0]
-	}
-	slot.team = nil
-	e.rt.slots.Put(slot)
+	e.rt.putSlot(slot, units)
 }
 
 // Idle is the engine's wait primitive: a cooperative yield.

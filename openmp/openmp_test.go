@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/omp"
 	"repro/openmp"
@@ -650,6 +651,57 @@ func TestStatsRegionsCount(t *testing.T) {
 			t.Errorf("Regions = %d, want 7", s.Regions)
 		}
 	})
+}
+
+// TestConcurrentTopLevelRegions opens top-level regions from several
+// goroutines at once on one GLTO runtime, so their masters contend for the
+// same streams: every member must run exactly once, every region must count,
+// and nothing may wedge.
+func TestConcurrentTopLevelRegions(t *testing.T) {
+	const openers, regions, size = 4, 200, 2
+	for _, v := range variants {
+		if v.runtime != "glto" {
+			continue
+		}
+		t.Run(v.name, func(t *testing.T) {
+			rt, err := openmp.New(v.runtime, omp.Config{NumThreads: 2, Backend: v.backend})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rt.Shutdown()
+			rt.ResetStats()
+			var hits [openers][regions][size]atomic.Int32
+			var wg sync.WaitGroup
+			for g := range openers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := range regions {
+						rt.ParallelN(size, func(tc *omp.TC) { hits[g][i][tc.ThreadNum()].Add(1) })
+					}
+				}()
+			}
+			done := make(chan struct{})
+			go func() { wg.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("concurrent top-level regions wedged")
+			}
+			for g := range hits {
+				for i := range hits[g] {
+					for rank := range hits[g][i] {
+						if n := hits[g][i][rank].Load(); n != 1 {
+							t.Fatalf("opener %d, region %d: rank %d ran %d times, want 1", g, i, rank, n)
+						}
+					}
+				}
+			}
+			if got := rt.Stats().Regions; got != openers*regions {
+				t.Errorf("Regions = %d, want %d", got, openers*regions)
+			}
+		})
+	}
 }
 
 // TestPropertyForCoverage: for arbitrary loop bounds and chunk sizes, every
