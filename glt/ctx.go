@@ -35,9 +35,9 @@ func (c *Ctx) Unit() *Unit { return c.u }
 // Unit.IsMain).
 func (c *Ctx) IsMain() bool { return c.u.main }
 
-// Tag reports the unit's caller-assigned tag (the batch index assigned by
-// SpawnTeam/SpawnBatch; the OpenMP team rank in GLTO). Unlike Rank it is
-// fixed for the unit's lifetime.
+// Tag reports the unit's caller-assigned tag (the batch position assigned by
+// SpawnTeam/SpawnBatch, or RunMain's tag; the OpenMP team rank in GLTO).
+// Unlike Rank it is fixed for the unit's lifetime.
 func (c *Ctx) Tag() int { return c.u.tag }
 
 // Yield makes the unit runnable again at the tail of its current stream's

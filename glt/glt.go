@@ -355,10 +355,10 @@ func (rt *Runtime) spawnDetachedBatch(from int, fn Func, targets []int, args []a
 // tagged i (recovered inside the body via Ctx.Tag), lands on stream
 // i mod NumThreads, and unit 0 is the primary (SpawnMain) unit. All n units
 // are made runnable in one batch — descriptors leave the free list under a
-// single lock acquisition and the policy receives a single PushBatch — which
-// turns GLTO's one-ULT-per-OpenMP-thread region spawn (§IV-C) from n
-// synchronization episodes into one. Under Config.PerUnitDispatch it
-// degrades to n ordinary spawns.
+// single lock acquisition and the policy receives a single PushBatch — one
+// synchronization episode instead of n. Under Config.PerUnitDispatch it
+// degrades to n ordinary spawns. (GLTO's regions run their master through
+// RunMain instead and batch only the other members, with SpawnBatch.)
 //
 // out, when it has capacity for n units, is used as the backing store;
 // passing the previous region's slice back makes respawn allocation-free.

@@ -95,8 +95,9 @@ func (u *Unit) IsTasklet() bool { return u.tasklet }
 // RunMain unit holding the main mark.
 func (u *Unit) IsMain() bool { return u.main }
 
-// Tag reports the caller-assigned tag: the batch index for units created by
-// SpawnTeam/SpawnBatch (GLTO stores the OpenMP team rank here), 0 otherwise.
+// Tag reports the caller-assigned tag: the batch position (from its base
+// tag) for units created by SpawnTeam/SpawnBatch, the tag passed to RunMain
+// (GLTO stores the OpenMP team rank here), 0 otherwise.
 func (u *Unit) Tag() int { return u.tag }
 
 // Arg reports the per-unit payload attached by SpawnDetached or
