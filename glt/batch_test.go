@@ -134,29 +134,23 @@ func TestSpawnBatchOrdering(t *testing.T) {
 }
 
 // TestRegionRespawnAllocsDrop is the pooling acceptance check: respawning a
-// team through the free list must allocate well under (≤70% of) what the
-// per-unit paper-faithful mode allocates per region.
+// team through the free list, with the previous region's slice passed back,
+// must allocate nothing once the descriptor, shell and channel pools are warm.
 func TestRegionRespawnAllocsDrop(t *testing.T) {
 	fn := func(*glt.Ctx) {}
-	measure := func(perUnit bool) float64 {
-		rt := glt.MustNew(glt.Config{Backend: "abt", NumThreads: 2, PerUnitDispatch: perUnit})
-		defer rt.Shutdown()
-		buf := make([]*glt.Unit, 0, 4)
-		cycle := func() {
-			units := rt.SpawnTeam(4, fn, buf)
-			spinJoin(units)
-			rt.ReleaseAll(units)
-		}
-		for i := 0; i < 20; i++ {
-			cycle() // warm the descriptor, shell and channel pools
-		}
-		return testing.AllocsPerRun(100, cycle)
+	rt := glt.MustNew(glt.Config{Backend: "abt", NumThreads: 2})
+	defer rt.Shutdown()
+	buf := make([]*glt.Unit, 0, 4)
+	cycle := func() {
+		units := rt.SpawnTeam(4, fn, buf)
+		spinJoin(units)
+		rt.ReleaseAll(units)
 	}
-	pooled := measure(false)
-	perUnit := measure(true)
-	t.Logf("allocs/region: pooled %.1f, per-unit %.1f", pooled, perUnit)
-	if pooled > 0.7*perUnit {
-		t.Errorf("pooled respawn allocates %.1f/region, want ≤ 70%% of per-unit %.1f", pooled, perUnit)
+	for i := 0; i < 20; i++ {
+		cycle() // warm the descriptor, shell and channel pools
+	}
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("pooled respawn allocates %.1f/region, want 0", got)
 	}
 }
 
