@@ -678,11 +678,9 @@ func BenchmarkConsumerContention(b *testing.B) {
 }
 
 // BenchmarkRegionRespawn: the ParallelN respawn hot path on every runtime,
-// under the default pooled front end (teams recycled, batched dispatch)
-// against the paper-faithful per-unit mode (omp.Config.PerUnitDispatch).
-// Run with -benchmem: the SPI redesign is accepted on ≤ 2 allocs/op for the
-// pooled variant of each runtime (the ceiling TestRegionRespawnAllocCeiling
-// enforces in CI).
+// under the pooled front end (teams recycled, batched dispatch). Run with
+// -benchmem: the SPI redesign is accepted on ≤ 2 allocs/op for each runtime
+// (the ceiling TestRegionRespawnAllocCeiling enforces in CI).
 func BenchmarkRegionRespawn(b *testing.B) {
 	variants := []harness.Variant{
 		{Label: "GCC", Runtime: "gomp"},
@@ -690,26 +688,17 @@ func BenchmarkRegionRespawn(b *testing.B) {
 		{Label: "GLTO(ABT)", Runtime: "glto", Backend: "abt"},
 		{Label: "GLTO(WS)", Runtime: "glto", Backend: "ws"},
 	}
-	for _, mode := range []struct {
-		name    string
-		perUnit bool
-	}{{"pooled", false}, {"per-unit", true}} {
-		mode := mode
-		for _, v := range variants {
-			v := v
-			b.Run(mode.name+"/"+v.Label, func(b *testing.B) {
-				rt := newRT(b, v, func(c *omp.Config) {
-					c.PerUnitDispatch = mode.perUnit
-					c.WaitPolicy = omp.ActiveWait
-				})
+	for _, v := range variants {
+		v := v
+		b.Run(v.Label, func(b *testing.B) {
+			rt := newRT(b, v, func(c *omp.Config) { c.WaitPolicy = omp.ActiveWait })
+			rt.ParallelN(benchThreads, func(tc *omp.TC) {})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				rt.ParallelN(benchThreads, func(tc *omp.TC) {})
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rt.ParallelN(benchThreads, func(tc *omp.TC) {})
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

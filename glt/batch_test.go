@@ -1,9 +1,8 @@
 package glt_test
 
 // Tests for the batch-dispatch and descriptor-recycling layer: SpawnTeam /
-// SpawnBatch placement and ordering across all three backends, the
-// PerUnitDispatch fallback, detached spawns, and the allocation profile of
-// region respawn.
+// SpawnBatch placement and ordering across all four backends, detached
+// spawns, and the allocation profile of region respawn.
 
 import (
 	"runtime"
@@ -73,63 +72,51 @@ func TestSpawnTeamPlacementTagsMain(t *testing.T) {
 }
 
 // TestSpawnBatchOrdering checks that PushBatch preserves each backend's
-// native queue semantics, in both batched and per-unit fallback modes: abt
-// and qth pools are FIFO (spawn order); mth's and ws's owners pop their
-// deques LIFO (work-first: newest spawn first).
+// native queue semantics: abt and qth pools are FIFO (spawn order); mth's and
+// ws's owners pop their deques LIFO (work-first: newest spawn first).
 func TestSpawnBatchOrdering(t *testing.T) {
 	const n = 8
 	for _, b := range allBackends {
-		for _, perUnit := range []bool{false, true} {
-			name := b + "/batched"
-			if perUnit {
-				name = b + "/per-unit"
+		t.Run(b+"/batched", func(t *testing.T) {
+			rt, err := glt.New(glt.Config{Backend: b, NumThreads: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			t.Run(name, func(t *testing.T) {
-				rt, err := glt.New(glt.Config{Backend: b, NumThreads: 1, PerUnitDispatch: perUnit})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer rt.Shutdown()
-				var mu sync.Mutex
-				var order []int
-				// Occupy the stream until the whole batch is queued: per-unit
-				// dispatch pushes one unit at a time, and an idle stream would
-				// run the first before the second exists.
-				release := holdStream(rt, 0)
-				targets := make([]int, n)
-				units := rt.SpawnBatch(0, func(c *glt.Ctx) {
-					mu.Lock()
-					order = append(order, c.Tag())
-					mu.Unlock()
-				}, targets, nil)
-				release()
-				for _, u := range units {
-					u.Join()
-				}
-				want := make([]int, n)
-				for i := range want {
-					if b == "mth" || b == "ws" {
-						want[i] = n - 1 - i // LIFO: the deque owner runs newest first
-					} else {
-						want[i] = i // FIFO pools
-					}
-				}
+			defer rt.Shutdown()
+			var mu sync.Mutex
+			var order []int
+			// Occupy the stream until the whole batch is queued, so the
+			// order observed is the pool's and not the dispatch's.
+			release := holdStream(rt, 0)
+			targets := make([]int, n)
+			units := rt.SpawnBatch(0, func(c *glt.Ctx) {
 				mu.Lock()
-				defer mu.Unlock()
-				if len(order) != n {
-					t.Fatalf("ran %d units, want %d", len(order), n)
+				order = append(order, c.Tag())
+				mu.Unlock()
+			}, targets, nil)
+			release()
+			for _, u := range units {
+				u.Join()
+			}
+			want := make([]int, n)
+			for i := range want {
+				if b == "mth" || b == "ws" {
+					want[i] = n - 1 - i // LIFO: the deque owner runs newest first
+				} else {
+					want[i] = i // FIFO pools
 				}
-				for i := range want {
-					if order[i] != want[i] {
-						t.Fatalf("execution order %v, want %v", order, want)
-						break
-					}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			if len(order) != n {
+				t.Fatalf("ran %d units, want %d", len(order), n)
+			}
+			for i := range want {
+				if order[i] != want[i] {
+					t.Fatalf("execution order %v, want %v", order, want)
 				}
-				if s := rt.Stats(); perUnit && s.BatchPushes != 0 {
-					t.Errorf("BatchPushes = %d under PerUnitDispatch, want 0", s.BatchPushes)
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -261,30 +248,5 @@ func TestReleaseRecyclesDescriptor(t *testing.T) {
 	u2.Join()
 	if s := rt.Stats(); s.UnitsReused == 0 {
 		t.Error("UnitsReused = 0 after spawn-join-release-spawn")
-	}
-}
-
-// TestPerUnitDispatchKeepsSemantics runs a nontrivial spawn/yield/join mix
-// under the escape hatch to confirm the fallback path is a faithful engine.
-func TestPerUnitDispatchKeepsSemantics(t *testing.T) {
-	rt, err := glt.New(glt.Config{Backend: "abt", NumThreads: 2, PerUnitDispatch: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown()
-	var ran atomic.Int64
-	units := rt.SpawnTeam(6, func(c *glt.Ctx) {
-		c.Yield()
-		ran.Add(1)
-	}, nil)
-	for _, u := range units {
-		u.Join()
-	}
-	rt.ReleaseAll(units) // must be a harmless no-op
-	if ran.Load() != 6 {
-		t.Errorf("ran %d of 6 team members", ran.Load())
-	}
-	if s := rt.Stats(); s.BatchPushes != 0 || s.UnitsReused != 0 {
-		t.Errorf("pooling/batching active under PerUnitDispatch: %+v", s)
 	}
 }

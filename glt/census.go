@@ -5,11 +5,10 @@ import "sync/atomic"
 // Unit-descriptor census: a leak detector for the pooled Unit lifecycle,
 // mirroring the omp layer's task-slot census. When enabled, every descriptor
 // handed out by the free list (recycled or freshly allocated) increments the
-// live count and every recycle (or drop, under Config.PerUnitDispatch)
-// decrements it, so a soak test can snapshot the count around a workload and
-// assert it returns to its baseline — any residue is a descriptor whose last
-// reference was never dropped. Off by default; the gate is one atomic load
-// on the spawn path.
+// live count and every recycle decrements it, so a soak test can snapshot
+// the count around a workload and assert it returns to its baseline — any
+// residue is a descriptor whose last reference was never dropped. Off by
+// default; the gate is one atomic load on the spawn path.
 //
 // The counter is process-wide (descriptors never migrate between Runtime
 // instances, but tests routinely build several runtimes) and tracks relative

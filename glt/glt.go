@@ -96,14 +96,6 @@ type Config struct {
 	// contended queue (paper §IV-F; omp.Config.SharedQueues sets it from
 	// GLT_SHARED_QUEUES).
 	SharedQueues bool
-	// PerUnitDispatch restores the paper-faithful per-unit hot path: every
-	// spawn allocates a fresh descriptor and performs its own Policy.Push —
-	// one synchronization episode per unit — and Release becomes a no-op. By
-	// default the engine batches team spawns through Policy.PushBatch and
-	// recycles descriptors through a free list; the deliberate per-unit
-	// work-assignment cost of Fig. 7 is only measurable with this set
-	// (omp.Config.PerUnitDispatch sets it from GLTO_PER_UNIT_DISPATCH).
-	PerUnitDispatch bool
 }
 
 func (c Config) withDefaults() Config {
@@ -165,7 +157,7 @@ func New(cfg Config) (*Runtime, error) {
 	rt.shells.idle, rt.shells.cap = make(chan shellJob), int32(8*cfg.NumThreads)
 	// Descriptor free list: per-stream caches over a global pool sized for a
 	// healthy task backlog per stream.
-	rt.units.init(cfg.NumThreads, 64*cfg.NumThreads, cfg.PerUnitDispatch)
+	rt.units.init(cfg.NumThreads, 64*cfg.NumThreads)
 	rt.policy.Setup(cfg.NumThreads, cfg.SharedQueues)
 	rt.threads = make([]*Thread, cfg.NumThreads)
 	for i := range rt.threads {
@@ -356,9 +348,9 @@ func (rt *Runtime) spawnDetachedBatch(from int, fn Func, targets []int, args []a
 // i mod NumThreads, and unit 0 is the primary (SpawnMain) unit. All n units
 // are made runnable in one batch — descriptors leave the free list under a
 // single lock acquisition and the policy receives a single PushBatch — one
-// synchronization episode instead of n. Under Config.PerUnitDispatch it
-// degrades to n ordinary spawns. (GLTO's regions run their master through
-// RunMain instead and batch only the other members, with SpawnBatch.)
+// synchronization episode instead of n. (GLTO's regions run their master
+// through RunMain instead and batch only the other members, with
+// SpawnBatch.)
 //
 // out, when it has capacity for n units, is used as the backing store;
 // passing the previous region's slice back makes respawn allocation-free.
@@ -455,15 +447,8 @@ func (rt *Runtime) resolveTarget(target int) int {
 
 // dispatchBatch makes a batch of freshly built units (homes already
 // resolved) runnable: one PushBatch, then one wake sweep over the streams.
-// Under Config.PerUnitDispatch it falls back to one dispatch per unit.
 func (rt *Runtime) dispatchBatch(from int, units []*Unit) {
 	if len(units) == 0 {
-		return
-	}
-	if rt.cfg.PerUnitDispatch {
-		for _, u := range units {
-			rt.dispatchFrom(from, u.home, u)
-		}
 		return
 	}
 	// Record the destination ranks before the push: ownership of a unit

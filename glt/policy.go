@@ -68,10 +68,9 @@ type Policy interface {
 // victim-side accesses must be safe against the victim's concurrent owner,
 // which is the point of the capability.
 //
-// Beyond the idle path, the capability is the designated hook for
-// consumer-visible overflow of producer-side buffers (a ROADMAP item): a
-// consumer that can see a producer's backlog steals half of it in one
-// episode instead of waiting for the producer's next scheduling point.
+// The idle path in Thread.loop is the capability's only caller. Producer-side
+// task buffers are not drained through it: omp's overflow rings are raided
+// by consumers in omp.TC.Hunt, above the policy.
 type Stealer interface {
 	StealHalf(self int) *Unit
 }

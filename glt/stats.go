@@ -38,10 +38,10 @@ type Stats struct {
 	IdleSteals int64
 	// BatchPushes counts batch dispatch episodes: each SpawnTeam/SpawnBatch
 	// that reached Policy.PushBatch contributes one, however many units it
-	// carried. Zero under Config.PerUnitDispatch.
+	// carried.
 	BatchPushes int64
 	// UnitsReused counts unit descriptors recycled from the runtime's free
-	// list instead of freshly allocated. Zero under Config.PerUnitDispatch.
+	// list instead of freshly allocated.
 	UnitsReused int64
 	// PanicsRecovered counts unit bodies (ULT or tasklet) whose panic was
 	// contained by the worker's recover boundary: the unit completes (so

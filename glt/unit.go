@@ -122,8 +122,7 @@ func (u *Unit) Started() bool { return u.promoted.Load() }
 // for reuse by later spawns. The caller asserts that every Join has returned
 // and that it holds the last application reference: any use of the unit
 // after Release races with its next incarnation. Releasing is optional —
-// unreleased descriptors are simply garbage collected — and a no-op under
-// Config.PerUnitDispatch.
+// unreleased descriptors are simply garbage collected.
 func (u *Unit) Release() {
 	if !u.finished.Load() {
 		panic("glt: Release of unfinished unit")

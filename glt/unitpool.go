@@ -31,11 +31,7 @@ type unitPool struct {
 	// loop, or the unit body running on the stream), so no locking is
 	// needed.
 	caches []unitCache
-	// disable restores per-spawn allocation (Config.PerUnitDispatch): get
-	// always allocates and put drops, so every unit pays the paper-faithful
-	// per-unit creation cost.
-	disable bool
-	reused  atomic.Int64
+	reused atomic.Int64
 }
 
 // cacheCap bounds one stream's cache; refills and spills move cacheCap/2
@@ -51,9 +47,8 @@ type unitCache struct {
 	_     [64]byte
 }
 
-func (p *unitPool) init(nthreads, capacity int, disable bool) {
+func (p *unitPool) init(nthreads, capacity int) {
 	p.cap = capacity
-	p.disable = disable
 	p.caches = make([]unitCache, nthreads)
 }
 
@@ -63,9 +58,6 @@ func (p *unitPool) init(nthreads, capacity int, disable bool) {
 // global pool when empty.
 func (p *unitPool) get(rt *Runtime, from int) *Unit {
 	censusGet(1)
-	if p.disable {
-		return allocUnit(rt)
-	}
 	if from >= 0 {
 		c := &p.caches[from]
 		if c.n == 0 {
@@ -98,12 +90,6 @@ func (p *unitPool) get(rt *Runtime, from int) *Unit {
 // global pool, allocating only the shortfall.
 func (p *unitPool) getBatch(rt *Runtime, out []*Unit, from int) {
 	censusGet(int64(len(out)))
-	if p.disable {
-		for i := range out {
-			out[i] = allocUnit(rt)
-		}
-		return
-	}
 	i := 0
 	if from >= 0 {
 		c := &p.caches[from]
@@ -139,9 +125,6 @@ func (p *unitPool) getBatch(rt *Runtime, out []*Unit, from int) {
 // cache, spilling half to the global pool when full.
 func (p *unitPool) put(u *Unit, from int) {
 	censusPut(1)
-	if p.disable {
-		return
-	}
 	u.recycle()
 	if from >= 0 {
 		c := &p.caches[from]
@@ -163,7 +146,7 @@ func (p *unitPool) put(u *Unit, from int) {
 // acquisition (the ReleaseAll path, which runs outside any stream).
 func (p *unitPool) putAll(units []*Unit) {
 	censusPut(int64(len(units)))
-	if p.disable || len(units) == 0 {
+	if len(units) == 0 {
 		return
 	}
 	for _, u := range units {

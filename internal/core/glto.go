@@ -19,8 +19,7 @@
 //     construct are dispatched round-robin over all streams; otherwise each
 //     stream keeps its own tasks (§IV-D). The rule also places the fan-out
 //     of a dependence release. omp hands deferred tasks over in
-//     producer-side bursts, which become one PushBatch each by default;
-//     Config.PerUnitDispatch restores the paper's one-push-per-task cost.
+//     producer-side bursts, which become one PushBatch each.
 //   - Nested parallelism: the encountering ULT spawns the inner team as
 //     ULTs on its own stream — no new OS threads, hence no oversubscription
 //     (§IV-E, Table II, Figs. 8/9).
@@ -91,10 +90,9 @@ type flushBuf struct {
 func New(cfg omp.Config) (*Runtime, error) {
 	cfg = cfg.WithDefaults()
 	g, err := glt.New(glt.Config{
-		Backend:         cfg.Backend,
-		NumThreads:      cfg.NumThreads,
-		SharedQueues:    cfg.SharedQueues,
-		PerUnitDispatch: cfg.PerUnitDispatch,
+		Backend:      cfg.Backend,
+		NumThreads:   cfg.NumThreads,
+		SharedQueues: cfg.SharedQueues,
 	})
 	if err != nil {
 		return nil, err
@@ -141,8 +139,7 @@ func (rt *Runtime) GLT() *glt.Runtime { return rt.g }
 // RunRegion implements the runtime SPI for a top-level region: one ULT per
 // team member, rank i on stream i mod streams (§IV-C). Ranks 1..n-1 are
 // dispatched from recycled descriptors as one PushBatch — one scheduling
-// synchronization episode instead of n-1 — unless Config.PerUnitDispatch
-// restores the paper's per-unit cost. Rank 0 is the master, bound to
+// synchronization episode instead of n-1. Rank 0 is the master, bound to
 // GLT_thread 0 (§IV-B): the caller runs it itself as stream 0's primary ULT
 // (glt.Runtime.RunMain), under MassiveThreads pinned so it cannot yield
 // (§IV-G), and then joins the other ranks. The team itself arrives pre-built

@@ -114,16 +114,14 @@ func TestTaskBecomesULT(t *testing.T) {
 }
 
 // taskDispatchModes are the configurations whose task dispatch paths differ:
-// batched flushes of the producer-side buffer (the default), one spawn per
-// task with the buffer off, and the paper's per-unit mode, which turns the
-// buffer off too.
+// batched flushes of the producer-side buffer (the default) and one spawn
+// per task with the buffer off.
 var taskDispatchModes = []struct {
 	name string
 	cfg  omp.Config
 }{
 	{"batched", omp.Config{}},
 	{"unbuffered", omp.Config{TaskBuffer: -1}},
-	{"per-unit", omp.Config{PerUnitDispatch: true}},
 }
 
 // forEachDispatchMode runs f as one subtest per taskDispatchModes entry, on a

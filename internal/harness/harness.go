@@ -64,11 +64,6 @@ func (v Variant) New(threads int, mutate func(*omp.Config)) (omp.Runtime, error)
 		Nested:     true, // OMP_NESTED=true, as in §VI-A
 		BindProc:   true, // OMP_PROC_BIND=true
 	}
-	// The harness pins the paper's ICVs, but the dispatch mode stays
-	// env-switchable so cmd/glto-bench can reproduce the deliberate
-	// per-unit work-assignment cost of Fig. 7 (GLTO_PER_UNIT_DISPATCH=1)
-	// against the default batched engine.
-	cfg.PerUnitDispatch = omp.PerUnitDispatchFromEnv()
 	if mutate != nil {
 		mutate(&cfg)
 	}

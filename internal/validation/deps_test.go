@@ -59,10 +59,9 @@ func TestDependenceSuite(t *testing.T) {
 	}
 }
 
-// TestDependenceSuiteDispatchModes re-runs the extension suite across the
-// dispatch modes (unbuffered, per-unit) and with release-to-self chaining
-// off: a released task enters the engine through EngineOps.Enqueue in every
-// mode, and dependence order must be mode-invariant exactly as construct
+// TestDependenceSuiteDispatchModes re-runs the extension suite with task
+// buffering off and with release-to-self chaining off: a released task
+// enters the engine through EngineOps.Enqueue in every mode, and dependence order must be mode-invariant exactly as construct
 // semantics are. The chain-off row (Config.DepChain < 0) sends every release
 // through the queues, so no successor runs inline on its releaser.
 func TestDependenceSuiteDispatchModes(t *testing.T) {
@@ -74,7 +73,6 @@ func TestDependenceSuiteDispatchModes(t *testing.T) {
 		mutate func(*omp.Config)
 	}{
 		{"unbuffered", func(c *omp.Config) { c.TaskBuffer = -1 }},
-		{"per-unit", func(c *omp.Config) { c.PerUnitDispatch = true }},
 		{"chain-off", func(c *omp.Config) { c.DepChain = -1 }},
 	}
 	runtimes := []struct {

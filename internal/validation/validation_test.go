@@ -219,13 +219,12 @@ func TestWaitPolicySuite(t *testing.T) {
 	}
 }
 
-// TestTable1DispatchModes runs the full Table I suite on GLTO under every
-// task/region dispatch mode the runtime offers — the default batched path
-// (producer-side task buffer + PushBatch), buffering disabled alone, and the
-// paper-faithful PerUnitDispatch escape hatch — and on the pthread runtimes
-// with batching toggled. Construct semantics must be mode-invariant: the
-// batching redesign may change *when* a deferred task becomes visible, never
-// what the validation suite observes.
+// TestTable1DispatchModes runs the full Table I suite on GLTO under both
+// task dispatch modes the runtime offers — the default batched path
+// (producer-side task buffer + PushBatch) and buffering disabled — and on
+// the pthread runtimes with batching toggled. Construct semantics must be
+// mode-invariant: the batching redesign may change *when* a deferred task
+// becomes visible, never what the validation suite observes.
 func TestTable1DispatchModes(t *testing.T) {
 	modes := []struct {
 		name   string
@@ -233,7 +232,6 @@ func TestTable1DispatchModes(t *testing.T) {
 	}{
 		{"batched", func(c *omp.Config) {}},
 		{"unbuffered", func(c *omp.Config) { c.TaskBuffer = -1 }},
-		{"per-unit", func(c *omp.Config) { c.PerUnitDispatch = true }},
 	}
 	runtimes := []struct {
 		rtName, backend string

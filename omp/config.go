@@ -111,11 +111,9 @@ type Config struct {
 	// fills — one engine synchronization episode per batch instead of one
 	// locked push per task. Zero means DefaultTaskBuffer; a negative value
 	// disables batching, restoring the seed's task-at-a-time dispatch.
-	// PerUnitDispatch disables it too, so the paper-faithful mode stays
-	// per-unit end to end. Undeferred tasks (final, if(0), cut-off overflow)
-	// never enter the buffer, and the Intel cut-off counts buffered tasks as
-	// queue length, so Fig. 14's deferral decisions are unchanged
-	// (OMP_TASK_BUFFER).
+	// Undeferred tasks (final, if(0), cut-off overflow) never enter the
+	// buffer, and the Intel cut-off counts buffered tasks as queue length,
+	// so Fig. 14's deferral decisions are unchanged (OMP_TASK_BUFFER).
 	TaskBuffer int
 
 	// Backend selects the GLT backend for the glto runtime: "abt", "qth",
@@ -123,12 +121,6 @@ type Config struct {
 	Backend string
 	// SharedQueues is GLT_SHARED_QUEUES (glto runtime only).
 	SharedQueues bool
-	// PerUnitDispatch makes the glto runtime dispatch region and task work
-	// units one at a time with freshly allocated descriptors
-	// (GLTO_PER_UNIT_DISPATCH), restoring the paper-faithful per-unit
-	// work-assignment cost of Fig. 7. By default GLTO batches a region's
-	// team into one scheduling episode and recycles unit descriptors.
-	PerUnitDispatch bool
 
 	// DepChain bounds release-to-self chaining: when a finishing task's
 	// last-ref drop releases a ready successor, the releasing thread runs it
@@ -185,10 +177,9 @@ func (c Config) WithDefaults() Config {
 }
 
 // EffectiveTaskBuffer returns the producer-side task buffer capacity, or 0
-// when batched task submission is disabled (negative TaskBuffer, or
-// PerUnitDispatch restoring the paper-faithful per-unit hot path).
+// when batched task submission is disabled (negative TaskBuffer).
 func (c Config) EffectiveTaskBuffer() int {
-	if c.PerUnitDispatch || c.TaskBuffer < 0 {
+	if c.TaskBuffer < 0 {
 		return 0
 	}
 	if c.TaskBuffer == 0 {
@@ -262,23 +253,12 @@ func (c Config) FromEnv() Config {
 	if !c.SharedQueues && envBool("GLT_SHARED_QUEUES") {
 		c.SharedQueues = true
 	}
-	if !c.PerUnitDispatch && PerUnitDispatchFromEnv() {
-		c.PerUnitDispatch = true
-	}
 	if c.TaskBuffer == 0 {
 		if v, err := strconv.Atoi(strings.TrimSpace(os.Getenv("OMP_TASK_BUFFER"))); err == nil && v != 0 {
 			c.TaskBuffer = v
 		}
 	}
 	return c
-}
-
-// PerUnitDispatchFromEnv reports whether GLTO_PER_UNIT_DISPATCH requests the
-// paper-faithful per-unit dispatch mode. It exists for callers like the figure harness that pin
-// every other ICV deliberately and must not consult the wider OMP_*
-// environment through Config.FromEnv.
-func PerUnitDispatchFromEnv() bool {
-	return envBool("GLTO_PER_UNIT_DISPATCH")
 }
 
 func envBool(name string) bool {

@@ -253,7 +253,7 @@ type Stats struct {
 	StealAttempts int64
 	// TaskFlushes counts producer-side buffer flushes: batched task
 	// submission episodes (each covering one or more tasks). Zero when
-	// batching is disabled (Config.TaskBuffer < 0 or PerUnitDispatch).
+	// batching is disabled (Config.TaskBuffer < 0).
 	TaskFlushes int64
 	// TasksWithDeps counts explicit tasks created with at least one depend
 	// clause (In/Out/InOut), i.e. tasks that went through dependence

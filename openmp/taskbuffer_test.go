@@ -112,37 +112,11 @@ func TestBufferFullFlushes(t *testing.T) {
 	}
 }
 
-// TestPerUnitDispatchDisablesBuffering: the paper-faithful knob must turn
-// batched submission off end to end (no flush episodes), while semantics are
-// unchanged.
-func TestPerUnitDispatchDisablesBuffering(t *testing.T) {
-	for _, v := range allRuntimes {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			rt := newBufRT(t, v.name, v.backend, func(c *omp.Config) { c.PerUnitDispatch = true })
-			var ran atomic.Int64
-			rt.ParallelN(2, func(tc *omp.TC) {
-				tc.Single(func() {
-					for i := 0; i < 100; i++ {
-						tc.Task(func(*omp.TC) { ran.Add(1) })
-					}
-				})
-			})
-			if got := ran.Load(); got != 100 {
-				t.Errorf("%d of 100 tasks ran", got)
-			}
-			if s := rt.Stats(); s.TaskFlushes != 0 {
-				t.Errorf("TaskFlushes = %d under PerUnitDispatch, want 0", s.TaskFlushes)
-			}
-		})
-	}
-}
-
 // TestCutoffCountsBufferedTasks pins the Fig. 14 observable: the Intel
 // cut-off decision must see buffered-but-unflushed tasks as queue length, so
-// deferral statistics are bit-identical with batching on, off, or in
-// paper-faithful per-unit mode. One thread makes it deterministic: no
-// consumer drains the queue while the producer decides.
+// deferral statistics are bit-identical with batching on or off. One thread
+// makes it deterministic: no consumer drains the queue while the producer
+// decides.
 func TestCutoffCountsBufferedTasks(t *testing.T) {
 	const cutoff, tasks = 16, 64
 	modes := []struct {
@@ -151,7 +125,6 @@ func TestCutoffCountsBufferedTasks(t *testing.T) {
 	}{
 		{"batched", nil},
 		{"unbuffered", func(c *omp.Config) { c.TaskBuffer = -1 }},
-		{"per-unit", func(c *omp.Config) { c.PerUnitDispatch = true }},
 	}
 	for _, mode := range modes {
 		mode := mode
@@ -227,9 +200,6 @@ func TestTaskBufferEnvKnob(t *testing.T) {
 	c = omp.Config{}.FromEnv()
 	if got := c.EffectiveTaskBuffer(); got != 0 {
 		t.Errorf("EffectiveTaskBuffer = %d for -1, want 0 (disabled)", got)
-	}
-	if got := (omp.Config{PerUnitDispatch: true}).EffectiveTaskBuffer(); got != 0 {
-		t.Errorf("EffectiveTaskBuffer = %d under PerUnitDispatch, want 0", got)
 	}
 	if got := (omp.Config{}).EffectiveTaskBuffer(); got != omp.DefaultTaskBuffer {
 		t.Errorf("EffectiveTaskBuffer default = %d, want %d", got, omp.DefaultTaskBuffer)
